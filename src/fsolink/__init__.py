@@ -40,9 +40,7 @@ from .qst import (
     EnsembleKind,
     FadingResample,
     FidelityTable,
-    OptimizerConfig,
     Reconstruction,
-    ReconstructionError,
     TomographyConfig,
     TomographyResult,
     born_probabilities,

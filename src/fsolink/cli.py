@@ -36,8 +36,6 @@ from .geometry import EARTH_MU_M3_S2, EARTH_RADIUS_M, pass_times
 from .qst import (
     EnsembleKind,
     FadingResample,
-    OptimizerConfig,
-    ReconstructionError,
     TomographyConfig,
     fidelity_vs_zenith,
 )
@@ -99,6 +97,15 @@ def _take(section: dict, key: str, default: Any) -> Any:
     return section.pop(key, default)
 
 
+def _take_number(section: dict, key: str, default: float, context: str, problems: list[str]) -> float:
+    """Pop a JSON number; anything else is recorded as a problem and replaced by the default."""
+    value = section.pop(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        problems.append(f"{context}.{key} must be a number, got {type(value).__name__}")
+        return default
+    return value
+
+
 def _reject_unknown(section: dict, context: str) -> None:
     if section:
         name = next(iter(section))
@@ -124,14 +131,13 @@ class ScenarioConfig:
     draws_per_point: int
     photons: int
     ensemble_size: int
-    restarts: int
-    opt_tol: float
-    max_iter: int
     ensemble_kind: EnsembleKind
     fading_resample: FadingResample
 
     def zenith_grid_rad(self) -> np.ndarray:
-        n = int(round((self.zenith_max_rad - self.zenith_min_rad) / self.zenith_step_rad))
+        # Floor, not round, so a step that does not divide the span stops short
+        # of zenith_max instead of overshooting it.
+        n = math.floor((self.zenith_max_rad - self.zenith_min_rad) / self.zenith_step_rad + 1e-9)
         return self.zenith_min_rad + self.zenith_step_rad * np.arange(n + 1)
 
 
@@ -159,6 +165,7 @@ def parse_config(document: str | dict) -> ScenarioConfig:
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError("seed must be a non-negative integer")
     output_dir = _take(raw, "output_dir", ".")
+    problems: list[str] = []
 
     geo = _take(raw, "geometry", {})
     if not isinstance(geo, dict):
@@ -166,7 +173,7 @@ def parse_config(document: str | dict) -> ScenarioConfig:
     satellite_altitude = _parse_length(_take(geo, "satellite_altitude", LEO_ALTITUDE_M), "geometry.satellite_altitude")
     ogs_altitude = _parse_length(_take(geo, "ogs_altitude", 65.0), "geometry.ogs_altitude")
     earth_radius = _parse_length(_take(geo, "earth_radius", EARTH_RADIUS_M), "geometry.earth_radius")
-    mu = _take(geo, "mu", EARTH_MU_M3_S2)
+    mu = _take_number(geo, "mu", EARTH_MU_M3_S2, "geometry", problems)
     zenith_limit = _parse_angle(_take(geo, "zenith_limit", 80.0), "geometry.zenith_limit")
     raw_alts = _take(geo, "altitudes", None)
     _reject_unknown(geo, "geometry")
@@ -182,15 +189,15 @@ def parse_config(document: str | dict) -> ScenarioConfig:
         raise ConfigError("channel must be an object")
     wavelength = _parse_length(_take(ch, "wavelength", 1550e-9), "channel.wavelength")
     waist = _parse_length(_take(ch, "beam_waist", 0.01), "channel.beam_waist")
-    eta_int = _take(ch, "eta_int", 0.4)
-    alpha0 = _take(ch, "alpha0", 5e-6)
+    eta_int = _take_number(ch, "eta_int", 0.4, "channel", problems)
+    alpha0 = _take_number(ch, "alpha0", 5e-6, "channel", problems)
     h0 = _parse_length(_take(ch, "h0", 6600.0), "channel.h0")
-    c0 = _take(ch, "c0", 1.7e-14)
-    v_rms = _take(ch, "v_rms", 26.25)
+    c0 = _take_number(ch, "c0", 1.7e-14, "channel", problems)
+    v_rms = _take_number(ch, "v_rms", 26.25, "channel", problems)
     mode_name = _take(ch, "fluctuation_mode", "deterministic")
     model_name = _take(ch, "aperture_model", "andrews")
     tropopause = _parse_length(_take(ch, "tropopause_height", 12_000.0), "channel.tropopause_height")
-    theta_max = _take(ch, "theta_max_deg", 10.0)
+    theta_max = _take_number(ch, "theta_max_deg", 10.0, "channel", problems)
     variant_name = _take(ch, "scintillation_variant", "7/6")
     _reject_unknown(ch, "channel")
 
@@ -212,21 +219,21 @@ def parse_config(document: str | dict) -> ScenarioConfig:
         raise ConfigError("tomography must be an object")
     photons = _take(tomo, "photons", 200_000)
     ensemble_size = _take(tomo, "ensemble_size", 220)
-    restarts = _take(tomo, "restarts", 5)
-    opt_tol = _take(tomo, "tol", 1e-9)
-    max_iter = _take(tomo, "max_iter", 10_000)
     kind_name = _take(tomo, "ensemble_kind", "haar_pure")
     resample_name = _take(tomo, "fading_resample", "per_trial")
     _reject_unknown(tomo, "tomography")
     _reject_unknown(raw, "config")
 
-    problems: list[str] = []
     if satellite_altitude <= ogs_altitude:
         problems.append("geometry.satellite_altitude must exceed geometry.ogs_altitude")
     if ogs_altitude < 0:
         problems.append("geometry.ogs_altitude must be >= 0")
     if not 0.0 < zenith_limit < math.pi / 2:
         problems.append("geometry.zenith_limit must lie in (0, 90) degrees")
+    if not earth_radius > 0:
+        problems.append("geometry.earth_radius must be > 0")
+    if not mu > 0:
+        problems.append("geometry.mu must be > 0")
     if any(a <= ogs_altitude for a in altitudes):
         problems.append("geometry.altitudes must all exceed geometry.ogs_altitude")
     if not 0.0 < eta_int <= 1.0:
@@ -253,12 +260,6 @@ def parse_config(document: str | dict) -> ScenarioConfig:
         problems.append("tomography.photons must be an integer >= 1")
     if not isinstance(ensemble_size, int) or ensemble_size < 1:
         problems.append("tomography.ensemble_size must be an integer >= 1")
-    if not isinstance(restarts, int) or restarts < 1:
-        problems.append("tomography.restarts must be an integer >= 1")
-    if not isinstance(max_iter, int) or max_iter < 1:
-        problems.append("tomography.max_iter must be an integer >= 1")
-    if not isinstance(opt_tol, (int, float)) or opt_tol <= 0:
-        problems.append("tomography.tol must be > 0")
 
     try:
         mode = FluctuationMode(mode_name)
@@ -316,9 +317,6 @@ def parse_config(document: str | dict) -> ScenarioConfig:
         draws_per_point=draws,
         photons=photons,
         ensemble_size=ensemble_size,
-        restarts=restarts,
-        opt_tol=float(opt_tol),
-        max_iter=max_iter,
         ensemble_kind=kind,
         fading_resample=resample,
     )
@@ -367,9 +365,6 @@ def effective_config(cfg: ScenarioConfig) -> dict:
         "tomography": {
             "photons": cfg.photons,
             "ensemble_size": cfg.ensemble_size,
-            "restarts": cfg.restarts,
-            "tol": cfg.opt_tol,
-            "max_iter": cfg.max_iter,
             "ensemble_kind": cfg.ensemble_kind.value,
             "fading_resample": cfg.fading_resample.value,
         },
@@ -467,7 +462,6 @@ def _run_qst(cfg: ScenarioConfig, outdir: Path) -> list[Path]:
         transmittance=1.0,
         ensemble_size=cfg.ensemble_size,
         seed=cfg.seed,
-        optimizer=OptimizerConfig(restarts=cfg.restarts, tol=cfg.opt_tol, max_iter=cfg.max_iter),
         ensemble_kind=cfg.ensemble_kind,
     )
     table = fidelity_vs_zenith(
@@ -563,7 +557,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(json.dumps({"error": "config", "detail": str(exc)}), file=sys.stderr)
         return 2
-    except (QuadratureError, ReconstructionError, FloatingPointError, ValueError) as exc:
+    except (QuadratureError, FloatingPointError, ValueError) as exc:
         print(json.dumps({"error": "numeric", "detail": str(exc)}), file=sys.stderr)
         return 3
     except OSError as exc:

@@ -2,19 +2,19 @@
 
 A four-outcome SIC-POVM measures identically prepared photons; counts follow
 independent Poisson statistics at the effective photon number that survives
-the link. States are reconstructed by least squares over a Cholesky
-parameterization (which keeps every candidate physical) and compared to the
-input via the Uhlmann-Jozsa fidelity.
+the link. States are reconstructed by least squares in closed form: for the
+tetrahedral SIC-POVM the fitted Bloch vector is r = 3 sum_k (m_k/n_eff) s_k,
+projected radially onto the unit ball when it falls outside. Reconstructions
+are compared to the input via the Uhlmann-Jozsa fidelity.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .budget import ChannelParams, compose, fading_variance
 from .fading import FadingModel, sample
@@ -34,10 +34,6 @@ _TETRAHEDRON = np.array(
 ) / math.sqrt(3.0)
 
 
-class ReconstructionError(RuntimeError):
-    """No optimizer restart converged within the iteration budget."""
-
-
 class EnsembleKind(enum.Enum):
     HAAR_PURE = "haar_pure"
     BURES_MIXED = "bures_mixed"
@@ -52,27 +48,11 @@ class FadingResample(enum.Enum):
 
 
 @dataclass(frozen=True)
-class OptimizerConfig:
-    restarts: int = 5
-    tol: float = 1e-9
-    max_iter: int = 10_000
-
-    def __post_init__(self) -> None:
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-
-
-@dataclass(frozen=True)
 class TomographyConfig:
     photons: int = 1_000_000
     transmittance: float = 1.0
     ensemble_size: int = 220
     seed: int = 0
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     ensemble_kind: EnsembleKind = EnsembleKind.HAAR_PURE
 
     def __post_init__(self) -> None:
@@ -96,7 +76,6 @@ class TomographyResult:
 class Reconstruction:
     rho: np.ndarray
     cost: float
-    converged: bool
     degenerate: bool
 
 
@@ -127,6 +106,9 @@ def sic_povm_qubit() -> np.ndarray:
     for k, s in enumerate(_TETRAHEDRON):
         effects[k] = 0.25 * (np.eye(2) + s[0] * _PAULI_X + s[1] * _PAULI_Y + s[2] * _PAULI_Z)
     return effects
+
+
+_SIC_POVM = sic_povm_qubit()
 
 
 def born_probabilities(rho: np.ndarray, povm: np.ndarray) -> np.ndarray:
@@ -190,120 +172,43 @@ def simulate_counts(
     return _poisson(gen, means)
 
 
-# T(t) is linear in the four Cholesky parameters; these are its basis slices.
-_CHOLESKY_BASIS = np.array(
-    [
-        [[1.0, 0.0], [0.0, 0.0]],
-        [[0.0, 0.0], [0.0, 1.0]],
-        [[0.0, 0.0], [1.0, 0.0]],
-        [[0.0, 0.0], [1.0j, 0.0]],
-    ],
-    dtype=complex,
-)
+def fit_state(counts, n_eff: int) -> Reconstruction:
+    """Least-squares state fit to tetrahedral SIC-POVM counts, in closed form.
 
-
-def _born_quadratic_forms(povm: np.ndarray) -> np.ndarray:
-    """Matrices A_k with tr(M_k T(t)^dag T(t)) = t^T A_k t.
-
-    Born probabilities are then (A t . t) / (t . t), which the optimizer can
-    evaluate without rebuilding 2x2 matrices at every step.
-    """
-    gram = np.einsum("kab,ibc,jca->kij", povm, _CHOLESKY_BASIS.conj().transpose(0, 2, 1), _CHOLESKY_BASIS).real
-    return 0.5 * (gram + gram.transpose(0, 2, 1))
-
-
-def _least_squares_cost(povm: np.ndarray, counts: np.ndarray, n_eff: int):
-    """Build (penalized objective, data-term) closures for the optimizer.
-
-    The data term is the normalized mismatch sum_k (p_k(t) - m_k/n_eff)^2:
-    same minimizer as the counts-scale cost but O(1) in magnitude, which keeps
-    the simplex tolerances meaningful at any photon budget. Because the state
-    is invariant under t -> c t, the data term alone is minimized on a ray and
-    the simplex would never collapse; a (|t|^2 - 1)^2 gauge penalty pins one
-    representative without moving the optimal state.
-    """
-    target = counts / n_eff
-    forms = _born_quadratic_forms(povm)
-
-    def data_term(t: np.ndarray) -> float:
-        norm2 = float(np.dot(t, t))
-        if norm2 < 1e-30:
-            return 1e6
-        d = (forms @ t @ t) / norm2 - target
-        return float(np.dot(d, d))
-
-    def objective(t: np.ndarray) -> float:
-        norm2 = float(np.dot(t, t))
-        if norm2 < 1e-30:
-            return 1e6
-        d = (forms @ t @ t) / norm2 - target
-        return float(np.dot(d, d)) + (norm2 - 1.0) ** 2
-
-    return objective, data_term
-
-
-def fit_state(
-    counts,
-    povm: np.ndarray,
-    n_eff: int,
-    optimizer: OptimizerConfig = OptimizerConfig(),
-    rng: np.random.Generator | int | None = None,
-) -> Reconstruction:
-    """Least-squares state fit; returns diagnostics alongside the state.
+    With p_k(r) = (1 + s_k . r) / 4, sum_k s_k = 0 and sum_k s_k s_k^T =
+    (4/3) I, the cost sum_k (p_k(r) - m_k/n_eff)^2 is isotropic in the Bloch
+    vector r. The best physical state therefore has r = 3 sum_k (m_k/n_eff) s_k,
+    scaled back onto the unit sphere when |r| > 1 (Rehacek, Englert &
+    Kaszlikowski, PRA 70, 052321, 2004). ``cost`` is that sum times n_eff^2,
+    i.e. on the counts scale.
 
     All-zero counts carry no information, so the maximally mixed state is
-    returned with ``degenerate`` set instead of running the optimizer.
+    returned with ``degenerate`` set.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    if counts.shape != (povm.shape[0],):
-        raise ValueError("counts length must match the number of POVM effects")
+    if counts.shape != (len(_TETRAHEDRON),):
+        raise ValueError("counts must have one entry per SIC-POVM effect (four)")
     if np.any(counts < 0):
         raise ValueError("counts must be non-negative")
     if n_eff < 1:
         raise ValueError("n_eff must be >= 1")
     if not np.any(counts):
-        return Reconstruction(rho=np.eye(2, dtype=complex) / 2.0, cost=float("nan"), converged=False, degenerate=True)
+        return Reconstruction(rho=np.eye(2, dtype=complex) / 2.0, cost=float("nan"), degenerate=True)
 
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    objective, data_term = _least_squares_cost(povm, counts, n_eff)
-
-    best = None
-    any_converged = False
-    for _ in range(optimizer.restarts):
-        t0 = gen.uniform(-1.0, 1.0, size=4)
-        while np.dot(t0, t0) < 1e-8:
-            t0 = gen.uniform(-1.0, 1.0, size=4)
-        res = minimize(
-            objective,
-            t0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": optimizer.max_iter,
-                "maxfev": 4 * optimizer.max_iter,
-                "xatol": 1e-7,
-                "fatol": optimizer.tol * max(1.0, objective(t0)),
-            },
-        )
-        any_converged = any_converged or bool(res.success)
-        if best is None or res.fun < best.fun:
-            best = res
-    if not any_converged:
-        raise ReconstructionError(
-            f"no Nelder-Mead restart converged within {optimizer.max_iter} iterations"
-        )
-    scaled_cost = data_term(best.x) * n_eff**2
-    return Reconstruction(rho=cholesky_to_rho(best.x), cost=scaled_cost, converged=True, degenerate=False)
+    target = counts / n_eff
+    r = 3.0 * target @ _TETRAHEDRON
+    norm = float(np.linalg.norm(r))
+    if norm > 1.0:
+        r /= norm
+    mismatch = (1.0 + _TETRAHEDRON @ r) / 4.0 - target
+    x, y, z = r
+    rho = 0.5 * np.array([[1.0 + z, x - 1.0j * y], [x + 1.0j * y, 1.0 - z]])
+    return Reconstruction(rho=rho, cost=float(mismatch @ mismatch) * n_eff**2, degenerate=False)
 
 
-def reconstruct(
-    counts,
-    povm: np.ndarray,
-    n_eff: int,
-    optimizer: OptimizerConfig = OptimizerConfig(),
-    rng: np.random.Generator | int | None = None,
-) -> np.ndarray:
+def reconstruct(counts, n_eff: int) -> np.ndarray:
     """Density matrix minimizing the least-squares count mismatch."""
-    return fit_state(counts, povm, n_eff, optimizer, rng).rho
+    return fit_state(counts, n_eff).rho
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -349,39 +254,27 @@ def _member_rng(seed: int, *index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(index)))
 
 
-def _run_trial(
-    rho_in: np.ndarray,
-    povm: np.ndarray,
-    photons: int,
-    eta: float,
-    optimizer: OptimizerConfig,
-    rng: np.random.Generator,
-) -> tuple[float, bool]:
-    """One tomography trial; returns (fidelity, failed-or-degenerate flag)."""
+def _run_trial(rho_in: np.ndarray, photons: int, eta: float, rng: np.random.Generator) -> tuple[float, bool]:
+    """One tomography trial; returns (fidelity, no-photons-or-degenerate flag)."""
     n_eff = round_half_away(eta * photons)
     if n_eff < 1:
         return fidelity(rho_in, np.eye(2, dtype=complex) / 2.0), True
-    counts = simulate_counts(rho_in, povm, photons, eta, rng)
-    try:
-        fit = fit_state(counts, povm, n_eff, optimizer, rng)
-    except ReconstructionError:
-        return fidelity(rho_in, np.eye(2, dtype=complex) / 2.0), True
-    return fidelity(rho_in, fit.rho), fit.degenerate or not fit.converged
+    fit = fit_state(simulate_counts(rho_in, _SIC_POVM, photons, eta, rng), n_eff)
+    return fidelity(rho_in, fit.rho), fit.degenerate
 
 
-def run_ensemble(config: TomographyConfig, povm: np.ndarray | None = None) -> TomographyResult:
+def run_ensemble(config: TomographyConfig) -> TomographyResult:
     """Tomography over an ensemble of random input states at fixed transmittance.
 
-    Every member draws its own state, counts, and optimizer restarts from a
-    sub-seed of (seed, member index), so results do not depend on scheduling.
+    Every member draws its own state and counts from a sub-seed of
+    (seed, member index), so results do not depend on scheduling.
     """
-    effects = sic_povm_qubit() if povm is None else povm
     fidelities = np.empty(config.ensemble_size)
     failures = 0
     for i in range(config.ensemble_size):
         rng = _member_rng(config.seed, i)
         rho_in = _draw_state(config.ensemble_kind, rng)
-        f, failed = _run_trial(rho_in, effects, config.photons, config.transmittance, config.optimizer, rng)
+        f, failed = _run_trial(rho_in, config.photons, config.transmittance, rng)
         fidelities[i] = f
         failures += int(failed)
     return TomographyResult(
@@ -409,7 +302,6 @@ def fidelity_vs_zenith(
     with a log-normal fade; by default each tomography trial sees a fresh
     fade, alternatively one draw is shared per grid point.
     """
-    povm = sic_povm_qubit()
     diameters = np.asarray(list(diameters_m), dtype=float)
     zeniths = np.asarray(list(zenith_grid_rad), dtype=float)
     shape = (len(diameters), len(zeniths))
@@ -447,7 +339,7 @@ def fidelity_vs_zenith(
                     fade = point_fade
                 eta = min(det.eta_total * fade, 1.0)
                 rho_in = _draw_state(config.ensemble_kind, rng)
-                f, failed = _run_trial(rho_in, povm, photons, eta, config.optimizer, rng)
+                f, failed = _run_trial(rho_in, photons, eta, rng)
                 fids[i] = f
                 fail_count += int(failed)
             mean[di, zi] = fids.mean()

@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fsolink
 from fsolink.budget import FluctuationMode
 from fsolink.cli import (
     ConfigError,
@@ -202,8 +207,67 @@ class TestMain:
         assert main(["--config", str(bad)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
+        # Strings and booleans in numeric keys are config errors, all listed.
+        non_numbers = {
+            "geometry": {"mu": "3.986e14"},
+            "channel": {"eta_int": "0.4", "theta_max_deg": "10", "alpha0": True, "c0": "1e-14", "v_rms": False},
+        }
+        for doc in (
+            {"channel": {"eta_int": "0.4"}},
+            {"channel": {"theta_max_deg": "10"}},
+            non_numbers,
+        ):
+            bad.write_text(json.dumps(doc))
+            assert main(["--config", str(bad)]) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "config"
+        for key in ("mu", "eta_int", "theta_max_deg", "alpha0", "c0", "v_rms"):
+            assert key in err["detail"]
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"scenario": "pass_time", "geometry": {"mu": 0}},
+            {"scenario": "pass_time", "geometry": {"earth_radius": -1}},
+            {"scenario": "link_budget", "geometry": {"earth_radius": 0}},
+        ],
+    )
+    def test_non_positive_mu_or_earth_radius_is_config_error(self, tmp_path, capsys, doc):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert next(iter(doc["geometry"])) in err["detail"]
+        assert not (tmp_path / "out").exists()
+
+    def test_removed_optimizer_keys_are_unknown(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        for key in ("restarts", "tol", "max_iter"):
+            cfg_path.write_text(json.dumps({"tomography": {key: 5}}))
+            assert main(["--config", str(cfg_path)]) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["detail"] == f"unknown key tomography.{key}"
+
+    @pytest.mark.parametrize("scenario", ["link_budget", "av_sweep"])
+    def test_non_dividing_zenith_step_stays_inside_the_bounds(self, tmp_path, capsys, scenario):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scenario": scenario, "sweep": {"diameters": ["1 m"], "zenith_step": 0.7}}))
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / f"{scenario}.csv", encoding="utf-8") as fh:
+            zeniths = [float(row["zenith_deg"]) for row in csv.DictReader(fh)]
+        assert zeniths[0] == pytest.approx(-80.0)
+        assert 79.3 < zeniths[-1] <= 80.0
+        assert len(zeniths) == 229
 
     def test_missing_config_file_is_io_error(self, capsys):
         assert main(["--config", "/nonexistent/config.json"]) == 4
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "io"
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, fsolink.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(fsolink.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

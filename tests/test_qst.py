@@ -5,7 +5,6 @@ import pytest
 
 from fsolink.qst import (
     EnsembleKind,
-    OptimizerConfig,
     TomographyConfig,
     born_probabilities,
     bures_random_mixed,
@@ -37,6 +36,26 @@ def fidelity_eig_oracle(rho, sigma):
     inner = sq @ sigma @ sq
     w = np.linalg.eigvalsh(inner)
     return float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
+
+
+def bloch_ball_probabilities():
+    """Born probabilities of a dense set of feasible states, shape (G, 4).
+
+    The states are a 0.05-spaced cubic lattice of Bloch vectors inside the
+    unit ball plus 4000 Fibonacci points on the sphere, where fits that leave
+    the ball are projected to.
+    """
+    axis = np.linspace(-1.0, 1.0, 41)
+    cube = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    inner = cube[np.einsum("ij,ij->i", cube, cube) <= 1.0]
+    k = np.arange(4000) + 0.5
+    z = 1.0 - 2.0 * k / k.size
+    phi = math.pi * (3.0 - math.sqrt(5.0)) * k
+    ring = np.sqrt(1.0 - z * z)
+    bloch = np.vstack([inner, np.column_stack([ring * np.cos(phi), ring * np.sin(phi), z])])
+    x, y, zz = bloch.T
+    rhos = 0.5 * np.array([[1.0 + zz, x - 1.0j * y], [x + 1.0j * y, 1.0 - zz]]).transpose(2, 0, 1)
+    return np.einsum("kij,gji->gk", POVM, rhos).real
 
 
 def random_mixed(rng):
@@ -173,40 +192,79 @@ class TestSimulateCounts:
 class TestReconstruct:
     def test_noiseless_round_trip_is_nearly_exact(self):
         rng = np.random.default_rng(31)
-        for i in range(10):
+        for _ in range(10):
             rho = haar_random_pure(rng)
             counts = expected_counts(rho, POVM, 10**6)
-            rec = reconstruct(counts, POVM, 10**6, rng=np.random.default_rng(i))
+            rec = reconstruct(counts, 10**6)
             assert fidelity(rho, rec) >= 0.999
 
     def test_uniform_counts_give_maximally_mixed(self):
-        rec = reconstruct(np.array([500, 500, 500, 500]), POVM, 2000, rng=0)
+        rec = reconstruct(np.array([500, 500, 500, 500]), 2000)
         trace_distance = 0.5 * np.abs(np.linalg.eigvalsh(rec - MIXED)).sum()
         assert trace_distance < 0.01
 
     def test_zero_counts_fall_back_to_mixed(self):
-        fit = fit_state(np.zeros(4, dtype=int), POVM, 100, rng=0)
+        fit = fit_state(np.zeros(4, dtype=int), 100)
         assert fit.degenerate
         np.testing.assert_allclose(fit.rho, MIXED, atol=1e-12)
 
     def test_output_is_physical(self):
         rng = np.random.default_rng(77)
-        for i in range(10):
+        for _ in range(10):
             counts = rng.integers(0, 2000, size=4)
             if not counts.any():
                 continue
-            rec = reconstruct(counts, POVM, int(counts.sum()), rng=rng)
+            rec = reconstruct(counts, int(counts.sum()))
             assert np.abs(rec - rec.conj().T).max() < 1e-12
             assert np.trace(rec).real == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.eigvalsh(rec).min() > -1e-10
 
+    def test_matches_brute_force_bloch_ball_search(self):
+        # The closed form is the exact constrained minimizer, so no feasible
+        # grid state may fit better; the grid is dense enough to come close.
+        grid = bloch_ball_probabilities()
+        rng = np.random.default_rng(2004)
+        checked = 0
+        worst_gap = 0.0
+        for i in range(200):
+            if i < 100:
+                n_eff = int(rng.integers(1, 11))
+                counts = rng.integers(0, n_eff + 3, size=4)
+            else:
+                n_eff = int(rng.integers(10, 100_000))
+                mean = n_eff * rng.uniform(0.8, 1.2) * born_probabilities(random_mixed(rng), POVM)
+                counts = rng.poisson(mean)
+            if not counts.any():
+                continue
+            fit = fit_state(counts, n_eff)
+            closed = fit.cost / n_eff**2
+            grid_min = float(np.min(np.sum((grid - counts / n_eff) ** 2, axis=1)))
+            assert closed <= grid_min + 1e-12
+            assert np.linalg.eigvalsh(fit.rho).min() > -1e-12
+            worst_gap = max(worst_gap, grid_min - closed)
+            checked += 1
+        assert checked >= 190
+        assert worst_gap < 1e-3
+
+    def test_two_opposite_outcomes_cost_one_sixteenth(self):
+        fit = fit_state([1, 0, 0, 1], 4)
+        assert not fit.degenerate
+        assert fit.cost / 4**2 == pytest.approx(1.0 / 16.0, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_single_outcome_projects_to_pure_state(self, n):
+        # r = 3 s_1 lies outside the ball; its projection is the pure state
+        # along s_1, whose density matrix is twice the first effect.
+        fit = fit_state([n, 0, 0, 0], n)
+        np.testing.assert_allclose(fit.rho, 2.0 * POVM[0], atol=1e-12)
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            reconstruct([1, 2, 3], POVM, 6, rng=0)
+            reconstruct([1, 2, 3], 6)
         with pytest.raises(ValueError):
-            reconstruct([-1, 2, 3, 4], POVM, 8, rng=0)
+            reconstruct([-1, 2, 3, 4], 8)
         with pytest.raises(ValueError):
-            reconstruct([1, 2, 3, 4], POVM, 0, rng=0)
+            reconstruct([1, 2, 3, 4], 0)
 
 
 class TestFidelity:
@@ -261,24 +319,24 @@ class TestFidelity:
 class TestRunEnsemble:
     def test_deterministic_for_seed(self):
         config = TomographyConfig(photons=10_000, transmittance=0.5, ensemble_size=1, seed=99)
-        a = run_ensemble(config, POVM)
-        b = run_ensemble(config, POVM)
+        a = run_ensemble(config)
+        b = run_ensemble(config)
         np.testing.assert_array_equal(a.fidelities, b.fidelities)
 
     def test_members_are_independent_of_ensemble_size(self):
-        small = run_ensemble(TomographyConfig(photons=10_000, ensemble_size=3, seed=7), POVM)
-        large = run_ensemble(TomographyConfig(photons=10_000, ensemble_size=6, seed=7), POVM)
+        small = run_ensemble(TomographyConfig(photons=10_000, ensemble_size=3, seed=7))
+        large = run_ensemble(TomographyConfig(photons=10_000, ensemble_size=6, seed=7))
         np.testing.assert_array_equal(small.fidelities, large.fidelities[:3])
 
     def test_near_noiseless_regime(self):
-        result = run_ensemble(TomographyConfig(photons=10**6, transmittance=1.0, ensemble_size=10, seed=1), POVM)
+        result = run_ensemble(TomographyConfig(photons=10**6, transmittance=1.0, ensemble_size=10, seed=1))
         assert result.mean_fidelity >= 0.99
         assert result.failures == 0
 
     def test_fidelity_decays_with_transmittance(self):
         means, sds = [], []
         for eta in (1.0, 1e-1, 1e-2, 1e-3, 1e-4):
-            r = run_ensemble(TomographyConfig(photons=10**5, transmittance=eta, ensemble_size=16, seed=5), POVM)
+            r = run_ensemble(TomographyConfig(photons=10**5, transmittance=eta, ensemble_size=16, seed=5))
             means.append(r.mean_fidelity)
             sds.append(r.sd_fidelity)
         for i in range(len(means) - 1):
@@ -287,7 +345,7 @@ class TestRunEnsemble:
 
     def test_dead_channel_flags_every_member(self):
         # eta N rounds to zero: reconstruction degenerates to the mixed state
-        result = run_ensemble(TomographyConfig(photons=100, transmittance=1e-6, ensemble_size=5, seed=2), POVM)
+        result = run_ensemble(TomographyConfig(photons=100, transmittance=1e-6, ensemble_size=5, seed=2))
         assert result.failures == 5
         assert np.all(result.fidelities <= 1.0)
 
@@ -295,7 +353,7 @@ class TestRunEnsemble:
         config = TomographyConfig(
             photons=10**5, ensemble_size=4, seed=3, ensemble_kind=EnsembleKind.BURES_MIXED
         )
-        result = run_ensemble(config, POVM)
+        result = run_ensemble(config)
         assert result.mean_fidelity > 0.9
 
     def test_reconstruction_consistency_in_photon_number(self):
@@ -307,7 +365,7 @@ class TestRunEnsemble:
                 rng = np.random.default_rng(10_000 + i)
                 rho = haar_random_pure(rng)
                 counts = simulate_counts(rho, POVM, n, 1.0, rng)
-                rec = reconstruct(counts, POVM, n, rng=rng)
+                rec = reconstruct(counts, n)
                 infids.append(1.0 - fidelity(rho, rec))
             medians.append(float(np.median(infids)))
         assert all(b < a for a, b in zip(medians, medians[1:]))
@@ -364,9 +422,7 @@ class TestStateGenerators:
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.eigvalsh(rho).min() > -1e-12
 
-    def test_optimizer_config_validation(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(restarts=0)
+    def test_tomography_config_validation(self):
         with pytest.raises(ValueError):
             TomographyConfig(photons=0)
         with pytest.raises(ValueError):

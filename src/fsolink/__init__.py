@@ -11,11 +11,13 @@ from .budget import (
     LEO_ALTITUDE_M,
     MEO_ALTITUDE_M,
     AvTable,
+    ChannelGrid,
     ChannelParams,
     FluctuationMode,
     SweepResult,
     TransmittanceBreakdown,
     av_vs_zenith,
+    channel_grid,
     compose,
     fading_variance,
     sweep_pass,

@@ -2,8 +2,9 @@
 
 Total transmittance is the product of four independent factors: internal
 detection efficiency, atmospheric extinction, diffraction collection loss,
-and the turbulence-induced intensity factor. Sweeps scan zenith angle and
-telescope diameter for LEO/MEO passes and report loss statistics in dB.
+and the turbulence-induced intensity factor. ``channel_grid`` evaluates that
+model over a (diameter, zenith) grid once; the loss sweep, the
+aperture-averaging table and the tomography sweep are reductions over it.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from .fading import FadingModel, sample
 from .geometry import EARTH_RADIUS_M, LinkGeometry, slant_range
 from .turbulence import (
     ApertureModel,
+    ApertureModelKind,
     ScintillationVariant,
     TurbulenceProfile,
     aperture_averaging,
@@ -93,6 +96,90 @@ class AvTable:
     av: np.ndarray
 
 
+@dataclass(frozen=True)
+class ChannelGrid:
+    """The slant-path channel over a (diameter, zenith) grid; 2-D arrays are (nD, nZ).
+
+    ``eta_det`` is the transmittance at unit intensity, eta_int * eta_atm *
+    eta_d. ``av`` is the configured model's aperture-averaging factor and
+    ``sigma_j2`` the log-variance of the intensity factor in the configured
+    fluctuation mode. Both are evaluated on first access, so a scenario that
+    never reads them evaluates no Cn^2 profile integral.
+    """
+
+    params: ChannelParams
+    altitude_m: float
+    zenith_rad: np.ndarray
+    diameters_m: np.ndarray
+    range_m: np.ndarray
+    eta_det: np.ndarray
+
+    @cached_property
+    def av(self) -> np.ndarray:
+        p = self.params
+        av = np.empty(self.eta_det.shape)
+        for di, zi in np.ndindex(av.shape):
+            zen = float(self.zenith_rad[zi])
+            av[di, zi] = aperture_averaging(
+                p.aperture_model,
+                float(self.diameters_m[di]),
+                p.beam.wavelength_m,
+                path_m=float(self.range_m[zi]),
+                elevation_deg=90.0 - abs(math.degrees(zen)),
+                profile=p.turbulence,
+                altitude_m=self.altitude_m,
+                zenith_rad=zen,
+            )
+        return av
+
+    @cached_property
+    def sigma_j2(self) -> np.ndarray:
+        p = self.params
+        if p.fluctuation_mode is FluctuationMode.DETERMINISTIC:
+            return np.zeros(self.eta_det.shape)
+        sigma_i2 = np.array([
+            scintillation_index(rytov_downlink(p.turbulence, p.beam.wavelength_m, self.altitude_m, zen),
+                                p.scintillation_variant).sigma_I2
+            for zen in self.zenith_rad.tolist()
+        ])
+        if p.fluctuation_mode is FluctuationMode.ISI:
+            return np.broadcast_to(sigma_i2, self.eta_det.shape).copy()
+        return np.vectorize(psi, otypes=[float])(sigma_i2, self.av)
+
+
+def channel_grid(
+    params: ChannelParams,
+    altitude_m: float,
+    diameters_m,
+    zenith_grid_rad,
+    *,
+    earth_radius_m: float = EARTH_RADIUS_M,
+) -> ChannelGrid:
+    """Evaluate the channel over a (diameter, zenith) grid for one pass.
+
+    The station sits at ``params.turbulence.h_ogs_m``. Slant range and
+    extinction are computed once per zenith angle and diffraction once per
+    cell, with the same scalar arithmetic as :func:`compose`. The Cn^2 profile
+    moments behind ``sigma_j2`` and ``av`` are memoized, so each is integrated
+    once however large the grid.
+    """
+    diameters = np.asarray(list(diameters_m), dtype=float)
+    zeniths = np.asarray(list(zenith_grid_rad), dtype=float)
+    if np.any(np.abs(zeniths) > math.radians(80.0) + 1e-12):
+        raise ValueError("zenith grid must lie within +/-80 degrees")
+
+    beams = [replace(params.beam, receiver_radius_m=diam / 2.0) for diam in diameters.tolist()]
+    ranges = np.empty(len(zeniths))
+    eta_det = np.empty((len(diameters), len(zeniths)))
+    for zi, zen in enumerate(zeniths.tolist()):
+        path = slant_range(LinkGeometry(altitude_m, zen, params.turbulence.h_ogs_m, earth_radius_m))
+        eta_atm = slant_transmittance(params.extinction, altitude_m, zen)
+        ranges[zi] = path
+        for di, beam in enumerate(beams):
+            eta_det[di, zi] = params.eta_int * eta_atm * diffraction_transmittance(beam, path)
+    return ChannelGrid(params, altitude_m, zeniths, diameters, ranges, eta_det)
+
+
 def compose(params: ChannelParams, geom: LinkGeometry, intensity: float = 1.0) -> TransmittanceBreakdown:
     """Evaluate the four-factor transmittance for one geometry and one fade.
 
@@ -120,39 +207,16 @@ def fading_variance(
     zenith_rad: float,
     diameter_m: float,
     *,
-    ogs_altitude_m: float | None = None,
     earth_radius_m: float = EARTH_RADIUS_M,
 ) -> float:
     """Log-variance sigma_j^2 driving the intensity factor at one grid cell.
 
     Rytov index -> scintillation index, then scaled by the configured
     aperture-averaging factor when the channel runs in PSI mode. Returns 0 in
-    deterministic mode.
+    deterministic mode. This is the 1x1 case of :func:`channel_grid`.
     """
-    if params.fluctuation_mode is FluctuationMode.DETERMINISTIC:
-        return 0.0
-    sigma_r2 = rytov_downlink(params.turbulence, params.beam.wavelength_m, altitude_m, zenith_rad)
-    sigma_i2 = scintillation_index(sigma_r2, params.scintillation_variant).sigma_I2
-    if params.fluctuation_mode is FluctuationMode.ISI:
-        return sigma_i2
-    h_ogs = params.turbulence.h_ogs_m if ogs_altitude_m is None else ogs_altitude_m
-    geom = LinkGeometry(
-        satellite_altitude_m=altitude_m,
-        zenith_angle_rad=zenith_rad,
-        ogs_altitude_m=h_ogs,
-        earth_radius_m=earth_radius_m,
-    )
-    av = aperture_averaging(
-        params.aperture_model,
-        diameter_m,
-        params.beam.wavelength_m,
-        path_m=slant_range(geom),
-        elevation_deg=90.0 - abs(math.degrees(zenith_rad)),
-        profile=params.turbulence,
-        altitude_m=altitude_m,
-        zenith_rad=zenith_rad,
-    )
-    return psi(sigma_i2, av)
+    grid = channel_grid(params, altitude_m, [diameter_m], [zenith_rad], earth_radius_m=earth_radius_m)
+    return float(grid.sigma_j2[0, 0])
 
 
 def _cell_rng(seed: int, d_index: int, z_index: int) -> np.random.Generator:
@@ -173,56 +237,27 @@ def sweep_pass(
 ) -> SweepResult:
     """Photon-loss statistics over a (diameter, zenith) grid for one pass.
 
-    Each cell composes the deterministic factors once, draws
-    ``draws_per_point`` intensity fades, and records mean/SD and the
-    5/50/95 percentiles of the dB loss.
+    Each cell draws ``draws_per_point`` intensity fades around its
+    deterministic transmittance and records mean/SD and the 5/50/95
+    percentiles of the dB loss.
     """
     if draws_per_point < 1:
         raise ValueError("draws_per_point must be >= 1")
-    diameters = np.asarray(list(diameters_m), dtype=float)
-    zeniths = np.asarray(list(zenith_grid_rad), dtype=float)
-    if np.any(np.abs(zeniths) > math.radians(80.0) + 1e-12):
-        raise ValueError("zenith grid must lie within +/-80 degrees")
+    grid = channel_grid(params, altitude_m, diameters_m, zenith_grid_rad, earth_radius_m=earth_radius_m)
 
-    shape = (len(diameters), len(zeniths))
-    mean = np.empty(shape)
-    sd = np.empty(shape)
-    p05 = np.empty(shape)
-    p50 = np.empty(shape)
-    p95 = np.empty(shape)
+    # mean, SD, p05, p50, p95 per cell
+    stats = np.empty((5,) + grid.eta_det.shape)
+    for (di, zi), sigma_j2 in np.ndenumerate(grid.sigma_j2):
+        if sigma_j2 > 0:
+            fades = sample(FadingModel(float(sigma_j2)), _cell_rng(seed, di, zi), draws_per_point)
+        else:
+            fades = np.ones(draws_per_point)
+        loss = -10.0 * np.log10(float(grid.eta_det[di, zi]) * fades)
+        stats[0, di, zi] = loss.mean()
+        stats[1, di, zi] = loss.std(ddof=1) if draws_per_point > 1 else 0.0
+        stats[2:, di, zi] = np.percentile(loss, [5.0, 50.0, 95.0])
 
-    h_ogs = params.turbulence.h_ogs_m
-    for zi, zen in enumerate(zeniths):
-        geom = LinkGeometry(
-            satellite_altitude_m=altitude_m,
-            zenith_angle_rad=float(zen),
-            ogs_altitude_m=h_ogs,
-            earth_radius_m=earth_radius_m,
-        )
-        for di, diam in enumerate(diameters):
-            beam = replace(params.beam, receiver_radius_m=float(diam) / 2.0)
-            det = compose(replace(params, beam=beam), geom, 1.0)
-            sigma_j2 = fading_variance(
-                params, altitude_m, float(zen), float(diam), earth_radius_m=earth_radius_m
-            )
-            if sigma_j2 > 0:
-                fades = sample(FadingModel(sigma_j2), _cell_rng(seed, di, zi), draws_per_point)
-            else:
-                fades = np.ones(draws_per_point)
-            loss = -10.0 * np.log10(det.eta_total * fades)
-            mean[di, zi] = loss.mean()
-            sd[di, zi] = loss.std(ddof=1) if draws_per_point > 1 else 0.0
-            p05[di, zi], p50[di, zi], p95[di, zi] = np.percentile(loss, [5.0, 50.0, 95.0])
-
-    return SweepResult(
-        zenith_deg=np.degrees(zeniths),
-        diameters_m=diameters,
-        mean_loss_db=mean,
-        sd_loss_db=sd,
-        p05_db=p05,
-        p50_db=p50,
-        p95_db=p95,
-    )
+    return SweepResult(np.degrees(grid.zenith_rad), grid.diameters_m, *stats)
 
 
 def av_vs_zenith(
@@ -238,30 +273,16 @@ def av_vs_zenith(
 ) -> AvTable:
     """Aperture-averaging factor over a (diameter, zenith) grid.
 
-    Path context per model: Andrews uses the full slant range at each zenith
-    angle, Giggenbach the elevation angle, Yura the turbulence profile (which
-    must then be supplied).
+    Path context per model: Andrews uses the full slant range from a station
+    at ``ogs_altitude_m``, Giggenbach the elevation angle, Yura the turbulence
+    profile (which must then be supplied).
     """
-    diameters = np.asarray(list(diameters_m), dtype=float)
-    zeniths = np.asarray(list(zenith_grid_rad), dtype=float)
-    av = np.empty((len(diameters), len(zeniths)))
-    for zi, zen in enumerate(zeniths):
-        geom = LinkGeometry(
-            satellite_altitude_m=altitude_m,
-            zenith_angle_rad=float(zen),
-            ogs_altitude_m=ogs_altitude_m,
-            earth_radius_m=earth_radius_m,
-        )
-        path = slant_range(geom)
-        for di, diam in enumerate(diameters):
-            av[di, zi] = aperture_averaging(
-                model,
-                float(diam),
-                wavelength_m,
-                path_m=path,
-                elevation_deg=90.0 - abs(math.degrees(zen)),
-                profile=profile,
-                altitude_m=altitude_m,
-                zenith_rad=float(zen),
-            )
-    return AvTable(zenith_deg=np.degrees(zeniths), diameters_m=diameters, av=av)
+    if model.kind is ApertureModelKind.YURA and profile is None:
+        raise ValueError("Yura model requires profile")
+    # Only Yura reads the profile; the others read the path from the station.
+    turbulence = profile if model.kind is ApertureModelKind.YURA else TurbulenceProfile(h_ogs_m=ogs_altitude_m)
+    params = ChannelParams(
+        beam=BeamParams(wavelength_m=wavelength_m), turbulence=turbulence, aperture_model=model
+    )
+    grid = channel_grid(params, altitude_m, diameters_m, zenith_grid_rad, earth_radius_m=earth_radius_m)
+    return AvTable(zenith_deg=np.degrees(grid.zenith_rad), diameters_m=grid.diameters_m, av=grid.av)

@@ -44,6 +44,10 @@ from .turbulence import ApertureModel, ApertureModelKind, ScintillationVariant, 
 
 SCENARIOS = ("pass_time", "av_sweep", "link_budget", "qst")
 
+# A zenith grid finer than this is a typo (a 1e-9 degree step asks for about
+# 1.6e11 points and terabytes of memory), so it is a config error.
+MAX_ZENITH_POINTS = 100_000
+
 _LENGTH_UNITS = {
     "nm": 1e-9,
     "um": 1e-6,
@@ -58,19 +62,38 @@ class ConfigError(ValueError):
     """Configuration document is malformed or violates an invariant."""
 
 
+def _is_finite(value: int | float) -> bool:
+    """False for NaN, +/-Infinity and integers beyond the float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _is_count(value: Any) -> bool:
+    """True for an integer >= 1; JSON booleans are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def _parse_length(value: Any, key: str) -> float:
     """Length from an SI number (meters) or a unit-suffixed string."""
     if isinstance(value, bool):
         raise ConfigError(f"{key}: expected a length, got a boolean")
     if isinstance(value, (int, float)):
+        if not _is_finite(value):
+            raise ConfigError(f"{key}: length must be finite")
         return float(value)
     if isinstance(value, str):
         parts = value.split()
         if len(parts) == 2 and parts[1] in _LENGTH_UNITS:
             try:
-                return float(parts[0]) * _LENGTH_UNITS[parts[1]]
+                length = float(parts[0]) * _LENGTH_UNITS[parts[1]]
             except ValueError:
                 pass
+            else:
+                if not _is_finite(length):
+                    raise ConfigError(f"{key}: length {value!r} is not finite")
+                return length
         raise ConfigError(f"{key}: cannot parse length {value!r} (units: {', '.join(_LENGTH_UNITS)})")
     raise ConfigError(f"{key}: expected a number or unit string, got {type(value).__name__}")
 
@@ -80,6 +103,8 @@ def _parse_angle(value: Any, key: str) -> float:
     if isinstance(value, bool):
         raise ConfigError(f"{key}: expected an angle, got a boolean")
     if isinstance(value, (int, float)):
+        if not _is_finite(value):
+            raise ConfigError(f"{key}: angle must be finite")
         return math.radians(float(value))
     if isinstance(value, str):
         parts = value.split()
@@ -88,6 +113,8 @@ def _parse_angle(value: Any, key: str) -> float:
                 mag = float(parts[0])
             except ValueError:
                 raise ConfigError(f"{key}: cannot parse angle {value!r}") from None
+            if not _is_finite(mag):
+                raise ConfigError(f"{key}: angle {value!r} is not finite")
             return math.radians(mag) if parts[1] == "deg" else mag
         raise ConfigError(f"{key}: cannot parse angle {value!r} (use degrees or 'X deg'/'X rad')")
     raise ConfigError(f"{key}: expected a number or unit string, got {type(value).__name__}")
@@ -102,6 +129,9 @@ def _take_number(section: dict, key: str, default: float, context: str, problems
     value = section.pop(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         problems.append(f"{context}.{key} must be a number, got {type(value).__name__}")
+        return default
+    if not _is_finite(value):
+        problems.append(f"{context}.{key} must be a finite number")
         return default
     return value
 
@@ -254,11 +284,16 @@ def parse_config(document: str | dict) -> ScenarioConfig:
         problems.append("sweep.zenith_max must be >= sweep.zenith_min")
     if zen_step <= 0:
         problems.append("sweep.zenith_step must be > 0")
-    if not isinstance(draws, int) or draws < 1:
+    elif (zen_max - zen_min) / zen_step + 1e-9 >= MAX_ZENITH_POINTS:
+        problems.append(
+            f"sweep zenith grid would have {(zen_max - zen_min) / zen_step + 1:.6g} points;"
+            f" at most {MAX_ZENITH_POINTS} are allowed"
+        )
+    if not _is_count(draws):
         problems.append("sweep.draws_per_point must be an integer >= 1")
-    if not isinstance(photons, int) or photons < 1:
+    if not _is_count(photons):
         problems.append("tomography.photons must be an integer >= 1")
-    if not isinstance(ensemble_size, int) or ensemble_size < 1:
+    if not _is_count(ensemble_size):
         problems.append("tomography.ensemble_size must be an integer >= 1")
 
     try:

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import ChannelParams, compose, fading_variance
+from .budget import ChannelParams, channel_grid
 from .fading import FadingModel, sample
-from .geometry import EARTH_RADIUS_M, LinkGeometry
+from .geometry import EARTH_RADIUS_M
 
 # Poisson means above this use a rounded/clamped Gaussian draw instead of the
 # exact sampler; relative moment error there is < 1e-3.
@@ -302,55 +302,29 @@ def fidelity_vs_zenith(
     with a log-normal fade; by default each tomography trial sees a fresh
     fade, alternatively one draw is shared per grid point.
     """
-    diameters = np.asarray(list(diameters_m), dtype=float)
-    zeniths = np.asarray(list(zenith_grid_rad), dtype=float)
-    shape = (len(diameters), len(zeniths))
-    mean = np.empty(shape)
-    sd = np.empty(shape)
-    failures = np.zeros(shape, dtype=np.int64)
-
-    for zi, zen in enumerate(zeniths):
-        geom = LinkGeometry(
-            satellite_altitude_m=altitude_m,
-            zenith_angle_rad=float(zen),
-            ogs_altitude_m=channel.turbulence.h_ogs_m,
-            earth_radius_m=earth_radius_m,
-        )
-        for di, diam in enumerate(diameters):
-            beam = replace(channel.beam, receiver_radius_m=float(diam) / 2.0)
-            cell_channel = replace(channel, beam=beam)
-            det = compose(cell_channel, geom, 1.0)
-            sigma_j2 = fading_variance(
-                channel, altitude_m, float(zen), float(diam), earth_radius_m=earth_radius_m
-            )
-            fading = FadingModel(sigma_j2) if sigma_j2 > 0 else None
-            if fading is not None and resample is FadingResample.PER_POINT:
-                point_fade = float(sample(fading, _member_rng(config.seed, di, zi), 1)[0])
-            else:
-                point_fade = 1.0
-
-            fids = np.empty(config.ensemble_size)
-            fail_count = 0
-            for i in range(config.ensemble_size):
-                rng = _member_rng(config.seed, di, zi, i)
-                if fading is not None and resample is FadingResample.PER_TRIAL:
-                    fade = float(sample(fading, rng, 1)[0])
-                else:
-                    fade = point_fade
-                eta = min(det.eta_total * fade, 1.0)
-                rho_in = _draw_state(config.ensemble_kind, rng)
-                f, failed = _run_trial(rho_in, photons, eta, rng)
-                fids[i] = f
-                fail_count += int(failed)
-            mean[di, zi] = fids.mean()
-            sd[di, zi] = fids.std(ddof=1) if config.ensemble_size > 1 else 0.0
-            failures[di, zi] = fail_count
+    grid = channel_grid(channel, altitude_m, diameters_m, zenith_grid_rad, earth_radius_m=earth_radius_m)
+    fids = np.empty(grid.eta_det.shape + (config.ensemble_size,))
+    failures = np.zeros(grid.eta_det.shape, dtype=np.int64)
+    for (di, zi), sigma_j2 in np.ndenumerate(grid.sigma_j2):
+        fading = FadingModel(float(sigma_j2)) if sigma_j2 > 0 else None
+        point_fade = 1.0
+        if fading is not None and resample is FadingResample.PER_POINT:
+            point_fade = float(sample(fading, _member_rng(config.seed, di, zi), 1)[0])
+        for i in range(config.ensemble_size):
+            rng = _member_rng(config.seed, di, zi, i)
+            fade = point_fade
+            if fading is not None and resample is FadingResample.PER_TRIAL:
+                fade = float(sample(fading, rng, 1)[0])
+            eta = min(float(grid.eta_det[di, zi]) * fade, 1.0)
+            rho_in = _draw_state(config.ensemble_kind, rng)
+            fids[di, zi, i], failed = _run_trial(rho_in, photons, eta, rng)
+            failures[di, zi] += failed
 
     return FidelityTable(
-        zenith_deg=np.degrees(zeniths),
-        diameters_m=diameters,
+        zenith_deg=np.degrees(grid.zenith_rad),
+        diameters_m=grid.diameters_m,
         photons=photons,
-        mean_fidelity=mean,
-        sd_fidelity=sd,
+        mean_fidelity=fids.mean(axis=-1),
+        sd_fidelity=fids.std(axis=-1, ddof=1) if config.ensemble_size > 1 else np.zeros(failures.shape),
         failures=failures,
     )

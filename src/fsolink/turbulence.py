@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .quadrature import adaptive_simpson
 
@@ -121,6 +122,10 @@ def rytov_horizontal(cn2_const: float, wavelength_m: float, path_m: float) -> fl
     return 1.23 * cn2_const * k ** (7.0 / 6.0) * path_m ** (11.0 / 6.0)
 
 
+# A grid asks for the same one or two moments at every zenith angle and every
+# cell; the profile is frozen and the result a float, so a small cache makes
+# that one quadrature per distinct moment.
+@lru_cache(maxsize=32)
 def _profile_moment(profile: TurbulenceProfile, top_m: float, exponent: float, rel_tol: float) -> float:
     """integral of Cn^2(z) * (z - h_ogs)^exponent over [h_ogs, min(top, cutoff)]."""
     h0 = profile.h_ogs_m

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fsolink import turbulence
 from fsolink.beam import BeamParams
 from fsolink.budget import (
     LEO_ALTITUDE_M,
@@ -10,13 +12,22 @@ from fsolink.budget import (
     ChannelParams,
     FluctuationMode,
     av_vs_zenith,
+    channel_grid,
     compose,
     fading_variance,
     sweep_pass,
 )
 from fsolink.extinction import ExtinctionParams
-from fsolink.geometry import LinkGeometry
-from fsolink.turbulence import ApertureModel
+from fsolink.geometry import LinkGeometry, slant_range
+from fsolink.turbulence import (
+    ApertureModel,
+    ApertureModelKind,
+    ScintillationVariant,
+    aperture_averaging,
+    psi,
+    rytov_downlink,
+    scintillation_index,
+)
 
 DIAMETERS = (0.25, 0.50, 0.75, 1.00)
 
@@ -177,3 +188,81 @@ class TestAvVsZenith:
         table = av_vs_zenith(ApertureModel(), 420e3, (0.5,), [0.0], 1550e-9)
         # slant range equals the altitude at zenith for a sea-level station
         assert table.av[0, 0] == pytest.approx(0.56124954378109873, rel=1e-12)
+
+
+GRID_ZENITHS = np.radians([-80.0, -33.0, 0.0, 47.5, 80.0])
+GRID_DIAMETERS = (0.25, 0.6, 1.0)
+
+
+def _grid_params(mode, kind, variant):
+    return ChannelParams(
+        aperture_model=ApertureModel(kind=kind),
+        fluctuation_mode=mode,
+        scintillation_variant=variant,
+    )
+
+
+def _scalar_sigma_j2(params, altitude_m, zenith_rad, diameter_m):
+    # Reference composition from the scalar turbulence formulas, cell by cell.
+    if params.fluctuation_mode is FluctuationMode.DETERMINISTIC:
+        return 0.0
+    wavelength = params.beam.wavelength_m
+    sigma_r2 = rytov_downlink(params.turbulence, wavelength, altitude_m, zenith_rad)
+    sigma_i2 = scintillation_index(sigma_r2, params.scintillation_variant).sigma_I2
+    if params.fluctuation_mode is FluctuationMode.ISI:
+        return sigma_i2
+    geom = LinkGeometry(altitude_m, zenith_rad, params.turbulence.h_ogs_m)
+    av = aperture_averaging(
+        params.aperture_model,
+        diameter_m,
+        wavelength,
+        path_m=slant_range(geom),
+        elevation_deg=90.0 - abs(math.degrees(zenith_rad)),
+        profile=params.turbulence,
+        altitude_m=altitude_m,
+        zenith_rad=zenith_rad,
+    )
+    return psi(sigma_i2, av)
+
+
+class TestChannelGrid:
+    @pytest.mark.parametrize("variant", list(ScintillationVariant))
+    @pytest.mark.parametrize("kind", list(ApertureModelKind))
+    @pytest.mark.parametrize("mode", list(FluctuationMode))
+    def test_cells_equal_the_scalar_formulas_bit_for_bit(self, mode, kind, variant):
+        params = _grid_params(mode, kind, variant)
+        grid = channel_grid(params, LEO_ALTITUDE_M, GRID_DIAMETERS, GRID_ZENITHS)
+        assert grid.eta_det.shape == grid.sigma_j2.shape == grid.av.shape == (3, 5)
+        for di, diameter in enumerate(GRID_DIAMETERS):
+            cell_params = replace(params, beam=replace(params.beam, receiver_radius_m=diameter / 2.0))
+            for zi, zenith in enumerate(GRID_ZENITHS.tolist()):
+                geom = LinkGeometry(LEO_ALTITUDE_M, zenith, params.turbulence.h_ogs_m)
+                assert grid.eta_det[di, zi] == compose(cell_params, geom).eta_total
+                sigma_j2 = fading_variance(params, LEO_ALTITUDE_M, zenith, diameter)
+                assert grid.sigma_j2[di, zi] == sigma_j2
+                assert sigma_j2 == _scalar_sigma_j2(params, LEO_ALTITUDE_M, zenith, diameter)
+
+    @pytest.mark.parametrize(
+        "mode, kind, integrals",
+        [
+            (FluctuationMode.DETERMINISTIC, ApertureModelKind.YURA, 0),
+            (FluctuationMode.ISI, ApertureModelKind.YURA, 1),
+            (FluctuationMode.PSI, ApertureModelKind.ANDREWS, 1),
+            (FluctuationMode.PSI, ApertureModelKind.GIGGENBACH, 1),
+            (FluctuationMode.PSI, ApertureModelKind.YURA, 2),
+        ],
+    )
+    def test_profile_integrals_run_once_per_moment(self, monkeypatch, mode, kind, integrals):
+        calls = []
+        real = turbulence.adaptive_simpson
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(turbulence, "adaptive_simpson", counting)
+        turbulence._profile_moment.cache_clear()
+        params = _grid_params(mode, kind, ScintillationVariant.SEVEN_SIXTHS)
+        grid = channel_grid(params, LEO_ALTITUDE_M, DIAMETERS, np.radians(np.arange(-80.0, 81.0, 10.0)))
+        assert np.all(grid.sigma_j2 >= 0.0)
+        assert len(calls) == integrals

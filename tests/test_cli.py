@@ -11,6 +11,7 @@ import pytest
 import fsolink
 from fsolink.budget import FluctuationMode
 from fsolink.cli import (
+    MAX_ZENITH_POINTS,
     ConfigError,
     effective_config,
     emit_csv,
@@ -259,6 +260,61 @@ class TestMain:
         assert zeniths[0] == pytest.approx(-80.0)
         assert 79.3 < zeniths[-1] <= 80.0
         assert len(zeniths) == 229
+
+    def test_booleans_in_integer_keys_are_config_errors(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "scenario": "link_budget",
+            "channel": {"fluctuation_mode": "isi"},
+            "sweep": {"draws_per_point": True},
+            "tomography": {"photons": True, "ensemble_size": False},
+        }))
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        for key in ("sweep.draws_per_point", "tomography.photons", "tomography.ensemble_size"):
+            assert key in err["detail"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"channel": {"h0": math.nan}}, "channel.h0"),
+            ({"channel": {"h0": "nan km"}}, "channel.h0"),
+            ({"channel": {"wavelength": "inf nm"}}, "channel.wavelength"),
+            ({"channel": {"c0": math.inf}}, "channel.c0"),
+            ({"channel": {"eta_int": -math.inf}}, "channel.eta_int"),
+            ({"geometry": {"mu": math.inf}}, "geometry.mu"),
+            ({"geometry": {"mu": 10**400}}, "geometry.mu"),
+            ({"scenario": "pass_time", "geometry": {"satellite_altitude": math.inf}}, "geometry.satellite_altitude"),
+            ({"scenario": "pass_time", "geometry": {"altitudes": [10**400]}}, "geometry.altitudes"),
+            ({"scenario": "pass_time", "geometry": {"zenith_limit": math.nan}}, "geometry.zenith_limit"),
+            ({"sweep": {"diameters": ["1e306 km"]}}, "sweep.diameters"),
+            ({"sweep": {"zenith_step": "inf deg"}}, "sweep.zenith_step"),
+        ],
+    )
+    def test_non_finite_numbers_are_config_errors(self, tmp_path, capsys, doc, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))  # writes NaN / Infinity literals, as Python's json accepts them
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert key in err["detail"] and "finite" in err["detail"]
+        assert not (tmp_path / "out").exists()
+
+    def test_zenith_grid_size_is_capped(self, tmp_path, capsys):
+        span = 160.0
+        at_cap = parse_config({"sweep": {"zenith_step": span / (MAX_ZENITH_POINTS - 1)}})
+        assert len(at_cap.zenith_grid_rad()) == MAX_ZENITH_POINTS
+        # Rejected while parsing, before any grid exists.
+        with pytest.raises(ConfigError, match=f"{MAX_ZENITH_POINTS + 1} points"):
+            parse_config({"sweep": {"zenith_step": span / MAX_ZENITH_POINTS}})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"sweep": {"zenith_step": 1e-9}}))
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert "1.6e+11 points" in err["detail"]
 
     def test_missing_config_file_is_io_error(self, capsys):
         assert main(["--config", "/nonexistent/config.json"]) == 4

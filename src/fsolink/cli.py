@@ -48,6 +48,14 @@ SCENARIOS = ("pass_time", "av_sweep", "link_budget", "qst")
 # 1.6e11 points and terabytes of memory), so it is a config error.
 MAX_ZENITH_POINTS = 100_000
 
+# Each cell in flight holds a few float64 buffers of this many draws (80 MB
+# each at the cap), and one cell per CPU is in flight at once.
+MAX_DRAWS_PER_POINT = 10_000_000
+
+# Lengths beyond this (about seven astronomical units) are typos; squaring or
+# cubing them in the geometry and beam formulas overflows a float.
+MAX_LENGTH_M = 1e12
+
 _LENGTH_UNITS = {
     "nm": 1e-9,
     "um": 1e-6,
@@ -75,6 +83,12 @@ def _is_count(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
+def _bounded_length(length: float, key: str) -> float:
+    if abs(length) > MAX_LENGTH_M:
+        raise ConfigError(f"{key}: length {length:g} m exceeds {MAX_LENGTH_M:g} m in magnitude")
+    return length
+
+
 def _parse_length(value: Any, key: str) -> float:
     """Length from an SI number (meters) or a unit-suffixed string."""
     if isinstance(value, bool):
@@ -82,7 +96,7 @@ def _parse_length(value: Any, key: str) -> float:
     if isinstance(value, (int, float)):
         if not _is_finite(value):
             raise ConfigError(f"{key}: length must be finite")
-        return float(value)
+        return _bounded_length(float(value), key)
     if isinstance(value, str):
         parts = value.split()
         if len(parts) == 2 and parts[1] in _LENGTH_UNITS:
@@ -93,7 +107,7 @@ def _parse_length(value: Any, key: str) -> float:
             else:
                 if not _is_finite(length):
                     raise ConfigError(f"{key}: length {value!r} is not finite")
-                return length
+                return _bounded_length(length, key)
         raise ConfigError(f"{key}: cannot parse length {value!r} (units: {', '.join(_LENGTH_UNITS)})")
     raise ConfigError(f"{key}: expected a number or unit string, got {type(value).__name__}")
 
@@ -182,6 +196,8 @@ def parse_config(document: str | dict) -> ScenarioConfig:
             raw = json.loads(document) if document.strip() else {}
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        except ValueError as exc:  # an integer longer than Python's int-string limit
+            raise ConfigError(f"config cannot be decoded: {exc}") from exc
     else:
         raw = dict(document)
     if not isinstance(raw, dict):
@@ -291,6 +307,8 @@ def parse_config(document: str | dict) -> ScenarioConfig:
         )
     if not _is_count(draws):
         problems.append("sweep.draws_per_point must be an integer >= 1")
+    elif draws > MAX_DRAWS_PER_POINT:
+        problems.append(f"sweep.draws_per_point must be at most {MAX_DRAWS_PER_POINT}")
     if not _is_count(photons):
         problems.append("tomography.photons must be an integer >= 1")
     if not _is_count(ensemble_size):
@@ -592,7 +610,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(json.dumps({"error": "config", "detail": str(exc)}), file=sys.stderr)
         return 2
-    except (QuadratureError, FloatingPointError, ValueError) as exc:
+    except (QuadratureError, ArithmeticError, ValueError) as exc:
         print(json.dumps({"error": "numeric", "detail": str(exc)}), file=sys.stderr)
         return 3
     except OSError as exc:

@@ -60,6 +60,8 @@ def sample(model: FadingModel, rng: np.random.Generator | int, n: int) -> np.nda
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     if model.sigma_j2 == 0:
         return np.ones(n)
-    sigma = math.sqrt(model.sigma_j2)
+    # In place, one buffer: exp(sigma * z - sigma_j2 / 2)
     z = gen.standard_normal(n)
-    return np.exp(sigma * z - model.sigma_j2 / 2.0)
+    z *= math.sqrt(model.sigma_j2)
+    z -= model.sigma_j2 / 2.0
+    return np.exp(z, out=z)

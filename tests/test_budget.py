@@ -1,10 +1,11 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fsolink import turbulence
+from fsolink import budget, turbulence
 from fsolink.beam import BeamParams
 from fsolink.budget import (
     LEO_ALTITUDE_M,
@@ -18,6 +19,7 @@ from fsolink.budget import (
     sweep_pass,
 )
 from fsolink.extinction import ExtinctionParams
+from fsolink.fading import FadingModel, sample
 from fsolink.geometry import LinkGeometry, slant_range
 from fsolink.turbulence import (
     ApertureModel,
@@ -266,3 +268,61 @@ class TestChannelGrid:
         grid = channel_grid(params, LEO_ALTITUDE_M, DIAMETERS, np.radians(np.arange(-80.0, 81.0, 10.0)))
         assert np.all(grid.sigma_j2 >= 0.0)
         assert len(calls) == integrals
+
+
+class TestSortedPercentiles:
+    @pytest.mark.parametrize("n", [1, 2, 3, 19, 20, 21, 10_000, 10_001, 200_000])
+    def test_equals_numpy_percentile_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for x in (rng.standard_normal(n), rng.lognormal(3.0, 2.0, n), rng.integers(0, 4, n).astype(float)):
+            expected = np.percentile(x, [5, 50, 95]).tolist()
+            x.sort()
+            assert budget._sorted_percentiles(x) == expected
+
+
+def _serial_sweep(params, diameters, zeniths, draws, seed):
+    # The cell-by-cell reduction the concurrent sweep must reproduce exactly.
+    grid = channel_grid(params, LEO_ALTITUDE_M, diameters, zeniths)
+    stats = np.empty((5,) + grid.eta_det.shape)
+    for di, zi in np.ndindex(grid.eta_det.shape):
+        s2 = float(grid.sigma_j2[di, zi])
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(di, zi)))
+        fades = sample(FadingModel(s2), rng, draws) if s2 > 0 else np.ones(draws)
+        loss = -10.0 * np.log10(float(grid.eta_det[di, zi]) * fades)
+        sd = loss.std(ddof=1) if draws > 1 else 0.0
+        stats[:, di, zi] = [loss.mean(), sd, *np.percentile(loss, [5.0, 50.0, 95.0])]
+    return stats
+
+
+def _sweep_stats(result):
+    return np.stack([result.mean_loss_db, result.sd_loss_db, result.p05_db, result.p50_db, result.p95_db])
+
+
+class TestConcurrentSweep:
+    @pytest.mark.parametrize("draws", [1, 2, 1001])
+    @pytest.mark.parametrize("mode", list(FluctuationMode))
+    def test_equals_serial_reference_and_repeats(self, mode, draws):
+        params = default_channel(mode=mode)
+        expected = _serial_sweep(params, GRID_DIAMETERS, GRID_ZENITHS, draws, seed=9)
+        runs = [
+            _sweep_stats(sweep_pass(params, LEO_ALTITUDE_M, GRID_DIAMETERS, GRID_ZENITHS, draws, seed=9))
+            for _ in range(2)
+        ]
+        np.testing.assert_array_equal(runs[0], expected)
+        np.testing.assert_array_equal(runs[1], expected)
+
+    @pytest.mark.parametrize("workers", [1, 2, 7, 64])
+    def test_result_does_not_depend_on_worker_count(self, monkeypatch, workers):
+        # More workers than cores and a short switch interval interleave the
+        # cells as much as possible; a lost or misplaced write would show.
+        monkeypatch.setattr(budget, "_worker_count", lambda: workers)
+        params = default_channel(mode=FluctuationMode.PSI)
+        zeniths = np.radians(np.arange(-80.0, 81.0, 10.0))
+        expected = _serial_sweep(params, DIAMETERS, zeniths, 300, seed=3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = sweep_pass(params, LEO_ALTITUDE_M, DIAMETERS, zeniths, 300, seed=3)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(_sweep_stats(result), expected)

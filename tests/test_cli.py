@@ -11,6 +11,8 @@ import pytest
 import fsolink
 from fsolink.budget import FluctuationMode
 from fsolink.cli import (
+    MAX_DRAWS_PER_POINT,
+    MAX_LENGTH_M,
     MAX_ZENITH_POINTS,
     ConfigError,
     effective_config,
@@ -315,6 +317,70 @@ class TestMain:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
         assert "1.6e+11 points" in err["detail"]
+
+    def test_draws_per_point_is_capped(self, tmp_path, capsys):
+        assert parse_config({"sweep": {"draws_per_point": MAX_DRAWS_PER_POINT}}).draws_per_point == MAX_DRAWS_PER_POINT
+        with pytest.raises(ConfigError, match="sweep.draws_per_point must be at most"):
+            parse_config({"sweep": {"draws_per_point": MAX_DRAWS_PER_POINT + 1}})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "scenario": "link_budget",
+            "channel": {"fluctuation_mode": "isi"},
+            "sweep": {"draws_per_point": 10**12},
+        }))
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert "sweep.draws_per_point" in err["detail"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"scenario": "pass_time", "geometry": {"satellite_altitude": 1e300}}, "geometry.satellite_altitude"),
+            ({"scenario": "link_budget", "geometry": {"satellite_altitude": 1e300}}, "geometry.satellite_altitude"),
+            ({"scenario": "link_budget", "sweep": {"diameters": [1e200]}}, "sweep.diameters"),
+            ({"scenario": "link_budget", "sweep": {"diameters": ["1e10 km"]}}, "sweep.diameters"),
+            ({"scenario": "pass_time", "geometry": {"altitudes": [4e5, 10**200]}}, "geometry.altitudes"),
+        ],
+    )
+    def test_huge_lengths_are_config_errors(self, tmp_path, capsys, doc, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert key in err["detail"]
+        assert not (tmp_path / "out").exists()
+
+    def test_longest_allowed_length_parses(self):
+        cfg = parse_config({"geometry": {"satellite_altitude": MAX_LENGTH_M}, "sweep": {"diameters": ["1e9 km"]}})
+        assert cfg.satellite_altitude_m == cfg.diameters_m[0] == MAX_LENGTH_M
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"scenario": "pass_time", "geometry": {"mu": 5e-324}},
+            {"scenario": "link_budget", "channel": {"beam_waist": 1e-200}},
+            {"scenario": "link_budget", "channel": {"beam_waist": 1e-100, "wavelength": 1e12}},
+        ],
+    )
+    def test_arithmetic_overflow_is_numeric_error(self, tmp_path, capsys, doc):
+        # Valid but extreme inputs whose float arithmetic divides by zero or
+        # overflows exit 3 with a one-line JSON error, not a traceback.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numeric"
+
+    def test_over_long_integer_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"seed": 1' + "0" * 5000 + "}")
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file_is_io_error(self, capsys):
         assert main(["--config", "/nonexistent/config.json"]) == 4

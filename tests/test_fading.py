@@ -77,6 +77,12 @@ class TestSample:
         b = sample(FadingModel(0.25), 1234, 10_000)
         assert np.array_equal(a, b)
 
+    def test_equals_the_out_of_place_formula_bit_for_bit(self):
+        sigma_j2 = 0.37
+        z = np.random.default_rng(8).standard_normal(10_001)
+        expected = np.exp(math.sqrt(sigma_j2) * z - sigma_j2 / 2.0)
+        assert np.array_equal(sample(FadingModel(sigma_j2), np.random.default_rng(8), 10_001), expected)
+
     def test_distinct_seeds_differ(self):
         a = sample(FadingModel(0.25), 1, 1000)
         b = sample(FadingModel(0.25), 2, 1000)

@@ -19,7 +19,6 @@ from .budget import (
     av_vs_zenith,
     channel_grid,
     compose,
-    fading_variance,
     sweep_pass,
 )
 from .extinction import (

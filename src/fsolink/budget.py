@@ -202,24 +202,6 @@ def compose(params: ChannelParams, geom: LinkGeometry, intensity: float = 1.0) -
     )
 
 
-def fading_variance(
-    params: ChannelParams,
-    altitude_m: float,
-    zenith_rad: float,
-    diameter_m: float,
-    *,
-    earth_radius_m: float = EARTH_RADIUS_M,
-) -> float:
-    """Log-variance sigma_j^2 driving the intensity factor at one grid cell.
-
-    Rytov index -> scintillation index, then scaled by the configured
-    aperture-averaging factor when the channel runs in PSI mode. Returns 0 in
-    deterministic mode. This is the 1x1 case of :func:`channel_grid`.
-    """
-    grid = channel_grid(params, altitude_m, [diameter_m], [zenith_rad], earth_radius_m=earth_radius_m)
-    return float(grid.sigma_j2[0, 0])
-
-
 def _cell_rng(seed: int, d_index: int, z_index: int) -> np.random.Generator:
     # Sub-seed per (diameter, zenith) cell: results are identical no matter
     # how the grid is scheduled.

@@ -3,6 +3,8 @@
 Configs are nested key-value documents; lengths and angles may be given
 either as SI numbers (meters; degrees for angles) or as strings with an
 explicit unit ("50 cm", "1.4 rad"). Internally everything is SI with radians.
+Every key, with its kind, default, bounds and ScenarioConfig field, is one
+entry of ``_TABLE``; parsing and the normalized echo both walk it.
 Identical config + seed reproduces byte-identical CSV output.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O error.
@@ -52,6 +54,10 @@ MAX_ZENITH_POINTS = 100_000
 # each at the cap), and one cell per CPU is in flight at once.
 MAX_DRAWS_PER_POINT = 10_000_000
 
+# eta * photons stays an exact integer in a float below 2**53, and the Poisson
+# means stay far below numpy's limit of about 9.2e18.
+MAX_PHOTONS = 10**15
+
 # Lengths beyond this (about seven astronomical units) are typos; squaring or
 # cubing them in the geometry and beam formulas overflows a float.
 MAX_LENGTH_M = 1e12
@@ -65,9 +71,85 @@ _LENGTH_UNITS = {
     "km": 1e3,
 }
 
+# Bare angles are degrees; math.radians(x) is exactly x * (pi / 180).
+_ANGLE_UNITS = {"deg": math.pi / 180.0, "rad": 1.0}
+
+# The sweep may reach +/-80 degrees; the slack admits "80 deg" after rounding.
+_ZENITH_BOUND = math.radians(80.0) + 1e-12
+
 
 class ConfigError(ValueError):
     """Configuration document is malformed or violates an invariant."""
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One config key: dotted name, kind, JSON default, bounds and ScenarioConfig field.
+
+    Kinds: "integer" (booleans excluded), "number" (finite), "length" (meters
+    or a unit string), "angle" (degrees or a 'deg'/'rad' string, radians
+    inside), "lengths" (a non-empty list of lengths, bounds per item), "enum"
+    (a string among ``choices``, mapped to its value) and "string". Bounds are
+    in SI units; a None default makes the key optional.
+    """
+
+    key: str
+    kind: str
+    default: Any
+    field: str
+    gt: float | None = None
+    ge: float | None = None
+    lt: float | None = None
+    le: float | None = None
+    choices: dict | None = None
+
+
+def _choices(options) -> dict:
+    return {getattr(o, "value", o): o for o in options}
+
+
+_TABLE = (
+    _Key("scenario", "enum", "link_budget", "scenario", choices=_choices(SCENARIOS)),
+    _Key("seed", "integer", 0, "seed", ge=0),
+    _Key("output_dir", "string", ".", "output_dir"),
+    _Key("geometry.satellite_altitude", "length", LEO_ALTITUDE_M, "satellite_altitude_m"),
+    _Key("geometry.ogs_altitude", "length", 65.0, "ogs_altitude_m", ge=0.0),
+    _Key("geometry.earth_radius", "length", EARTH_RADIUS_M, "earth_radius_m", gt=0.0),
+    _Key("geometry.mu", "number", EARTH_MU_M3_S2, "mu_m3_s2", gt=0.0),
+    _Key("geometry.zenith_limit", "angle", 80.0, "zenith_limit_rad", gt=0.0, lt=math.pi / 2),
+    _Key("geometry.altitudes", "lengths", None, "altitudes_m"),
+    _Key("channel.wavelength", "length", 1550e-9, "channel.beam.wavelength_m", gt=0.0),
+    _Key("channel.beam_waist", "length", 0.01, "channel.beam.waist_m", gt=0.0),
+    _Key("channel.eta_int", "number", 0.4, "channel.eta_int", gt=0.0, le=1.0),
+    _Key("channel.alpha0", "number", 5e-6, "channel.extinction.alpha0_per_m", gt=0.0),
+    _Key("channel.h0", "length", 6600.0, "channel.extinction.h0_m", gt=0.0),
+    _Key("channel.c0", "number", 1.7e-14, "channel.turbulence.c0", gt=0.0),
+    _Key("channel.v_rms", "number", 26.25, "channel.turbulence.v_rms", gt=0.0),
+    _Key("channel.fluctuation_mode", "enum", "deterministic", "channel.fluctuation_mode",
+         choices=_choices(FluctuationMode)),
+    _Key("channel.aperture_model", "enum", "andrews", "channel.aperture_model.kind",
+         choices=_choices(ApertureModelKind)),
+    _Key("channel.tropopause_height", "length", 12_000.0, "channel.aperture_model.tropopause_m", gt=0.0),
+    _Key("channel.theta_max_deg", "number", 10.0, "channel.aperture_model.theta_max_deg", gt=0.0, lt=90.0),
+    _Key("channel.scintillation_variant", "enum", "7/6", "channel.scintillation_variant",
+         choices=_choices(ScintillationVariant)),
+    _Key("sweep.diameters", "lengths", ["25 cm", "50 cm", "75 cm", "100 cm"], "diameters_m", gt=0.0),
+    _Key("sweep.zenith_min", "angle", -80.0, "zenith_min_rad", ge=-_ZENITH_BOUND, le=_ZENITH_BOUND),
+    _Key("sweep.zenith_max", "angle", 80.0, "zenith_max_rad", ge=-_ZENITH_BOUND, le=_ZENITH_BOUND),
+    _Key("sweep.zenith_step", "angle", 1.0, "zenith_step_rad", gt=0.0),
+    _Key("sweep.draws_per_point", "integer", 10_000, "draws_per_point", ge=1, le=MAX_DRAWS_PER_POINT),
+    _Key("tomography.photons", "integer", 200_000, "photons", ge=1, le=MAX_PHOTONS),
+    _Key("tomography.ensemble_size", "integer", 220, "ensemble_size", ge=1),
+    _Key("tomography.ensemble_kind", "enum", "haar_pure", "ensemble_kind", choices=_choices(EnsembleKind)),
+    _Key("tomography.fading_resample", "enum", "per_trial", "fading_resample", choices=_choices(FadingResample)),
+)
+
+_BOUND_TESTS = (
+    ("gt", "greater than", lambda value, bound: value > bound),
+    ("ge", "at least", lambda value, bound: value >= bound),
+    ("lt", "less than", lambda value, bound: value < bound),
+    ("le", "at most", lambda value, bound: value <= bound),
+)
 
 
 def _is_finite(value: int | float) -> bool:
@@ -78,82 +160,94 @@ def _is_finite(value: int | float) -> bool:
         return False
 
 
-def _is_count(value: Any) -> bool:
-    """True for an integer >= 1; JSON booleans are not integers here."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _bounded_length(length: float, key: str) -> float:
-    if abs(length) > MAX_LENGTH_M:
-        raise ConfigError(f"{key}: length {length:g} m exceeds {MAX_LENGTH_M:g} m in magnitude")
-    return length
-
-
-def _parse_length(value: Any, key: str) -> float:
-    """Length from an SI number (meters) or a unit-suffixed string."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{key}: expected a length, got a boolean")
-    if isinstance(value, (int, float)):
-        if not _is_finite(value):
-            raise ConfigError(f"{key}: length must be finite")
-        return _bounded_length(float(value), key)
+def _quantity(value: Any, key: str, units: dict[str, float], bare_scale: float, problems: list[str]) -> float | None:
+    """SI value of a bare number (times ``bare_scale``) or a '<number> <unit>' string."""
     if isinstance(value, str):
         parts = value.split()
-        if len(parts) == 2 and parts[1] in _LENGTH_UNITS:
+        magnitude = None
+        if len(parts) == 2 and parts[1] in units:
+            scale = units[parts[1]]
             try:
-                length = float(parts[0]) * _LENGTH_UNITS[parts[1]]
+                magnitude = float(parts[0])
             except ValueError:
                 pass
-            else:
-                if not _is_finite(length):
-                    raise ConfigError(f"{key}: length {value!r} is not finite")
-                return _bounded_length(length, key)
-        raise ConfigError(f"{key}: cannot parse length {value!r} (units: {', '.join(_LENGTH_UNITS)})")
-    raise ConfigError(f"{key}: expected a number or unit string, got {type(value).__name__}")
+        if magnitude is None:
+            problems.append(f"{key}: cannot parse {value!r} (units: {', '.join(units)})")
+            return None
+    elif _is_number(value):
+        magnitude, scale = value, bare_scale
+    else:
+        problems.append(f"{key} must be a number or a unit string, got {type(value).__name__}")
+        return None
+    if not _is_finite(magnitude) or not math.isfinite(si := float(magnitude) * scale):
+        problems.append(f"{key} must be finite, got {value!r}")
+        return None
+    return si
 
 
-def _parse_angle(value: Any, key: str) -> float:
-    """Angle in radians from a number in degrees or a 'deg'/'rad' string."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{key}: expected an angle, got a boolean")
-    if isinstance(value, (int, float)):
+def _convert(spec: _Key, kind: str, value: Any, key: str, problems: list[str]) -> Any:
+    """The ScenarioConfig value of one JSON value, or None after recording each problem."""
+    if kind == "lengths":
+        if not isinstance(value, list) or not value:
+            problems.append(f"{key} must be a non-empty list")
+            return None
+        items = [_convert(spec, "length", item, f"{key}[{i}]", problems) for i, item in enumerate(value)]
+        return None if None in items else tuple(items)
+    if kind == "enum":
+        if isinstance(value, str) and value in spec.choices:
+            return spec.choices[value]
+        problems.append(f"{key} must be one of {list(spec.choices)}, got {value!r}")
+        return None
+    if kind == "string":
+        if isinstance(value, str):
+            return value
+        problems.append(f"{key} must be a string, got {type(value).__name__}")
+        return None
+    if kind == "integer":
+        if isinstance(value, bool) or not isinstance(value, int):
+            problems.append(f"{key} must be an integer, got {type(value).__name__}")
+            return None
+    elif kind == "number":
+        if not _is_number(value):
+            problems.append(f"{key} must be a number, got {type(value).__name__}")
+            return None
         if not _is_finite(value):
-            raise ConfigError(f"{key}: angle must be finite")
-        return math.radians(float(value))
-    if isinstance(value, str):
-        parts = value.split()
-        if len(parts) == 2 and parts[1] in ("deg", "rad"):
-            try:
-                mag = float(parts[0])
-            except ValueError:
-                raise ConfigError(f"{key}: cannot parse angle {value!r}") from None
-            if not _is_finite(mag):
-                raise ConfigError(f"{key}: angle {value!r} is not finite")
-            return math.radians(mag) if parts[1] == "deg" else mag
-        raise ConfigError(f"{key}: cannot parse angle {value!r} (use degrees or 'X deg'/'X rad')")
-    raise ConfigError(f"{key}: expected a number or unit string, got {type(value).__name__}")
-
-
-def _take(section: dict, key: str, default: Any) -> Any:
-    return section.pop(key, default)
-
-
-def _take_number(section: dict, key: str, default: float, context: str, problems: list[str]) -> float:
-    """Pop a JSON number; anything else is recorded as a problem and replaced by the default."""
-    value = section.pop(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        problems.append(f"{context}.{key} must be a number, got {type(value).__name__}")
-        return default
-    if not _is_finite(value):
-        problems.append(f"{context}.{key} must be a finite number")
-        return default
+            problems.append(f"{key} must be a finite number")
+            return None
+    elif kind == "length":
+        value = _quantity(value, key, _LENGTH_UNITS, 1.0, problems)
+        if value is None:
+            return None
+        if abs(value) > MAX_LENGTH_M:
+            problems.append(f"{key}: length {value:g} m exceeds {MAX_LENGTH_M:g} m in magnitude")
+            return None
+    else:  # angle
+        value = _quantity(value, key, _ANGLE_UNITS, _ANGLE_UNITS["deg"], problems)
+        if value is None:
+            return None
+    for name, words, within in _BOUND_TESTS:
+        bound = getattr(spec, name)
+        if bound is not None and not within(value, bound):
+            shown = {"length": f"{bound:g} m", "angle": f"{math.degrees(bound):g} deg"}.get(kind, bound)
+            problems.append(f"{key} must be {words} {shown}")
+            return None
     return value
 
 
-def _reject_unknown(section: dict, context: str) -> None:
-    if section:
-        name = next(iter(section))
-        raise ConfigError(f"unknown key {context}.{name}")
+def _nest(pairs) -> dict:
+    """Nested dicts from (dotted name, value) pairs: ("a.b", 1) -> {"a": {"b": 1}}."""
+    tree: dict = {}
+    for dotted, value in pairs:
+        *parents, leaf = dotted.split(".")
+        node = tree
+        for name in parents:
+            node = node.setdefault(name, {})
+        node[leaf] = value
+    return tree
 
 
 @dataclass(frozen=True)
@@ -185,194 +279,82 @@ class ScenarioConfig:
         return self.zenith_min_rad + self.zenith_step_rad * np.arange(n + 1)
 
 
-def parse_config(document: str | dict) -> ScenarioConfig:
-    """Validate a config document and apply defaults.
-
-    Accepts raw JSON text or an already-decoded mapping. Unknown keys are
-    rejected by name; all invariant violations are reported together.
-    """
-    if isinstance(document, str):
-        try:
-            raw = json.loads(document) if document.strip() else {}
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-        except ValueError as exc:  # an integer longer than Python's int-string limit
-            raise ConfigError(f"config cannot be decoded: {exc}") from exc
-    else:
-        raw = dict(document)
+def _decode(document: str | dict) -> dict:
+    try:
+        text = document if isinstance(document, str) else json.dumps(document)
+        raw = json.loads(text) if text.strip() else {}
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer longer than Python's int-string limit
+        raise ConfigError(f"config cannot be decoded: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    raw = json.loads(json.dumps(raw))  # deep copy; sections are mutated below
+    return raw
 
-    scenario = _take(raw, "scenario", "link_budget")
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
-    seed = _take(raw, "seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError("seed must be a non-negative integer")
-    output_dir = _take(raw, "output_dir", ".")
+
+def parse_config(document: str | dict) -> ScenarioConfig:
+    """Validate a config document against the key table and apply defaults.
+
+    Accepts raw JSON text or an already-decoded mapping. Every problem is
+    collected (unknown keys by name, values of the wrong kind or out of
+    bounds, then the cross-key rules on the keys that passed) and reported
+    in one ConfigError: a single problem as its own line, several as
+    "invalid configuration:" followed by one line each.
+    """
+    root = _decode(document)  # freshly decoded, so its sections may be consumed
     problems: list[str] = []
+    sections: dict[str, dict | None] = {"": root}
+    values: dict[str, Any] = {}
+    for spec in _TABLE:
+        section_name, _, name = spec.key.rpartition(".")
+        if section_name not in sections:
+            section = root.pop(section_name, {})
+            if not isinstance(section, dict):
+                problems.append(f"{section_name} must be an object, got {type(section).__name__}")
+            sections[section_name] = section if isinstance(section, dict) else None
+        section = sections[section_name]
+        if section is None:
+            continue
+        value = section.pop(name, spec.default)
+        if value is None and spec.default is None:
+            continue
+        converted = _convert(spec, spec.kind, value, spec.key, problems)
+        if converted is not None:
+            values[spec.field] = converted
+    for section_name, section in sections.items():
+        prefix = f"{section_name}." if section_name else ""
+        problems += [f"unknown key {prefix}{name}" for name in section or ()]
 
-    geo = _take(raw, "geometry", {})
-    if not isinstance(geo, dict):
-        raise ConfigError("geometry must be an object")
-    satellite_altitude = _parse_length(_take(geo, "satellite_altitude", LEO_ALTITUDE_M), "geometry.satellite_altitude")
-    ogs_altitude = _parse_length(_take(geo, "ogs_altitude", 65.0), "geometry.ogs_altitude")
-    earth_radius = _parse_length(_take(geo, "earth_radius", EARTH_RADIUS_M), "geometry.earth_radius")
-    mu = _take_number(geo, "mu", EARTH_MU_M3_S2, "geometry", problems)
-    zenith_limit = _parse_angle(_take(geo, "zenith_limit", 80.0), "geometry.zenith_limit")
-    raw_alts = _take(geo, "altitudes", None)
-    _reject_unknown(geo, "geometry")
-    if raw_alts is None:
-        altitudes = (satellite_altitude,)
-    else:
-        if not isinstance(raw_alts, list) or not raw_alts:
-            raise ConfigError("geometry.altitudes must be a non-empty list")
-        altitudes = tuple(_parse_length(a, "geometry.altitudes") for a in raw_alts)
-
-    ch = _take(raw, "channel", {})
-    if not isinstance(ch, dict):
-        raise ConfigError("channel must be an object")
-    wavelength = _parse_length(_take(ch, "wavelength", 1550e-9), "channel.wavelength")
-    waist = _parse_length(_take(ch, "beam_waist", 0.01), "channel.beam_waist")
-    eta_int = _take_number(ch, "eta_int", 0.4, "channel", problems)
-    alpha0 = _take_number(ch, "alpha0", 5e-6, "channel", problems)
-    h0 = _parse_length(_take(ch, "h0", 6600.0), "channel.h0")
-    c0 = _take_number(ch, "c0", 1.7e-14, "channel", problems)
-    v_rms = _take_number(ch, "v_rms", 26.25, "channel", problems)
-    mode_name = _take(ch, "fluctuation_mode", "deterministic")
-    model_name = _take(ch, "aperture_model", "andrews")
-    tropopause = _parse_length(_take(ch, "tropopause_height", 12_000.0), "channel.tropopause_height")
-    theta_max = _take_number(ch, "theta_max_deg", 10.0, "channel", problems)
-    variant_name = _take(ch, "scintillation_variant", "7/6")
-    _reject_unknown(ch, "channel")
-
-    sweep = _take(raw, "sweep", {})
-    if not isinstance(sweep, dict):
-        raise ConfigError("sweep must be an object")
-    raw_diams = _take(sweep, "diameters", ["25 cm", "50 cm", "75 cm", "100 cm"])
-    if not isinstance(raw_diams, list) or not raw_diams:
-        raise ConfigError("sweep.diameters must be a non-empty list")
-    diameters = tuple(_parse_length(d, "sweep.diameters") for d in raw_diams)
-    zen_min = _parse_angle(_take(sweep, "zenith_min", -80.0), "sweep.zenith_min")
-    zen_max = _parse_angle(_take(sweep, "zenith_max", 80.0), "sweep.zenith_max")
-    zen_step = _parse_angle(_take(sweep, "zenith_step", 1.0), "sweep.zenith_step")
-    draws = _take(sweep, "draws_per_point", 10_000)
-    _reject_unknown(sweep, "sweep")
-
-    tomo = _take(raw, "tomography", {})
-    if not isinstance(tomo, dict):
-        raise ConfigError("tomography must be an object")
-    photons = _take(tomo, "photons", 200_000)
-    ensemble_size = _take(tomo, "ensemble_size", 220)
-    kind_name = _take(tomo, "ensemble_kind", "haar_pure")
-    resample_name = _take(tomo, "fading_resample", "per_trial")
-    _reject_unknown(tomo, "tomography")
-    _reject_unknown(raw, "config")
-
-    if satellite_altitude <= ogs_altitude:
+    altitude, ogs, altitudes = (values.get(f) for f in ("satellite_altitude_m", "ogs_altitude_m", "altitudes_m"))
+    if altitude is not None and ogs is not None and altitude <= ogs:
         problems.append("geometry.satellite_altitude must exceed geometry.ogs_altitude")
-    if ogs_altitude < 0:
-        problems.append("geometry.ogs_altitude must be >= 0")
-    if not 0.0 < zenith_limit < math.pi / 2:
-        problems.append("geometry.zenith_limit must lie in (0, 90) degrees")
-    if not earth_radius > 0:
-        problems.append("geometry.earth_radius must be > 0")
-    if not mu > 0:
-        problems.append("geometry.mu must be > 0")
-    if any(a <= ogs_altitude for a in altitudes):
+    if altitudes is not None and ogs is not None and any(a <= ogs for a in altitudes):
         problems.append("geometry.altitudes must all exceed geometry.ogs_altitude")
-    if not 0.0 < eta_int <= 1.0:
-        problems.append("channel.eta_int must lie in (0, 1]")
-    if alpha0 <= 0 or h0 <= 0:
-        problems.append("channel.alpha0 and channel.h0 must be > 0")
-    if c0 <= 0 or v_rms <= 0:
-        problems.append("channel.c0 and channel.v_rms must be > 0")
-    if wavelength <= 0 or waist <= 0:
-        problems.append("channel.wavelength and channel.beam_waist must be > 0")
-    if not 0.0 < theta_max < 90.0:
-        problems.append("channel.theta_max_deg must lie in (0, 90)")
-    if any(d <= 0 for d in diameters):
-        problems.append("sweep.diameters must all be > 0")
-    if abs(zen_min) > math.radians(80.0) + 1e-12 or abs(zen_max) > math.radians(80.0) + 1e-12:
-        problems.append("sweep zenith bounds must lie within [-80, 80] degrees")
-    if zen_max < zen_min:
-        problems.append("sweep.zenith_max must be >= sweep.zenith_min")
-    if zen_step <= 0:
-        problems.append("sweep.zenith_step must be > 0")
-    elif (zen_max - zen_min) / zen_step + 1e-9 >= MAX_ZENITH_POINTS:
-        problems.append(
-            f"sweep zenith grid would have {(zen_max - zen_min) / zen_step + 1:.6g} points;"
-            f" at most {MAX_ZENITH_POINTS} are allowed"
-        )
-    if not _is_count(draws):
-        problems.append("sweep.draws_per_point must be an integer >= 1")
-    elif draws > MAX_DRAWS_PER_POINT:
-        problems.append(f"sweep.draws_per_point must be at most {MAX_DRAWS_PER_POINT}")
-    if not _is_count(photons):
-        problems.append("tomography.photons must be an integer >= 1")
-    if not _is_count(ensemble_size):
-        problems.append("tomography.ensemble_size must be an integer >= 1")
-
-    try:
-        mode = FluctuationMode(mode_name)
-    except ValueError:
-        problems.append(f"channel.fluctuation_mode must be one of {[m.value for m in FluctuationMode]}")
-        mode = FluctuationMode.DETERMINISTIC
-    try:
-        model_kind = ApertureModelKind(model_name)
-    except ValueError:
-        problems.append(f"channel.aperture_model must be one of {[m.value for m in ApertureModelKind]}")
-        model_kind = ApertureModelKind.ANDREWS
-    try:
-        variant = ScintillationVariant(variant_name)
-    except ValueError:
-        problems.append(f"channel.scintillation_variant must be one of {[v.value for v in ScintillationVariant]}")
-        variant = ScintillationVariant.SEVEN_SIXTHS
-    try:
-        kind = EnsembleKind(kind_name)
-    except ValueError:
-        problems.append(f"tomography.ensemble_kind must be one of {[k.value for k in EnsembleKind]}")
-        kind = EnsembleKind.HAAR_PURE
-    try:
-        resample = FadingResample(resample_name)
-    except ValueError:
-        problems.append(f"tomography.fading_resample must be one of {[r.value for r in FadingResample]}")
-        resample = FadingResample.PER_TRIAL
-
+    zen_min, zen_max, zen_step = (values.get(f) for f in ("zenith_min_rad", "zenith_max_rad", "zenith_step_rad"))
+    if zen_min is not None and zen_max is not None:
+        if zen_max < zen_min:
+            problems.append("sweep.zenith_max must be >= sweep.zenith_min")
+        elif zen_step is not None and (zen_max - zen_min) / zen_step + 1e-9 >= MAX_ZENITH_POINTS:
+            problems.append(
+                f"sweep.zenith_step gives a zenith grid of {(zen_max - zen_min) / zen_step + 1:.6g} points;"
+                f" at most {MAX_ZENITH_POINTS} are allowed"
+            )
+    if len(problems) == 1:
+        raise ConfigError(problems[0])
     if problems:
         raise ConfigError("invalid configuration:\n  - " + "\n  - ".join(problems))
 
-    channel = ChannelParams(
-        beam=BeamParams(wavelength_m=wavelength, waist_m=waist, receiver_radius_m=diameters[0] / 2.0),
-        extinction=ExtinctionParams(alpha0_per_m=alpha0, h0_m=h0),
-        turbulence=TurbulenceProfile(c0=c0, v_rms=v_rms, h_ogs_m=ogs_altitude),
-        eta_int=eta_int,
-        aperture_model=ApertureModel(kind=model_kind, tropopause_m=tropopause, theta_max_deg=theta_max),
-        fluctuation_mode=mode,
-        scintillation_variant=variant,
+    fields = _nest(values.items())
+    fields.setdefault("altitudes_m", (fields["satellite_altitude_m"],))
+    ch = fields["channel"]
+    fields["channel"] = ChannelParams(
+        beam=BeamParams(receiver_radius_m=fields["diameters_m"][0] / 2.0, **ch.pop("beam")),
+        extinction=ExtinctionParams(**ch.pop("extinction")),
+        turbulence=TurbulenceProfile(h_ogs_m=fields["ogs_altitude_m"], **ch.pop("turbulence")),
+        aperture_model=ApertureModel(**ch.pop("aperture_model")),
+        **ch,
     )
-    return ScenarioConfig(
-        scenario=scenario,
-        seed=seed,
-        output_dir=output_dir,
-        satellite_altitude_m=satellite_altitude,
-        ogs_altitude_m=ogs_altitude,
-        earth_radius_m=earth_radius,
-        mu_m3_s2=float(mu),
-        zenith_limit_rad=zenith_limit,
-        altitudes_m=altitudes,
-        channel=channel,
-        diameters_m=diameters,
-        zenith_min_rad=zen_min,
-        zenith_max_rad=zen_max,
-        zenith_step_rad=zen_step,
-        draws_per_point=draws,
-        photons=photons,
-        ensemble_size=ensemble_size,
-        ensemble_kind=kind,
-        fading_resample=resample,
-    )
+    return ScenarioConfig(**fields)
 
 
 def effective_config(cfg: ScenarioConfig) -> dict:
@@ -381,47 +363,19 @@ def effective_config(cfg: ScenarioConfig) -> dict:
     Angles are emitted as exact-'rad' strings because a degrees round trip is
     not bit-exact for every float.
     """
-    ch = cfg.channel
-    return {
-        "scenario": cfg.scenario,
-        "seed": cfg.seed,
-        "output_dir": cfg.output_dir,
-        "geometry": {
-            "satellite_altitude": cfg.satellite_altitude_m,
-            "ogs_altitude": cfg.ogs_altitude_m,
-            "earth_radius": cfg.earth_radius_m,
-            "mu": cfg.mu_m3_s2,
-            "zenith_limit": f"{cfg.zenith_limit_rad!r} rad",
-            "altitudes": list(cfg.altitudes_m),
-        },
-        "channel": {
-            "wavelength": ch.beam.wavelength_m,
-            "beam_waist": ch.beam.waist_m,
-            "eta_int": ch.eta_int,
-            "alpha0": ch.extinction.alpha0_per_m,
-            "h0": ch.extinction.h0_m,
-            "c0": ch.turbulence.c0,
-            "v_rms": ch.turbulence.v_rms,
-            "fluctuation_mode": ch.fluctuation_mode.value,
-            "aperture_model": ch.aperture_model.kind.value,
-            "tropopause_height": ch.aperture_model.tropopause_m,
-            "theta_max_deg": ch.aperture_model.theta_max_deg,
-            "scintillation_variant": ch.scintillation_variant.value,
-        },
-        "sweep": {
-            "diameters": list(cfg.diameters_m),
-            "zenith_min": f"{cfg.zenith_min_rad!r} rad",
-            "zenith_max": f"{cfg.zenith_max_rad!r} rad",
-            "zenith_step": f"{cfg.zenith_step_rad!r} rad",
-            "draws_per_point": cfg.draws_per_point,
-        },
-        "tomography": {
-            "photons": cfg.photons,
-            "ensemble_size": cfg.ensemble_size,
-            "ensemble_kind": cfg.ensemble_kind.value,
-            "fading_resample": cfg.fading_resample.value,
-        },
-    }
+    pairs = []
+    for spec in _TABLE:
+        value = cfg
+        for name in spec.field.split("."):
+            value = getattr(value, name)
+        if spec.kind == "angle":
+            value = f"{value!r} rad"
+        elif spec.kind == "lengths":
+            value = list(value)
+        elif spec.kind == "enum":
+            value = next(name for name, option in spec.choices.items() if option == value)
+        pairs.append((spec.key, value))
+    return _nest(pairs)
 
 
 def emit_csv(header: list[str], rows: list[tuple], path: Path) -> None:
@@ -512,7 +466,6 @@ def _run_link_budget(cfg: ScenarioConfig, outdir: Path) -> list[Path]:
 def _run_qst(cfg: ScenarioConfig, outdir: Path) -> list[Path]:
     tomo = TomographyConfig(
         photons=cfg.photons,
-        transmittance=1.0,
         ensemble_size=cfg.ensemble_size,
         seed=cfg.seed,
         ensemble_kind=cfg.ensemble_kind,

@@ -26,11 +26,6 @@ class FadingModel:
         if self.sigma_j2 < 0:
             raise ValueError("sigma_j2 must be >= 0")
 
-    @property
-    def intensity_variance(self) -> float:
-        """Variance of I implied by the unit-mean construction: exp(s2) - 1."""
-        return math.expm1(self.sigma_j2)
-
 
 def pdf(model: FadingModel, intensity) -> np.ndarray | float:
     """Density of the relative intensity I at ``intensity`` (scalar or array).

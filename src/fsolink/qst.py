@@ -20,10 +20,6 @@ from .budget import ChannelParams, channel_grid
 from .fading import FadingModel, sample
 from .geometry import EARTH_RADIUS_M
 
-# Poisson means above this use a rounded/clamped Gaussian draw instead of the
-# exact sampler; relative moment error there is < 1e-3.
-_POISSON_EXACT_MAX = 1e7
-
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -141,19 +137,6 @@ def expected_counts(rho: np.ndarray, povm: np.ndarray, n_photons: int) -> np.nda
     return np.array([round_half_away(n_photons * p) for p in probs], dtype=np.int64)
 
 
-def _poisson(rng: np.random.Generator, lam: np.ndarray) -> np.ndarray:
-    lam = np.asarray(lam, dtype=float)
-    out = np.empty(lam.shape, dtype=np.int64)
-    small = lam <= _POISSON_EXACT_MAX
-    if np.any(small):
-        out[small] = rng.poisson(lam[small])
-    if np.any(~small):
-        big = lam[~small]
-        draws = rng.normal(big, np.sqrt(big))
-        out[~small] = np.maximum(np.floor(draws + 0.5), 0.0).astype(np.int64)
-    return out
-
-
 def simulate_counts(
     rho_in: np.ndarray,
     povm: np.ndarray,
@@ -169,7 +152,7 @@ def simulate_counts(
     means = np.array(
         [round_half_away(n_eff * p) for p in born_probabilities(rho_in, povm)], dtype=float
     )
-    return _poisson(gen, means)
+    return gen.poisson(means)
 
 
 def fit_state(counts, n_eff: int) -> Reconstruction:

@@ -15,7 +15,6 @@ from fsolink.budget import (
     av_vs_zenith,
     channel_grid,
     compose,
-    fading_variance,
     sweep_pass,
 )
 from fsolink.extinction import ExtinctionParams
@@ -88,24 +87,24 @@ class TestCompose:
 
 class TestFadingVariance:
     def test_deterministic_mode_is_zero(self):
-        assert fading_variance(default_channel(), LEO_ALTITUDE_M, 0.3, 1.0) == 0.0
+        assert channel_grid(default_channel(), LEO_ALTITUDE_M, [1.0], [0.3]).sigma_j2[0, 0] == 0.0
 
     def test_isi_matches_scintillation_index(self):
         from fsolink.turbulence import scintillation_index, rytov_downlink
 
         params = default_channel(mode=FluctuationMode.ISI)
-        got = fading_variance(params, LEO_ALTITUDE_M, 0.4, 1.0)
+        got = channel_grid(params, LEO_ALTITUDE_M, [1.0], [0.4]).sigma_j2[0, 0]
         sigma_r2 = rytov_downlink(params.turbulence, params.beam.wavelength_m, LEO_ALTITUDE_M, 0.4)
         assert got == scintillation_index(sigma_r2).sigma_I2
 
     def test_psi_below_isi(self):
-        isi = fading_variance(default_channel(mode=FluctuationMode.ISI), LEO_ALTITUDE_M, 0.4, 1.0)
-        psi = fading_variance(default_channel(mode=FluctuationMode.PSI), LEO_ALTITUDE_M, 0.4, 1.0)
+        isi = channel_grid(default_channel(mode=FluctuationMode.ISI), LEO_ALTITUDE_M, [1.0], [0.4]).sigma_j2[0, 0]
+        psi = channel_grid(default_channel(mode=FluctuationMode.PSI), LEO_ALTITUDE_M, [1.0], [0.4]).sigma_j2[0, 0]
         assert 0.0 < psi < isi
 
     def test_psi_shrinks_with_diameter(self):
-        small = fading_variance(default_channel(mode=FluctuationMode.PSI), LEO_ALTITUDE_M, 0.4, 0.25)
-        large = fading_variance(default_channel(mode=FluctuationMode.PSI), LEO_ALTITUDE_M, 0.4, 1.0)
+        small = channel_grid(default_channel(mode=FluctuationMode.PSI), LEO_ALTITUDE_M, [0.25], [0.4]).sigma_j2[0, 0]
+        large = channel_grid(default_channel(mode=FluctuationMode.PSI), LEO_ALTITUDE_M, [1.0], [0.4]).sigma_j2[0, 0]
         assert large < small
 
 
@@ -240,9 +239,7 @@ class TestChannelGrid:
             for zi, zenith in enumerate(GRID_ZENITHS.tolist()):
                 geom = LinkGeometry(LEO_ALTITUDE_M, zenith, params.turbulence.h_ogs_m)
                 assert grid.eta_det[di, zi] == compose(cell_params, geom).eta_total
-                sigma_j2 = fading_variance(params, LEO_ALTITUDE_M, zenith, diameter)
-                assert grid.sigma_j2[di, zi] == sigma_j2
-                assert sigma_j2 == _scalar_sigma_j2(params, LEO_ALTITUDE_M, zenith, diameter)
+                assert grid.sigma_j2[di, zi] == _scalar_sigma_j2(params, LEO_ALTITUDE_M, zenith, diameter)
 
     @pytest.mark.parametrize(
         "mode, kind, integrals",

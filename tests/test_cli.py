@@ -11,8 +11,10 @@ import pytest
 import fsolink
 from fsolink.budget import FluctuationMode
 from fsolink.cli import (
+    _TABLE,
     MAX_DRAWS_PER_POINT,
     MAX_LENGTH_M,
+    MAX_PHOTONS,
     MAX_ZENITH_POINTS,
     ConfigError,
     effective_config,
@@ -71,6 +73,41 @@ class TestParseConfig:
             parse_config(json.dumps(doc))
         message = str(err.value)
         assert "eta_int" in message and "c0" in message and "photons" in message
+
+    def test_every_bad_value_is_listed_on_its_own_line(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "geometry": {"satellite_altitude": 1e300},
+            "sweep": {"diameters": [1e200]},
+            "channel": {"wavelength": "5 furlongs"},
+        }))
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        header, *lines = json.loads(capsys.readouterr().err)["detail"].splitlines()
+        assert header == "invalid configuration:"
+        assert len(lines) == 3 and all(line.startswith("  - ") for line in lines)
+        for key in ("geometry.satellite_altitude", "sweep.diameters", "channel.wavelength"):
+            assert any(key in line for line in lines)
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_example_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        example = json.loads(readme.split("### Config document", 1)[1].split("```json\n", 1)[1].split("```", 1)[0])
+        keys = set()
+        for name, value in example.items():
+            keys |= {f"{name}.{sub}" for sub in value} if isinstance(value, dict) else {name}
+        assert keys == {spec.key for spec in _TABLE}
+
+    def test_inclusive_bounds_accept_their_edges(self):
+        cfg = parse_config({
+            "seed": 0,
+            "geometry": {"ogs_altitude": 0},
+            "channel": {"eta_int": 1},
+            "sweep": {"zenith_min": "-80 deg", "zenith_max": "80 deg", "draws_per_point": 1},
+            "tomography": {"photons": 1, "ensemble_size": 1},
+        })
+        assert (cfg.seed, cfg.ogs_altitude_m, cfg.channel.eta_int) == (0, 0.0, 1)
+        assert (cfg.zenith_min_rad, cfg.zenith_max_rad) == (-math.radians(80), math.radians(80))
+        assert (cfg.draws_per_point, cfg.photons, cfg.ensemble_size) == (1, 1, 1)
 
     def test_malformed_json_reports_position(self):
         with pytest.raises(ConfigError, match="line"):
@@ -243,6 +280,36 @@ class TestMain:
         assert err["error"] == "config"
         assert next(iter(doc["geometry"])) in err["detail"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("model", ["andrews", "giggenbach", "yura"])
+    @pytest.mark.parametrize("height", [0, -1.0, "-12 km"])
+    def test_non_positive_tropopause_is_config_error(self, tmp_path, capsys, model, height):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "scenario": "av_sweep",
+            "channel": {"aperture_model": model, "tropopause_height": height},
+        }))
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["detail"].startswith("channel.tropopause_height")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("output_dir", [None, 5, ["a"], {}])
+    def test_non_string_output_dir_is_config_error(self, tmp_path, capsys, monkeypatch, output_dir):
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scenario": "pass_time", "output_dir": output_dir}))
+        assert main(["--config", str(cfg_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["detail"].startswith("output_dir")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_photons_are_capped(self):
+        assert parse_config({"tomography": {"photons": MAX_PHOTONS}}).photons == MAX_PHOTONS
+        with pytest.raises(ConfigError, match="tomography.photons must be at most"):
+            parse_config({"tomography": {"photons": MAX_PHOTONS + 1}})
 
     def test_removed_optimizer_keys_are_unknown(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

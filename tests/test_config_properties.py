@@ -1,0 +1,153 @@
+"""Property tests of the config key table behind parse_config and effective_config.
+
+Documents set a random subset of the table's keys, some to valid values and
+some corrupted (wrong type, NaN, +/-Infinity, a boolean, an out-of-range
+value), and may add unknown keys or replace whole sections by non-objects.
+parse_config must raise nothing but ConfigError, name every corrupted key at
+the start of its own problem line, and accept only documents it can
+reproduce through effective_config.
+"""
+
+import json
+import math
+import string
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fsolink.cli import _TABLE, MAX_LENGTH_M, ConfigError, effective_config, parse_config
+
+SECTIONS = sorted({spec.key.rpartition(".")[0] for spec in _TABLE})  # "" is the root
+
+PROPERTIES = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+_WRONG_TYPE = {
+    "string": [5, 1.5],
+    "enum": ["not_a_choice", 5],
+    "integer": ["5", 1.5],
+    "number": ["1.0"],
+    "length": ["5 furlongs", "1 m m", "m 1"],
+    "angle": ["5 grad", "deg 5"],
+}
+
+
+def _lower(spec):
+    return spec.gt if spec.gt is not None else spec.ge
+
+
+def _upper(spec):
+    return spec.lt if spec.lt is not None else spec.le
+
+
+def valid(spec, kind=None):
+    """JSON values that this key accepts on their own (cross-key rules aside)."""
+    kind = kind or spec.kind
+    if kind == "lengths":
+        return st.lists(valid(spec, "length"), min_size=1, max_size=3)
+    if kind == "enum":
+        return st.sampled_from(list(spec.choices))
+    if kind == "string":
+        return st.text(max_size=8)
+    lo, hi = _lower(spec), _upper(spec)
+    if kind == "integer":
+        return st.integers(lo, hi if hi is not None else lo + 2**64)
+    if kind == "length":
+        lo = -MAX_LENGTH_M if lo is None else lo
+        hi = MAX_LENGTH_M if hi is None else hi
+    if kind == "angle":
+        lo = None if lo is None else math.degrees(lo)
+        hi = None if hi is None else math.degrees(hi)
+    numbers = st.floats(
+        lo, hi, exclude_min=spec.gt is not None, exclude_max=spec.lt is not None,
+        allow_nan=False, allow_infinity=False, allow_subnormal=False,
+    )
+    if kind == "length":
+        return st.one_of(numbers, numbers.map(lambda v: f"{v!r} m"))
+    if kind == "angle":
+        return st.one_of(numbers, numbers.map(lambda v: f"{v!r} deg"), numbers.map(lambda v: f"{math.radians(v)!r} rad"))
+    return numbers
+
+
+def corrupted(spec, kind=None):
+    """JSON values that this key must reject."""
+    kind = kind or spec.kind
+    if kind == "lengths":
+        item = st.tuples(valid(spec, "length"), corrupted(spec, "length")).map(list)
+        whole = [5, "1 m", {}, []] + ([] if spec.default is None else [None])
+        return st.one_of(st.sampled_from(whole), item)
+    bad = [math.nan, math.inf, -math.inf, True, False, None, [1], {}] + _WRONG_TYPE[kind]
+    to_json = math.degrees if kind == "angle" else (lambda bound: bound)
+    bad += [to_json(bound) - 1 for bound in (spec.gt, spec.ge) if bound is not None]
+    bad += [to_json(bound) + 1 for bound in (spec.lt, spec.le) if bound is not None]
+    if kind == "length":
+        bad += [2 * MAX_LENGTH_M, -2 * MAX_LENGTH_M]
+    return st.sampled_from(bad)
+
+
+VALID = {spec.key: valid(spec) for spec in _TABLE}
+CORRUPTED = {spec.key: corrupted(spec) for spec in _TABLE}
+
+
+@st.composite
+def documents(draw, corrupt=True):
+    """A config document and the dotted names its problems must start with."""
+    doc, expected = {}, set()
+    for spec in draw(st.lists(st.sampled_from(_TABLE), unique_by=lambda spec: spec.key, max_size=8)):
+        section, _, name = spec.key.rpartition(".")
+        target = doc.setdefault(section, {}) if section else doc
+        if corrupt and draw(st.booleans()):
+            target[name] = draw(CORRUPTED[spec.key])
+            expected.add(spec.key)
+        else:
+            target[name] = draw(VALID[spec.key])
+    if not corrupt:
+        return doc, expected
+    for section in draw(st.lists(st.sampled_from(SECTIONS), unique=True, max_size=2)):
+        name = "unknown_" + draw(st.text(string.ascii_lowercase, min_size=1, max_size=6))
+        (doc.setdefault(section, {}) if section else doc)[name] = draw(st.sampled_from([0, "x", None]))
+        expected.add(f"unknown key {section}.{name}" if section else f"unknown key {name}")
+    for section in draw(st.lists(st.sampled_from(SECTIONS[1:]), unique=True, max_size=1)):
+        doc[section] = draw(st.sampled_from([5, "x", [1], None, True]))
+        expected = {key for key in expected if not key.rpartition(" ")[2].startswith(f"{section}.")} | {section}
+    return doc, expected
+
+
+def _problems(message):
+    """The problem lines of a ConfigError, checking the one-or-many layout."""
+    header, *lines = message.splitlines()
+    if not lines:
+        return [header]
+    assert header == "invalid configuration:"
+    assert len(lines) >= 2 and all(line.startswith("  - ") for line in lines)
+    return [line[4:] for line in lines]
+
+
+@PROPERTIES
+@given(documents())
+def test_every_corrupted_key_starts_its_own_problem_line(case):
+    doc, expected = case
+    try:
+        cfg = parse_config(json.dumps(doc))
+    except ConfigError as exc:
+        problems = _problems(str(exc))
+        for key in expected:
+            assert any(problem.startswith(key) for problem in problems), (key, problems)
+    else:
+        assert not expected
+        assert parse_config(effective_config(cfg)) == cfg
+
+
+@PROPERTIES
+@given(documents(corrupt=False))
+def test_accepted_documents_are_fixed_points_of_effective_config(case):
+    doc, _ = case
+    try:
+        cfg = parse_config(json.dumps(doc))
+    except ConfigError as exc:
+        # Only the cross-key rules can reject keys that are valid on their own.
+        for problem in _problems(str(exc)):
+            assert problem.endswith(("exceed geometry.ogs_altitude", "are allowed", ">= sweep.zenith_min")), problem
+        return
+    again = parse_config(effective_config(cfg))
+    assert again == cfg
+    assert effective_config(again) == effective_config(cfg)

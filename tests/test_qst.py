@@ -175,8 +175,8 @@ class TestSimulateCounts:
             assert draws[:, k].var(ddof=1) == pytest.approx(lam, abs=3.0 * se_var)
 
     def test_gaussian_tail_regime_moments(self):
-        # above the exact-sampler cutoff the approximation must keep the
-        # moments to better than a part in 1e3
+        # at a large Poisson mean the exact sampler must keep the moments to
+        # better than a part in 1e3
         rng = np.random.default_rng(8)
         lam = 4e7
         rho = MIXED

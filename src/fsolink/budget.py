@@ -19,7 +19,6 @@ import numpy as np
 
 from .beam import BeamParams, diffraction_transmittance
 from .extinction import ExtinctionParams, slant_transmittance
-from .fading import FadingModel, sample
 from .geometry import EARTH_RADIUS_M, LinkGeometry, slant_range
 from .turbulence import (
     ApertureModel,
@@ -208,23 +207,32 @@ def _cell_rng(seed: int, d_index: int, z_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(d_index, z_index)))
 
 
-def _sorted_percentiles(x: np.ndarray) -> list[float]:
-    """The 5th, 50th and 95th percentiles of the ascending array ``x``.
+def _loss_percentiles(z: np.ndarray, offset: float, slope: float) -> list[float]:
+    """The 5th, 50th and 95th percentiles of the loss ``offset - slope * z``.
 
-    Bit for bit what ``np.percentile(x, [5, 50, 95])`` returns (its default
-    "linear" method), without the partial sorts numpy repeats per call.
+    Bit for bit what ``np.percentile(offset - slope * z, [5, 50, 95])``
+    returns (its default "linear" method) for ``slope > 0``, without building
+    the loss array or sorting. The loss falls as z rises, so its rank-k order
+    statistic is the image of z's rank n-1-k, and the affine map keeps ties
+    and order. ``z`` is partitioned in place, in increasing rank: each
+    percentile takes one partition for its upper neighbour's z and a min of
+    the rest for the lower one's.
     """
-    n = len(x)
+    n = len(z)
     out = []
-    for q in (0.05, 0.5, 0.95):
+    start = 0
+    for q in (0.95, 0.5, 0.05):
         v = (n - 1) * q
-        lo = hi = -1
-        if v < n - 1:
-            lo = math.floor(v)
-            hi = lo + 1
-        a, b, t = float(x[lo]), float(x[hi]), v - lo
+        # numpy pins both loss indices to the top (z rank 0) when v >= n - 1.
+        lo = math.floor(v) if v < n - 1 else -1
+        rank = n - 2 - lo if lo >= 0 else 0
+        z[start:].partition(rank - start)
+        start = rank
+        b = offset - slope * float(z[rank])
+        a = offset - slope * float(z[rank + 1:].min()) if lo >= 0 else b
+        t = v - lo
         out.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
-    return out
+    return out[::-1]
 
 
 def _worker_count() -> int:
@@ -245,11 +253,12 @@ def sweep_pass(
 ) -> SweepResult:
     """Photon-loss statistics over a (diameter, zenith) grid for one pass.
 
-    Each cell draws ``draws_per_point`` intensity fades around its
-    deterministic transmittance and records mean/SD and the 5/50/95
-    percentiles of the dB loss. Cells are reduced concurrently on the CPUs
-    the process may use; each has its own sub-seed, so the result does not
-    depend on the number of workers.
+    Each cell draws ``draws_per_point`` unit-mean log-normal intensity fades
+    around its deterministic transmittance and records mean/SD and the
+    5/50/95 percentiles of the dB loss, reduced from the standard normal
+    draws behind the fades; a cell without fading draws nothing. Cells are
+    reduced concurrently on the CPUs the process may use; each has its own
+    sub-seed, so the result does not depend on the number of workers.
     """
     # Imported here: at module level it would add to every CLI start-up.
     from concurrent.futures import ThreadPoolExecutor
@@ -260,26 +269,34 @@ def sweep_pass(
     # Read here, not in the workers: sigma_j2 is evaluated on first access.
     eta_det, sigma_j2 = grid.eta_det, grid.sigma_j2
 
+    # With unit-mean log-normal fading I = exp(sigma z - sigma^2/2), the dB
+    # loss -10 log10(eta_det I) is affine and falling in the standard normal
+    # z: loss0 + c sigma^2/2 - c sigma z, with c = 10/ln 10.
+    c = 10.0 / math.log(10.0)
+    loss0 = -10.0 * np.log10(eta_det)
     # mean, SD, p05, p50, p95 per cell
     stats = np.empty((5,) + eta_det.shape)
 
     def reduce_cells(cells) -> None:
-        # numpy releases the GIL in the draws, ufuncs, reductions and sort.
+        # One draw buffer per worker, reused by every cell of its block; numpy
+        # releases the GIL in the draws, reductions and partitions.
+        z = np.empty(draws_per_point)
         for di, zi in cells:
-            s2 = float(sigma_j2[di, zi])
-            if s2 > 0:
-                loss = sample(FadingModel(s2), _cell_rng(seed, di, zi), draws_per_point)
-            else:
-                loss = np.ones(draws_per_point)
-            # In place: -10 * log10(eta_det * I)
-            loss *= eta_det[di, zi]
-            np.log10(loss, out=loss)
-            loss *= -10.0
-            # mean and SD before sorting: the pairwise sums depend on the order.
-            stats[0, di, zi] = loss.mean()
-            stats[1, di, zi] = loss.std(ddof=1) if draws_per_point > 1 else 0.0
-            loss.sort()
-            stats[2:, di, zi] = _sorted_percentiles(loss)
+            s2, l0 = float(sigma_j2[di, zi]), float(loss0[di, zi])
+            if s2 == 0:
+                stats[:, di, zi] = (l0, 0.0, l0, l0, l0)
+                continue
+            _cell_rng(seed, di, zi).standard_normal(draws_per_point, out=z)
+            slope = c * math.sqrt(s2)
+            m = float(z.mean())
+            mean = l0 + c * s2 / 2.0 - slope * m
+            # In place, so z holds the deviations z - m from here on; the loss
+            # is mean - slope * (z - m). einsum, not np.dot: dot runs on BLAS
+            # threads that compete with the workers.
+            z -= m
+            ss = float(np.einsum("i,i->", z, z))
+            sd = slope * math.sqrt(ss / (draws_per_point - 1)) if draws_per_point > 1 else 0.0
+            stats[:, di, zi] = (mean, sd, *_loss_percentiles(z, mean, slope))
 
     # One contiguous block of cells per worker keeps dispatch off small cells.
     cells = list(np.ndindex(eta_det.shape))

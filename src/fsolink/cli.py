@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -36,6 +38,7 @@ from .budget import (
 from .extinction import ExtinctionParams
 from .geometry import EARTH_MU_M3_S2, EARTH_RADIUS_M, pass_times
 from .qst import (
+    MAX_PHOTONS,
     EnsembleKind,
     FadingResample,
     TomographyConfig,
@@ -50,13 +53,9 @@ SCENARIOS = ("pass_time", "av_sweep", "link_budget", "qst")
 # 1.6e11 points and terabytes of memory), so it is a config error.
 MAX_ZENITH_POINTS = 100_000
 
-# Each cell in flight holds a few float64 buffers of this many draws (80 MB
-# each at the cap), and one cell per CPU is in flight at once.
+# Each sweep worker holds one float64 buffer of this many draws (80 MB at the
+# cap), and there is one worker per CPU.
 MAX_DRAWS_PER_POINT = 10_000_000
-
-# eta * photons stays an exact integer in a float below 2**53, and the Poisson
-# means stay far below numpy's limit of about 9.2e18.
-MAX_PHOTONS = 10**15
 
 # Lengths beyond this (about seven astronomical units) are typos; squaring or
 # cubing them in the geometry and beam formulas overflows a float.
@@ -378,16 +377,33 @@ def effective_config(cfg: ScenarioConfig) -> dict:
     return _nest(pairs)
 
 
+def _write_atomically(path: Path, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it into place.
+
+    A reader sees the old file or the complete new one, never a partial
+    write; on failure the temp file is removed.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def emit_csv(header: list[str], rows: list[tuple], path: Path) -> None:
     """Write a result table with 9-significant-digit decimals, UTF-8, LF rows."""
     if not rows:
         raise ValueError(f"refusing to write empty table to {path}")
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_format_cell(cell) for cell in row])
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_format_cell(cell) for cell in row])
+        _write_atomically(path, text.getvalue())
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
@@ -511,9 +527,16 @@ _RUNNERS = {
 
 
 def run(cfg: ScenarioConfig) -> list[Path]:
-    """Execute a scenario; returns the paths written (manifest last)."""
+    """Execute a scenario; returns the paths written (manifest last).
+
+    Every file is renamed into place once complete, and a previous run's
+    manifest is removed first, so a manifest always describes the CSVs of
+    the run that wrote it.
+    """
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
+    manifest_path = outdir / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
     started = time.time()
     written = _RUNNERS[cfg.scenario](cfg, outdir)
     manifest = {
@@ -523,10 +546,7 @@ def run(cfg: ScenarioConfig) -> list[Path]:
         "wall_time_s": time.time() - started,
         "outputs": [p.name for p in written],
     }
-    manifest_path = outdir / "manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_atomically(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return written + [manifest_path]
 
 

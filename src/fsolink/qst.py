@@ -29,6 +29,10 @@ _TETRAHEDRON = np.array(
     [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
 ) / math.sqrt(3.0)
 
+# eta * photons stays an exact integer in a float below 2**53, and the Poisson
+# means stay far below numpy's limit of about 9.2e18.
+MAX_PHOTONS = 10**15
+
 
 class EnsembleKind(enum.Enum):
     HAAR_PURE = "haar_pure"
@@ -52,8 +56,8 @@ class TomographyConfig:
     ensemble_kind: EnsembleKind = EnsembleKind.HAAR_PURE
 
     def __post_init__(self) -> None:
-        if self.photons < 1:
-            raise ValueError("photons must be >= 1")
+        if not 1 <= self.photons <= MAX_PHOTONS:
+            raise ValueError(f"photons must lie in [1, {MAX_PHOTONS:.0e}]")
         if not 0.0 <= self.transmittance <= 1.0:
             raise ValueError("transmittance must lie in [0, 1]")
         if self.ensemble_size < 1:
@@ -147,6 +151,8 @@ def simulate_counts(
     """Poisson-fluctuated counts at the effective photon number eta * N."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
+    if n_photons > MAX_PHOTONS:
+        raise ValueError(f"n_photons must be <= {MAX_PHOTONS:.0e}")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     n_eff = round_half_away(eta * n_photons)
     means = np.array(

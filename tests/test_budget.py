@@ -1,6 +1,7 @@
 import math
 import sys
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -267,18 +268,57 @@ class TestChannelGrid:
         assert len(calls) == integrals
 
 
-class TestSortedPercentiles:
+class TestLossPercentiles:
     @pytest.mark.parametrize("n", [1, 2, 3, 19, 20, 21, 10_000, 10_001, 200_000])
-    def test_equals_numpy_percentile_bit_for_bit(self, n):
+    def test_equals_numpy_percentile_of_the_mapped_draws_bit_for_bit(self, n):
         rng = np.random.default_rng(n)
-        for x in (rng.standard_normal(n), rng.lognormal(3.0, 2.0, n), rng.integers(0, 4, n).astype(float)):
-            expected = np.percentile(x, [5, 50, 95]).tolist()
-            x.sort()
-            assert budget._sorted_percentiles(x) == expected
+        tied = rng.integers(-2, 3, n).astype(float)
+        for z in (rng.standard_normal(n), rng.lognormal(0.0, 2.0, n), tied):
+            for offset, slope in ((41.3, 2.17), (0.0, 1.0), (-3.5, 1e-3)):
+                expected = np.percentile(offset - slope * z, [5, 50, 95]).tolist()
+                assert budget._loss_percentiles(z.copy(), offset, slope) == expected
+
+    def test_midpoint_takes_numpys_upper_formula(self):
+        # At t = 0.5, a + (b - a) t and b - (b - a)(1 - t) differ for these
+        # neighbours (50000.049999999996 against 50000.05); numpy takes the second.
+        z = np.array([-0.1, -1e5])
+        assert budget._loss_percentiles(z.copy(), 0.0, 1.0)[1] == np.percentile(-z, 50) == 50000.05
 
 
 def _serial_sweep(params, diameters, zeniths, draws, seed):
-    # The cell-by-cell reduction the concurrent sweep must reproduce exactly.
+    # The cell-by-cell arithmetic the concurrent sweep must reproduce exactly:
+    # mean and SD of the standard normal draws and a full sort of their
+    # deviations, mapped through the affine dB line.
+    grid = channel_grid(params, LEO_ALTITUDE_M, diameters, zeniths)
+    c = 10.0 / math.log(10.0)
+    stats = np.empty((5,) + grid.eta_det.shape)
+    for di, zi in np.ndindex(grid.eta_det.shape):
+        s2 = float(grid.sigma_j2[di, zi])
+        l0 = float(-10.0 * np.log10(grid.eta_det[di, zi]))
+        if s2 == 0:
+            stats[:, di, zi] = [l0, 0.0, l0, l0, l0]
+            continue
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(di, zi)))
+        z = rng.standard_normal(draws)
+        slope = c * math.sqrt(s2)
+        m = float(z.mean())
+        mean = l0 + c * s2 / 2.0 - slope * m
+        d = z - m
+        sd = slope * math.sqrt(float(np.einsum("i,i->", d, d)) / (draws - 1)) if draws > 1 else 0.0
+        loss = np.sort(d)[::-1]  # ascending loss order: z falls as the loss rises
+        v = (draws - 1) * np.array([0.05, 0.5, 0.95])
+        pct = []
+        for vq in v.tolist():
+            lo = math.floor(vq) if vq < draws - 1 else -1
+            hi = lo + 1 if lo >= 0 else -1
+            a, b, t = mean - slope * float(loss[lo]), mean - slope * float(loss[hi]), vq - lo
+            pct.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
+        stats[:, di, zi] = [mean, sd, *pct]
+    return stats
+
+
+def _old_path_sweep(params, diameters, zeniths, draws, seed):
+    # The loss reduced from the fades themselves: -10 log10(eta_det * I).
     grid = channel_grid(params, LEO_ALTITUDE_M, diameters, zeniths)
     stats = np.empty((5,) + grid.eta_det.shape)
     for di, zi in np.ndindex(grid.eta_det.shape):
@@ -323,3 +363,45 @@ class TestConcurrentSweep:
         finally:
             sys.setswitchinterval(interval)
         np.testing.assert_array_equal(_sweep_stats(result), expected)
+
+    # The affine map reorders the floating-point operations of the old
+    # -10 log10(eta_det * I) path; the two agree far below the 9 significant
+    # digits the CSV keeps.
+    OLD_PATH_TOLERANCE_DB = 1e-12
+
+    @pytest.mark.parametrize("draws", [1, 2, 1001, 200_000])
+    @pytest.mark.parametrize("mode", list(FluctuationMode))
+    def test_matches_the_fade_based_loss_path(self, mode, draws):
+        params = default_channel(mode=mode)
+        expected = _old_path_sweep(params, GRID_DIAMETERS, GRID_ZENITHS, draws, seed=9)
+        result = sweep_pass(params, LEO_ALTITUDE_M, GRID_DIAMETERS, GRID_ZENITHS, draws, seed=9)
+        np.testing.assert_allclose(_sweep_stats(result), expected, rtol=0.0, atol=self.OLD_PATH_TOLERANCE_DB)
+
+
+class TestSweepGaussianOracle:
+    # At n draws the loss is exactly Gaussian with mean loss0 + c s2/2 and
+    # SD c sigma (c = 10/ln 10). Each statistic must lie within this many of
+    # its large-sample standard errors of the population value.
+    STANDARD_ERRORS = 5.0
+
+    @pytest.mark.parametrize("mode", [FluctuationMode.ISI, FluctuationMode.PSI])
+    def test_cell_statistics_match_the_population(self, mode):
+        n = 200_000
+        params = default_channel(mode=mode)
+        zeniths = np.radians([-70.0, 0.0, 45.0])
+        grid = channel_grid(params, LEO_ALTITUDE_M, GRID_DIAMETERS, zeniths)
+        result = sweep_pass(params, LEO_ALTITUDE_M, GRID_DIAMETERS, zeniths, n, seed=21)
+        c = 10.0 / math.log(10.0)
+        for di, zi in np.ndindex(grid.eta_det.shape):
+            s2 = float(grid.sigma_j2[di, zi])
+            assert s2 > 0
+            loss = NormalDist(-10.0 * math.log10(grid.eta_det[di, zi]) + c * s2 / 2.0, c * math.sqrt(s2))
+            checks = [
+                (result.mean_loss_db[di, zi], loss.mean, loss.stdev / math.sqrt(n)),
+                (result.sd_loss_db[di, zi], loss.stdev, loss.stdev / math.sqrt(2.0 * (n - 1))),
+            ]
+            for q, got in ((0.05, result.p05_db), (0.5, result.p50_db), (0.95, result.p95_db)):
+                x = loss.inv_cdf(q)
+                checks.append((got[di, zi], x, math.sqrt(q * (1 - q) / n) / loss.pdf(x)))
+            for got, population, se in checks:
+                assert abs(got - population) <= self.STANDARD_ERRORS * se, (di, zi, got, population, se)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import fsolink
+from fsolink import cli
 from fsolink.budget import FluctuationMode
 from fsolink.cli import (
     _TABLE,
@@ -144,6 +145,18 @@ class TestEmitCsv:
             emit_csv(["a"], [], path)
         assert not path.exists()
 
+    def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def no_rename(src, dst):
+            raise OSError("rename refused")
+
+        path = tmp_path / "t.csv"
+        emit_csv(["a"], [(1,)], path)
+        monkeypatch.setattr(cli.os, "replace", no_rename)
+        with pytest.raises(OSError, match="rename refused"):
+            emit_csv(["a"], [(2,)], path)
+        assert path.read_text(encoding="utf-8") == "a\n1\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
 
 def _run_scenario(tmp_path, doc):
     doc = dict(doc)
@@ -209,6 +222,20 @@ class TestRun:
         assert manifest["version"]
         assert manifest["wall_time_s"] >= 0.0
         assert parse_config(manifest["config"]) == cfg
+
+    def test_failed_rerun_leaves_no_manifest_and_no_temp_file(self, tmp_path, monkeypatch, capsys):
+        args = ["--scenario", "pass_time", "--out", str(tmp_path)]
+        assert main(args) == 0
+        assert (tmp_path / "manifest.json").exists()
+        real = cli._RUNNERS["pass_time"]
+
+        def fails_after_first_csv(cfg, outdir):
+            real(cfg, outdir)
+            raise ValueError("failed after the first table")
+
+        monkeypatch.setitem(cli._RUNNERS, "pass_time", fails_after_first_csv)
+        assert main(args) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pass_time.csv"]
 
     def test_identical_config_and_seed_reproduce_bytes(self, tmp_path):
         doc = {

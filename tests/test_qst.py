@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fsolink.qst import (
+    MAX_PHOTONS,
     EnsembleKind,
     TomographyConfig,
     born_probabilities,
@@ -151,6 +152,14 @@ class TestExpectedCounts:
 
 
 class TestSimulateCounts:
+    def test_photon_number_is_capped(self):
+        # Beyond the cap numpy's Poisson sampler would fail on its own terms.
+        with pytest.raises(ValueError, match="1e\\+15"):
+            simulate_counts(np.eye(2) / 2, sic_povm_qubit(), 10**20, 1.0, 1)
+        with pytest.raises(ValueError, match="1e\\+15"):
+            simulate_counts(MIXED, POVM, MAX_PHOTONS + 1, 0.0, 1)
+        assert simulate_counts(MIXED, POVM, MAX_PHOTONS, 1.0, 1).sum() > 0
+
     def test_dark_channel(self):
         np.testing.assert_array_equal(simulate_counts(KET0, POVM, 10_000, 0.0, rng=1), [0, 0, 0, 0])
 
@@ -425,5 +434,8 @@ class TestStateGenerators:
     def test_tomography_config_validation(self):
         with pytest.raises(ValueError):
             TomographyConfig(photons=0)
+        with pytest.raises(ValueError, match="1e\\+15"):
+            TomographyConfig(photons=MAX_PHOTONS + 1)
+        assert TomographyConfig(photons=MAX_PHOTONS).photons == MAX_PHOTONS
         with pytest.raises(ValueError):
             TomographyConfig(transmittance=1.5)

@@ -6,6 +6,12 @@ angle and telescope diameter for LEO/MEO passes, and drives a SIC-POVM
 qubit tomography experiment through the resulting channel.
 """
 
+import os
+
+# Set before numpy loads: BLAS only sees 2x2 matrices here, and an idle
+# OpenBLAS pool spins its threads for CPU time. A caller's value is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .beam import BeamParams, diffraction_transmittance, spot_size
 from .budget import (
     LEO_ALTITUDE_M,

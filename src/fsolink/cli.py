@@ -38,6 +38,7 @@ from .budget import (
 from .extinction import ExtinctionParams
 from .geometry import EARTH_MU_M3_S2, EARTH_RADIUS_M, pass_times
 from .qst import (
+    MAX_ENSEMBLE_SIZE,
     MAX_PHOTONS,
     EnsembleKind,
     FadingResample,
@@ -138,7 +139,7 @@ _TABLE = (
     _Key("sweep.zenith_step", "angle", 1.0, "zenith_step_rad", gt=0.0),
     _Key("sweep.draws_per_point", "integer", 10_000, "draws_per_point", ge=1, le=MAX_DRAWS_PER_POINT),
     _Key("tomography.photons", "integer", 200_000, "photons", ge=1, le=MAX_PHOTONS),
-    _Key("tomography.ensemble_size", "integer", 220, "ensemble_size", ge=1),
+    _Key("tomography.ensemble_size", "integer", 220, "ensemble_size", ge=1, le=MAX_ENSEMBLE_SIZE),
     _Key("tomography.ensemble_kind", "enum", "haar_pure", "ensemble_kind", choices=_choices(EnsembleKind)),
     _Key("tomography.fading_resample", "enum", "per_trial", "fading_resample", choices=_choices(FadingResample)),
 )

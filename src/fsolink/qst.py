@@ -32,6 +32,10 @@ _TETRAHEDRON = np.array(
 # eta * photons stays an exact integer in a float below 2**53, and the Poisson
 # means stay far below numpy's limit of about 9.2e18.
 MAX_PHOTONS = 10**15
+MAX_ENSEMBLE_SIZE = 10**6
+# Members evaluated per batch: bounds the generators (about 1 kB each) and the
+# (members, 2, 2) arrays held at once, whatever the ensemble size.
+_MEMBER_BLOCK = 4096
 
 
 class EnsembleKind(enum.Enum):
@@ -60,8 +64,8 @@ class TomographyConfig:
             raise ValueError(f"photons must lie in [1, {MAX_PHOTONS:.0e}]")
         if not 0.0 <= self.transmittance <= 1.0:
             raise ValueError("transmittance must lie in [0, 1]")
-        if self.ensemble_size < 1:
-            raise ValueError("ensemble_size must be >= 1")
+        if not 1 <= self.ensemble_size <= MAX_ENSEMBLE_SIZE:
+            raise ValueError(f"ensemble_size must lie in [1, {MAX_ENSEMBLE_SIZE:.0e}]")
 
 
 @dataclass(frozen=True)
@@ -243,13 +247,55 @@ def _member_rng(seed: int, *index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(index)))
 
 
-def _run_trial(rho_in: np.ndarray, photons: int, eta: float, rng: np.random.Generator) -> tuple[float, bool]:
-    """One tomography trial; returns (fidelity, no-photons-or-degenerate flag)."""
-    n_eff = round_half_away(eta * photons)
-    if n_eff < 1:
-        return fidelity(rho_in, np.eye(2, dtype=complex) / 2.0), True
-    fit = fit_state(simulate_counts(rho_in, _SIC_POVM, photons, eta, rng), n_eff)
-    return fidelity(rho_in, fit.rho), fit.degenerate
+def _round_half_away_array(x: np.ndarray) -> np.ndarray:
+    """``round_half_away`` elementwise, as floats."""
+    return np.where(x >= 0, np.floor(x + 0.5), -np.floor(0.5 - x))
+
+
+def _member_fidelities(
+    config: TomographyConfig, key: tuple[int, ...], eta: float, fading: FadingModel | None
+) -> tuple[np.ndarray, int]:
+    """Fidelity of every ensemble member (seed, *key, i), and how many failed.
+
+    Member i draws its fade (when ``fading`` is given), its state and then its
+    counts from its own generator, in the order of a scalar trial through
+    ``simulate_counts``, ``fit_state`` and ``fidelity``; its transmittance is
+    ``eta`` times its fade, capped at 1. The arithmetic in between runs on
+    (members, ...) arrays with the same operations, so each fidelity is
+    bit-identical to that scalar trial. A member fails when it detects
+    nothing, including when eta * photons rounds to zero.
+    """
+    fids = np.empty(config.ensemble_size)
+    failures = 0
+    for start in range(0, config.ensemble_size, _MEMBER_BLOCK):
+        members = range(start, min(start + _MEMBER_BLOCK, config.ensemble_size))
+        rngs = [_member_rng(config.seed, *key, i) for i in members]
+        fades = np.ones(len(rngs))
+        rho_in = np.empty((len(rngs), 2, 2), dtype=complex)
+        for j, rng in enumerate(rngs):
+            if fading is not None:
+                fades[j] = sample(fading, rng, 1)[0]
+            rho_in[j] = _draw_state(config.ensemble_kind, rng)
+
+        n_eff = _round_half_away_array(np.minimum(eta * fades, 1.0) * config.photons)
+        born = np.stack([np.einsum("ij,mji->m", e, rho_in) for e in _SIC_POVM], 1).real
+        means = _round_half_away_array(n_eff[:, None] * born)
+        counts = np.zeros_like(means)
+        for j in np.flatnonzero(n_eff >= 1):
+            counts[j] = rngs[j].poisson(means[j])
+
+        # Zero counts give r = 0, the maximally mixed state of the degenerate fit.
+        target = counts / np.maximum(n_eff, 1.0)[:, None]
+        r = ((3.0 * target)[:, None, :] @ _TETRAHEDRON)[:, 0]
+        r /= np.maximum(np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0]), 1.0)[:, None]
+        x, y, z = r.T
+        sigma = 0.5 * np.array([[1.0 + z, x - 1.0j * y], [x + 1.0j * y, 1.0 - z]]).transpose(2, 0, 1)
+
+        overlap = np.trace(rho_in @ sigma, axis1=1, axis2=2).real
+        det_term = np.maximum(np.linalg.det(rho_in).real, 0.0) * np.maximum(np.linalg.det(sigma).real, 0.0)
+        fids[start : members.stop] = np.minimum(np.maximum(overlap + 2.0 * np.sqrt(det_term), 0.0), 1.0)
+        failures += int(np.count_nonzero(~counts.any(axis=1)))
+    return fids, failures
 
 
 def run_ensemble(config: TomographyConfig) -> TomographyResult:
@@ -258,14 +304,7 @@ def run_ensemble(config: TomographyConfig) -> TomographyResult:
     Every member draws its own state and counts from a sub-seed of
     (seed, member index), so results do not depend on scheduling.
     """
-    fidelities = np.empty(config.ensemble_size)
-    failures = 0
-    for i in range(config.ensemble_size):
-        rng = _member_rng(config.seed, i)
-        rho_in = _draw_state(config.ensemble_kind, rng)
-        f, failed = _run_trial(rho_in, config.photons, config.transmittance, rng)
-        fidelities[i] = f
-        failures += int(failed)
+    fidelities, failures = _member_fidelities(config, (), config.transmittance, None)
     return TomographyResult(
         fidelities=fidelities,
         mean_fidelity=float(fidelities.mean()),
@@ -289,31 +328,31 @@ def fidelity_vs_zenith(
 
     The channel transmittance at each cell combines the deterministic factors
     with a log-normal fade; by default each tomography trial sees a fresh
-    fade, alternatively one draw is shared per grid point.
+    fade, alternatively one draw is shared per grid point. ``photons`` must
+    equal ``config.photons``.
     """
+    if photons != config.photons:
+        raise ValueError(f"photons ({photons}) must equal config.photons ({config.photons})")
     grid = channel_grid(channel, altitude_m, diameters_m, zenith_grid_rad, earth_radius_m=earth_radius_m)
-    fids = np.empty(grid.eta_det.shape + (config.ensemble_size,))
+    mean = np.empty(grid.eta_det.shape)
+    sd = np.zeros(grid.eta_det.shape)
     failures = np.zeros(grid.eta_det.shape, dtype=np.int64)
     for (di, zi), sigma_j2 in np.ndenumerate(grid.sigma_j2):
         fading = FadingModel(float(sigma_j2)) if sigma_j2 > 0 else None
-        point_fade = 1.0
+        eta = float(grid.eta_det[di, zi])
         if fading is not None and resample is FadingResample.PER_POINT:
-            point_fade = float(sample(fading, _member_rng(config.seed, di, zi), 1)[0])
-        for i in range(config.ensemble_size):
-            rng = _member_rng(config.seed, di, zi, i)
-            fade = point_fade
-            if fading is not None and resample is FadingResample.PER_TRIAL:
-                fade = float(sample(fading, rng, 1)[0])
-            eta = min(float(grid.eta_det[di, zi]) * fade, 1.0)
-            rho_in = _draw_state(config.ensemble_kind, rng)
-            fids[di, zi, i], failed = _run_trial(rho_in, photons, eta, rng)
-            failures[di, zi] += failed
+            eta *= float(sample(fading, _member_rng(config.seed, di, zi), 1)[0])
+            fading = None
+        fids, failures[di, zi] = _member_fidelities(config, (di, zi), eta, fading)
+        mean[di, zi] = fids.mean()
+        if config.ensemble_size > 1:
+            sd[di, zi] = fids.std(ddof=1)
 
     return FidelityTable(
         zenith_deg=np.degrees(grid.zenith_rad),
         diameters_m=grid.diameters_m,
         photons=photons,
-        mean_fidelity=fids.mean(axis=-1),
-        sd_fidelity=fids.std(axis=-1, ddof=1) if config.ensemble_size > 1 else np.zeros(failures.shape),
+        mean_fidelity=mean,
+        sd_fidelity=sd,
         failures=failures,
     )

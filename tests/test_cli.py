@@ -14,6 +14,7 @@ from fsolink.budget import FluctuationMode
 from fsolink.cli import (
     _TABLE,
     MAX_DRAWS_PER_POINT,
+    MAX_ENSEMBLE_SIZE,
     MAX_LENGTH_M,
     MAX_PHOTONS,
     MAX_ZENITH_POINTS,
@@ -338,6 +339,18 @@ class TestMain:
         with pytest.raises(ConfigError, match="tomography.photons must be at most"):
             parse_config({"tomography": {"photons": MAX_PHOTONS + 1}})
 
+    def test_ensemble_size_is_capped(self, tmp_path, capsys):
+        assert parse_config({"tomography": {"ensemble_size": MAX_ENSEMBLE_SIZE}}).ensemble_size == MAX_ENSEMBLE_SIZE
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scenario": "qst", "tomography": {"ensemble_size": 10**12}}))
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "config"
+        assert err["detail"].startswith("tomography.ensemble_size must be at most")
+        assert not (tmp_path / "out").exists()
+
     def test_removed_optimizer_keys_are_unknown(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         for key in ("restarts", "tol", "max_iter"):
@@ -487,3 +500,14 @@ def test_cli_import_does_not_load_scipy():
     env = dict(os.environ, PYTHONPATH=str(Path(fsolink.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(("preset", "expected"), [(None, "1"), ("3", "3")])
+def test_import_defaults_openblas_to_one_thread_and_keeps_a_callers_value(preset, expected):
+    code = "import os, fsolink; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(fsolink.__file__).resolve().parents[1])
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == expected

@@ -3,15 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from fsolink import qst
+from fsolink.beam import BeamParams
+from fsolink.budget import ChannelParams, FluctuationMode, channel_grid
+from fsolink.fading import FadingModel, sample
 from fsolink.qst import (
+    MAX_ENSEMBLE_SIZE,
     MAX_PHOTONS,
     EnsembleKind,
+    FadingResample,
     TomographyConfig,
+    _member_rng,
     born_probabilities,
     bures_random_mixed,
     cholesky_to_rho,
     expected_counts,
     fidelity,
+    fidelity_vs_zenith,
     fit_state,
     haar_random_pure,
     reconstruct,
@@ -57,6 +65,36 @@ def bloch_ball_probabilities():
     x, y, zz = bloch.T
     rhos = 0.5 * np.array([[1.0 + zz, x - 1.0j * y], [x + 1.0j * y, 1.0 - zz]]).transpose(2, 0, 1)
     return np.einsum("kij,gji->gk", POVM, rhos).real
+
+
+def scalar_trials(config, key, eta_det, fading=None, point_fade=1.0):
+    """Per-member scalar reference for one ensemble: member i of sub-seed
+    (seed, *key, i) runs through simulate_counts, fit_state and fidelity.
+
+    Returns the fidelities, the failures, and how many members had
+    n_eff < 1 and how many drew all-zero counts.
+    """
+    draw_state = haar_random_pure if config.ensemble_kind is EnsembleKind.HAAR_PURE else bures_random_mixed
+    fids = np.empty(config.ensemble_size)
+    dead = zero = 0
+    for i in range(config.ensemble_size):
+        rng = _member_rng(config.seed, *key, i)
+        fade = float(sample(fading, rng, 1)[0]) if fading is not None else point_fade
+        eta = min(eta_det * fade, 1.0)
+        rho_in = draw_state(rng)
+        n_eff = round_half_away(eta * config.photons)
+        if n_eff < 1:
+            dead += 1
+            fids[i] = fidelity(rho_in, MIXED)
+            continue
+        fit = fit_state(simulate_counts(rho_in, POVM, config.photons, eta, rng), n_eff)
+        zero += fit.degenerate
+        fids[i] = fidelity(rho_in, fit.rho)
+    return fids, dead + zero, dead, zero
+
+
+def scalar_stats(fids):
+    return fids.mean(), fids.std(ddof=1) if fids.size > 1 else 0.0
 
 
 def random_mixed(rng):
@@ -365,6 +403,32 @@ class TestRunEnsemble:
         result = run_ensemble(config)
         assert result.mean_fidelity > 0.9
 
+    @pytest.mark.parametrize("size", [1, 2, 17])
+    @pytest.mark.parametrize("kind", list(EnsembleKind))
+    def test_matches_scalar_reference_bit_for_bit(self, kind, size):
+        for photons, transmittance in ((10**6, 1.0), (10**5, 1e-2), (30, 0.05), (100, 1e-6)):
+            config = TomographyConfig(
+                photons=photons, transmittance=transmittance, ensemble_size=size, seed=31, ensemble_kind=kind
+            )
+            result = run_ensemble(config)
+            fids, failures, _, _ = scalar_trials(config, (), transmittance)
+            mean, sd = scalar_stats(fids)
+            assert result.fidelities.tobytes() == fids.tobytes()
+            assert (result.mean_fidelity, result.sd_fidelity, result.failures) == (mean, sd, failures)
+
+    def test_member_blocks_and_clamped_eta_match_scalar_reference(self, monkeypatch):
+        # Blocks of 5 split 17 members 5 + 5 + 5 + 2; fades above 1/0.9 clamp eta at 1.
+        monkeypatch.setattr(qst, "_MEMBER_BLOCK", 5)
+        fading = FadingModel(0.5)
+        for kind in EnsembleKind:
+            config = TomographyConfig(photons=1000, ensemble_size=17, seed=4, ensemble_kind=kind)
+            fids, failures = qst._member_fidelities(config, (2, 3), 0.9, fading)
+            ref, ref_failures, _, _ = scalar_trials(config, (2, 3), 0.9, fading)
+            assert fids.tobytes() == ref.tobytes()
+            assert failures == ref_failures
+        fades = [float(sample(fading, _member_rng(4, 2, 3, i), 1)[0]) for i in range(17)]
+        assert max(fades) * 0.9 > 1.0
+
     def test_reconstruction_consistency_in_photon_number(self):
         # median infidelity falls monotonically over three decades of N
         medians = []
@@ -400,6 +464,48 @@ class TestFidelityVsZenith:
         b = fidelity_vs_zenith(*args)
         np.testing.assert_array_equal(a.mean_fidelity, b.mean_fidelity)
         np.testing.assert_array_equal(a.failures, b.failures)
+
+    @pytest.mark.parametrize("size", [1, 2, 17])
+    def test_matches_scalar_reference_bit_for_bit(self, size):
+        # 48 cases: ensemble kind x fade resampling x fluctuation mode x photons,
+        # each over 2 diameters x 2 zeniths, against a per-member scalar reference.
+        diameters, zeniths = (0.25, 1.0), [0.0, math.radians(80.0)]
+        dead = zero = 0
+        for kind in EnsembleKind:
+            for resample in FadingResample:
+                for mode in FluctuationMode:
+                    channel = ChannelParams(beam=BeamParams(), fluctuation_mode=mode)
+                    grid = channel_grid(channel, 420e3, diameters, zeniths)
+                    for photons in (1, 30, 1000, 10**6):
+                        case = (kind, resample, mode, photons, size)
+                        config = TomographyConfig(photons=photons, ensemble_size=size, seed=12, ensemble_kind=kind)
+                        table = fidelity_vs_zenith(
+                            channel, 420e3, diameters, zeniths, photons, config, resample=resample
+                        )
+                        mean, sd = np.empty((2, 2)), np.empty((2, 2))
+                        failures = np.empty((2, 2), dtype=np.int64)
+                        for (di, zi), sigma_j2 in np.ndenumerate(grid.sigma_j2):
+                            fading = FadingModel(float(sigma_j2)) if sigma_j2 > 0 else None
+                            point_fade = 1.0
+                            if fading is not None and resample is FadingResample.PER_POINT:
+                                point_fade = float(sample(fading, _member_rng(12, di, zi), 1)[0])
+                                fading = None
+                            fids, failures[di, zi], d, z = scalar_trials(
+                                config, (di, zi), float(grid.eta_det[di, zi]), fading, point_fade
+                            )
+                            mean[di, zi], sd[di, zi] = scalar_stats(fids)
+                            dead, zero = dead + d, zero + z
+                        assert table.mean_fidelity.tobytes() == mean.tobytes(), case
+                        assert table.sd_fidelity.tobytes() == sd.tobytes(), case
+                        assert table.failures.tobytes() == failures.tobytes(), case
+        # Both kinds of failed trial occur: n_eff < 1 below 1e6 photons, and
+        # all-zero counts at the 25 cm, 80 degree cell's n_eff of about 2.
+        assert dead > 0 and zero > 0, (dead, zero)
+
+    def test_photons_must_match_config(self):
+        config = TomographyConfig(photons=10**6, ensemble_size=2)
+        with pytest.raises(ValueError, match=r"photons \(100\) must equal config.photons \(1000000\)"):
+            fidelity_vs_zenith(self._channel(1.0), 420e3, (1.0,), [0.0], 100, config)
 
     def test_starved_meo_link_sits_below_leo(self):
         # 25 cm aperture at MEO altitude: ~79 dB of loss starves even 1e7
@@ -439,3 +545,6 @@ class TestStateGenerators:
         assert TomographyConfig(photons=MAX_PHOTONS).photons == MAX_PHOTONS
         with pytest.raises(ValueError):
             TomographyConfig(transmittance=1.5)
+        with pytest.raises(ValueError, match="1e\\+06"):
+            TomographyConfig(ensemble_size=MAX_ENSEMBLE_SIZE + 1)
+        assert TomographyConfig(ensemble_size=MAX_ENSEMBLE_SIZE).ensemble_size == MAX_ENSEMBLE_SIZE

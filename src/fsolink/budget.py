@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -201,10 +202,80 @@ def compose(params: ChannelParams, geom: LinkGeometry, intensity: float = 1.0) -
     )
 
 
-def _cell_rng(seed: int, d_index: int, z_index: int) -> np.random.Generator:
-    # Sub-seed per (diameter, zenith) cell: results are identical no matter
-    # how the grid is scheduled.
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(d_index, z_index)))
+# numpy's SeedSequence constants (NEP 19 keeps its streams stable) and PCG64's
+# 128-bit LCG multiplier.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _uint32_words(n: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative integer, as SeedSequence splits it."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("seed and stream keys must be non-negative integers")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashmix(value, hash_const: int, mult: int):
+    """One SeedSequence hash step on an int or a uint64 array of 32-bit words."""
+    value = (value ^ hash_const) * (hash_const := hash_const * mult & _MASK32) & _MASK32
+    return value ^ value >> 16, hash_const
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def stream_states(seed: int, key: tuple[int, ...], start: int, stop: int) -> list[dict]:
+    """PCG64 states of ``default_rng(SeedSequence(entropy=seed, spawn_key=key + (i,)))``.
+
+    One state dict per i in [start, stop), ready to assign to a PCG64's
+    ``state``. This is numpy's SeedSequence algorithm (hashmix/mix entropy
+    pool, then ``generate_state(4, uint64)``) followed by PCG64's seeding
+    step. Only the last entropy word, i, varies across the range, so
+    everything before it is mixed once and the last word's mixing and the
+    state generation run on uint64 arrays of 32-bit words.
+    """
+    if not 0 <= start <= stop <= 2**32:
+        raise ValueError("stream indices must lie in [0, 2**32)")
+    run = _uint32_words(seed)
+    words = run + [0] * (4 - len(run)) + [w for k in key for w in _uint32_words(k)]
+    words.append(np.arange(start, stop, dtype=np.uint64))
+    hash_const = _HASH_INIT_A
+    pool = []
+    for word in words[:4]:
+        value, hash_const = _hashmix(word, hash_const, _HASH_MULT_A)
+        pool.append(value)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const, _HASH_MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    for word in words[4:]:
+        for dst in range(4):
+            value, hash_const = _hashmix(word, hash_const, _HASH_MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+    hash_const = _HASH_INIT_B
+    out = []
+    for k in range(8):
+        value, hash_const = _hashmix(pool[k % 4], hash_const, _HASH_MULT_B)
+        out.append(value)
+    # Little-endian pairs of 32-bit words: (state high, state low, inc high, inc low).
+    words64 = [(out[2 * j] | out[2 * j + 1] << np.uint64(32)).tolist() for j in range(4)]
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*words64):
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0})
+    return states
 
 
 def _loss_percentiles(z: np.ndarray, offset: float, slope: float) -> list[float]:
@@ -268,6 +339,8 @@ def sweep_pass(
     grid = channel_grid(params, altitude_m, diameters_m, zenith_grid_rad, earth_radius_m=earth_radius_m)
     # Read here, not in the workers: sigma_j2 is evaluated on first access.
     eta_det, sigma_j2 = grid.eta_det, grid.sigma_j2
+    if not np.all(eta_det > 0):
+        raise ValueError("the transmittance underflows to zero, so the dB loss is infinite")
 
     # With unit-mean log-normal fading I = exp(sigma z - sigma^2/2), the dB
     # loss -10 log10(eta_det I) is affine and falling in the standard normal
@@ -276,17 +349,24 @@ def sweep_pass(
     loss0 = -10.0 * np.log10(eta_det)
     # mean, SD, p05, p50, p95 per cell
     stats = np.empty((5,) + eta_det.shape)
+    # Cell (di, zi) draws from the stream of sub-seed (seed, di, zi), so the
+    # result does not depend on how the grid is scheduled.
+    n_d, n_z = eta_det.shape
+    states = [stream_states(seed, (di,), 0, n_z) if sigma_j2[di].any() else None for di in range(n_d)]
 
     def reduce_cells(cells) -> None:
-        # One draw buffer per worker, reused by every cell of its block; numpy
-        # releases the GIL in the draws, reductions and partitions.
+        # One draw buffer and one generator per worker, reused by every cell of
+        # its block; numpy releases the GIL in the draws, reductions and
+        # partitions.
         z = np.empty(draws_per_point)
+        rng = np.random.default_rng(0)
         for di, zi in cells:
             s2, l0 = float(sigma_j2[di, zi]), float(loss0[di, zi])
             if s2 == 0:
                 stats[:, di, zi] = (l0, 0.0, l0, l0, l0)
                 continue
-            _cell_rng(seed, di, zi).standard_normal(draws_per_point, out=z)
+            rng.bit_generator.state = states[di][zi]
+            rng.standard_normal(draws_per_point, out=z)
             slope = c * math.sqrt(s2)
             m = float(z.mean())
             mean = l0 + c * s2 / 2.0 - slope * m

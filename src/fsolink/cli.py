@@ -8,12 +8,18 @@ entry of ``_TABLE``; parsing and the normalized echo both walk it.
 Identical config + seed reproduces byte-identical CSV output.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O error.
+
+The ``fsolink`` command and ``python -m fsolink.cli`` run :func:`entry`: it
+freezes the import-time heap out of the garbage collector and, once the
+outputs are in place, exits without interpreter teardown. :func:`main` does
+neither, so in-process callers are unaffected.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -22,7 +28,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, NoReturn
 
 import numpy as np
 
@@ -567,8 +573,10 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 text = Path(args.config).read_text(encoding="utf-8")
             except OSError as exc:
-                print(json.dumps({"error": "io", "detail": f"cannot read {args.config}: {exc}"}), file=sys.stderr)
+                _report("io", f"cannot read {args.config}: {exc}")
                 return 4
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{args.config} is not valid UTF-8: {exc.reason} at byte offset {exc.start}") from exc
         else:
             text = "{}"
         cfg = parse_config(text)
@@ -582,18 +590,59 @@ def main(argv: list[str] | None = None) -> int:
             cfg = replace(cfg, output_dir=args.out)
         written = run(cfg)
     except ConfigError as exc:
-        print(json.dumps({"error": "config", "detail": str(exc)}), file=sys.stderr)
+        _report("config", str(exc))
         return 2
     except (QuadratureError, ArithmeticError, ValueError) as exc:
-        print(json.dumps({"error": "numeric", "detail": str(exc)}), file=sys.stderr)
+        _report("numeric", str(exc))
         return 3
     except OSError as exc:
-        print(json.dumps({"error": "io", "detail": str(exc)}), file=sys.stderr)
+        _report("io", str(exc))
         return 4
-    for path in written:
-        print(path)
+    try:
+        for path in written:
+            print(path)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        _report("io", f"cannot print the output paths: {exc}")
+        return 4
     return 0
 
 
+def _report(kind: str, detail: str) -> None:
+    print(json.dumps({"error": kind, "detail": detail}), file=sys.stderr)
+
+
+def _observed() -> bool:
+    """Whether a tracer or profiler (coverage, cProfile, a debugger) is attached."""
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+
+    return monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6))
+
+
+def entry() -> NoReturn:
+    """Run :func:`main` as a process: the console script and ``python -m fsolink.cli``.
+
+    The objects alive after the imports live until exit, so they are frozen
+    out of every garbage collection, and the process ends with ``os._exit``
+    once stdout and stderr are flushed, skipping the teardown's collections
+    and module clearing. Under a tracer or profiler it exits through
+    ``sys.exit`` instead, so their exit hooks still run. SystemExit from
+    argument parsing and uncaught exceptions propagate as usual.
+    """
+    gc.freeze()
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # main() has reported the closed pipe and returned 4. The unwritten
+        # paths stay buffered, so stdout goes to /dev/null for the next flush.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.stderr.flush()
+    if _observed():
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import ChannelParams, channel_grid
+from .budget import ChannelParams, channel_grid, stream_states
 from .fading import FadingModel, sample
 from .geometry import EARTH_RADIUS_M
 
@@ -33,7 +33,7 @@ _TETRAHEDRON = np.array(
 # means stay far below numpy's limit of about 9.2e18.
 MAX_PHOTONS = 10**15
 MAX_ENSEMBLE_SIZE = 10**6
-# Members evaluated per batch: bounds the generators (about 1 kB each) and the
+# Members evaluated per batch: bounds the generator states and the
 # (members, 2, 2) arrays held at once, whatever the ensemble size.
 _MEMBER_BLOCK = 4096
 
@@ -258,7 +258,7 @@ def _member_fidelities(
     """Fidelity of every ensemble member (seed, *key, i), and how many failed.
 
     Member i draws its fade (when ``fading`` is given), its state and then its
-    counts from its own generator, in the order of a scalar trial through
+    counts from its own stream, in the order of a scalar trial through
     ``simulate_counts``, ``fit_state`` and ``fidelity``; its transmittance is
     ``eta`` times its fade, capped at 1. The arithmetic in between runs on
     (members, ...) arrays with the same operations, so each fidelity is
@@ -267,22 +267,29 @@ def _member_fidelities(
     """
     fids = np.empty(config.ensemble_size)
     failures = 0
+    # One generator, set to each member's stream in turn. A member's state after
+    # its fade and state draws is kept for its Poisson draw.
+    rng = np.random.default_rng(0)
+    bit_generator = rng.bit_generator
     for start in range(0, config.ensemble_size, _MEMBER_BLOCK):
         members = range(start, min(start + _MEMBER_BLOCK, config.ensemble_size))
-        rngs = [_member_rng(config.seed, *key, i) for i in members]
-        fades = np.ones(len(rngs))
-        rho_in = np.empty((len(rngs), 2, 2), dtype=complex)
-        for j, rng in enumerate(rngs):
+        states = stream_states(config.seed, key, members.start, members.stop)
+        fades = np.ones(len(members))
+        rho_in = np.empty((len(members), 2, 2), dtype=complex)
+        for j, state in enumerate(states):
+            bit_generator.state = state
             if fading is not None:
                 fades[j] = sample(fading, rng, 1)[0]
             rho_in[j] = _draw_state(config.ensemble_kind, rng)
+            states[j] = bit_generator.state
 
         n_eff = _round_half_away_array(np.minimum(eta * fades, 1.0) * config.photons)
         born = np.stack([np.einsum("ij,mji->m", e, rho_in) for e in _SIC_POVM], 1).real
         means = _round_half_away_array(n_eff[:, None] * born)
         counts = np.zeros_like(means)
         for j in np.flatnonzero(n_eff >= 1):
-            counts[j] = rngs[j].poisson(means[j])
+            bit_generator.state = states[j]
+            counts[j] = rng.poisson(means[j])
 
         # Zero counts give r = 0, the maximally mixed state of the degenerate fit.
         target = counts / np.maximum(n_eff, 1.0)[:, None]

@@ -5,6 +5,8 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsolink import budget, turbulence
 from fsolink.beam import BeamParams
@@ -16,6 +18,7 @@ from fsolink.budget import (
     av_vs_zenith,
     channel_grid,
     compose,
+    stream_states,
     sweep_pass,
 )
 from fsolink.extinction import ExtinctionParams
@@ -405,3 +408,36 @@ class TestSweepGaussianOracle:
                 checks.append((got[di, zi], x, math.sqrt(q * (1 - q) / n) / loss.pdf(x)))
             for got, population, se in checks:
                 assert abs(got - population) <= self.STANDARD_ERRORS * se, (di, zi, got, population, se)
+
+
+class TestStreamStates:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**200)),
+        key=st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**70)), max_size=3).map(tuple),
+        start=st.integers(0, 2**32 - 8),
+        count=st.integers(0, 6),
+    )
+    def test_states_equal_seedsequence_pcg64(self, seed, key, start, count):
+        states = stream_states(seed, key, start, start + count)
+        assert len(states) == count
+        rng = np.random.default_rng(0)
+        for i, state in zip(range(start, start + count), states):
+            reference = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key + (i,)))
+            assert state == reference.state
+            rng.bit_generator.state = state
+            assert rng.random(3).tolist() == np.random.Generator(reference).random(3).tolist()
+
+    def test_nonzero_start_matches_the_full_range(self):
+        assert stream_states(7, (3, 4), 10, 20) == stream_states(7, (3, 4), 0, 20)[10:]
+
+    @pytest.mark.parametrize(("seed", "key", "start", "stop"), [(-1, (), 0, 1), (0, (-2,), 0, 1), (0, (), 3, 2), (0, (), 0, 2**32 + 1)])
+    def test_rejects_what_seedsequence_rejects_or_a_multi_word_index(self, seed, key, start, stop):
+        with pytest.raises(ValueError):
+            stream_states(seed, key, start, stop)
+
+
+def test_sweep_rejects_a_transmittance_that_underflows_to_zero():
+    # Like compose, whose math.log10(0) raises: an infinite dB loss is an error, not a table of inf and NaN.
+    with pytest.raises(ValueError, match="underflows to zero"):
+        sweep_pass(ChannelParams(), LEO_ALTITUDE_M, [2.2250738585072014e-308], [0.0], 10)

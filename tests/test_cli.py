@@ -1,7 +1,10 @@
 import csv
+import gc
+import io
 import json
 import math
 import os
+import pstats
 import subprocess
 import sys
 from pathlib import Path
@@ -493,6 +496,99 @@ class TestMain:
         assert main(["--config", "/nonexistent/config.json"]) == 4
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "io"
+
+    def test_non_utf8_config_is_config_error_naming_file_and_offset(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_bytes(b'{"seed":1,"output_dir":"\xff"}')
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        detail = json.loads(err)
+        assert detail["error"] == "config"
+        assert str(cfg_path) in detail["detail"] and "byte offset 24" in detail["detail"]
+        assert not (tmp_path / "out").exists()
+
+    def test_unprintable_paths_are_io_error_and_keep_the_outputs(self, tmp_path, capsys, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["--scenario", "pass_time", "--out", str(tmp_path)]) == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "io"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "pass_time.csv"]
+
+    def test_main_leaves_the_gc_state_alone(self, tmp_path, capsys):
+        before = (gc.isenabled(), gc.get_freeze_count(), gc.get_threshold())
+        assert main(["--scenario", "pass_time", "--out", str(tmp_path)]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count(), gc.get_threshold()) == before
+
+
+def _cli_process(args, **kwargs):
+    """Run ``python <args>`` with the package's source tree on the import path."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fsolink.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, *args], env=env, text=True, **kwargs)
+
+
+class TestProcessEntry:
+    """``python -m fsolink.cli`` runs cli.entry: frozen heap, exit without teardown."""
+
+    @pytest.mark.parametrize(
+        ("doc", "code", "kind"),
+        [
+            (None, 0, None),
+            ({"scenario": "warp_drive"}, 2, "config"),
+            ({"scenario": "pass_time", "geometry": {"mu": 5e-324}}, 3, "numeric"),
+            ("missing", 4, "io"),
+        ],
+    )
+    def test_exit_codes_and_piped_output(self, tmp_path, doc, code, kind):
+        out = tmp_path / "out"
+        args = ["-m", "fsolink.cli", "--scenario", "pass_time", "--out", str(out)]
+        if doc is not None:
+            cfg_path = tmp_path / "cfg.json"
+            if doc != "missing":
+                cfg_path.write_text(json.dumps(doc))
+            args = ["-m", "fsolink.cli", "--config", str(cfg_path), "--out", str(out)]
+        proc = _cli_process(args, capture_output=True)
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            assert proc.stderr == ""
+            assert proc.stdout.splitlines() == [str(out / "pass_time.csv"), str(out / "manifest.json")]
+        else:
+            assert proc.stdout == "" and proc.stderr.count("\n") == 1
+            assert json.loads(proc.stderr)["error"] == kind
+
+    def test_closed_stdout_exits_4_and_keeps_the_outputs(self, tmp_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader from the start: the child's first write fails
+        try:
+            proc = _cli_process(
+                ["-m", "fsolink.cli", "--scenario", "pass_time", "--out", str(tmp_path)],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 4
+        assert proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr)["error"] == "io"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "pass_time.csv"]
+
+    def test_profiler_still_writes_its_profile(self, tmp_path):
+        profile = tmp_path / "cli.prof"
+        args = ["-m", "cProfile", "-o", str(profile), "-m", "fsolink.cli", "--scenario", "pass_time", "--out", str(tmp_path / "out")]
+        proc = _cli_process(args, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        stats = pstats.Stats(str(profile))
+        assert any(name == "entry" for _, _, name in stats.stats)
+
+    def test_import_changes_no_gc_state(self):
+        code = (
+            "import gc; before = (gc.isenabled(), gc.get_freeze_count(), gc.get_threshold())\n"
+            "import fsolink.cli; print(before == (gc.isenabled(), gc.get_freeze_count(), gc.get_threshold()))"
+        )
+        assert _cli_process(["-c", code], capture_output=True, check=True).stdout.strip() == "True"
 
 
 def test_cli_import_does_not_load_scipy():

@@ -6,16 +6,26 @@ value), and may add unknown keys or replace whole sections by non-objects.
 parse_config must raise nothing but ConfigError, name every corrupted key at
 the start of its own problem line, and accept only documents it can
 reproduce through effective_config.
+
+The same documents, grown from small valid configs of every scenario, and raw
+bytes that are not JSON or not UTF-8 also go through the whole CLI: each run
+exits 0, 2 or 3, with exactly one JSON line on stderr unless it succeeds.
 """
 
+import contextlib
+import copy
+import io
 import json
 import math
 import string
+import tempfile
+import warnings
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsolink.cli import _TABLE, MAX_LENGTH_M, ConfigError, effective_config, parse_config
+from fsolink.cli import _TABLE, MAX_LENGTH_M, SCENARIOS, ConfigError, effective_config, main, parse_config
 
 SECTIONS = sorted({spec.key.rpartition(".")[0] for spec in _TABLE})  # "" is the root
 
@@ -89,9 +99,12 @@ CORRUPTED = {spec.key: corrupted(spec) for spec in _TABLE}
 
 
 @st.composite
-def documents(draw, corrupt=True):
-    """A config document and the dotted names its problems must start with."""
-    doc, expected = {}, set()
+def documents(draw, corrupt=True, base=None, values=VALID):
+    """A config document and the dotted names its problems must start with.
+
+    Random keys of ``base`` (a valid document) are set to ``values`` or corrupted.
+    """
+    doc, expected = copy.deepcopy(base or {}), set()
     for spec in draw(st.lists(st.sampled_from(_TABLE), unique_by=lambda spec: spec.key, max_size=8)):
         section, _, name = spec.key.rpartition(".")
         target = doc.setdefault(section, {}) if section else doc
@@ -99,7 +112,7 @@ def documents(draw, corrupt=True):
             target[name] = draw(CORRUPTED[spec.key])
             expected.add(spec.key)
         else:
-            target[name] = draw(VALID[spec.key])
+            target[name] = draw(values[spec.key])
     if not corrupt:
         return doc, expected
     for section in draw(st.lists(st.sampled_from(SECTIONS), unique=True, max_size=2)):
@@ -151,3 +164,84 @@ def test_accepted_documents_are_fixed_points_of_effective_config(case):
     again = parse_config(effective_config(cfg))
     assert again == cfg
     assert effective_config(again) == effective_config(cfg)
+
+
+# Keys whose valid values set a run's cost, with the small valid values the CLI
+# runs draw for them: at most 17 zenith points, few draws and members.
+_SMALL = {
+    "sweep.zenith_step": st.floats(10.0, 90.0),
+    "sweep.draws_per_point": st.integers(1, 50),
+    "tomography.ensemble_size": st.integers(1, 5),
+}
+_CSV = {"pass_time": "pass_time.csv", "av_sweep": "av_sweep.csv", "link_budget": "link_budget.csv", "qst": "qst_fidelity.csv"}
+
+
+def _small_base(scenario):
+    return {
+        "scenario": scenario,
+        "sweep": {"diameters": ["50 cm"], "zenith_min": -20, "zenith_max": 20, "zenith_step": 10, "draws_per_point": 20},
+        "tomography": {"ensemble_size": 3},
+    }
+
+
+def _run_cli(config_bytes):
+    """Exit code, stdout, stderr and manifest (None unless the exit is 0) of one in-process CLI run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_bytes(config_bytes)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            # A warning would reach a CLI process's stderr; here it is recorded.
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["--config", str(path), "--out", str(out)])
+            for warning in caught:
+                print(f"{warning.category.__name__}: {warning.message}", file=stderr)
+        manifest = None
+        if code == 0:
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert all((out / name).is_file() for name in manifest["outputs"])
+    return code, stdout.getvalue(), stderr.getvalue(), manifest
+
+
+def _assert_one_json_error_line(stdout, stderr, kinds):
+    assert stdout == ""
+    assert stderr.endswith("\n") and stderr.count("\n") == 1, stderr
+    assert json.loads(stderr)["error"] in kinds
+
+
+@PROPERTIES
+@given(
+    st.tuples(st.sampled_from(SCENARIOS), st.booleans()).flatmap(
+        lambda args: documents(corrupt=args[1], base=_small_base(args[0]), values={**VALID, **_SMALL})
+    )
+)
+def test_cli_runs_exit_0_2_or_3_with_one_error_line(case):
+    doc, _ = case
+    code, stdout, stderr, manifest = _run_cli(json.dumps(doc).encode())
+    assert code in (0, 2, 3), (code, stderr)
+    if code == 0:
+        assert stderr == ""
+        assert manifest["outputs"] == [_CSV[manifest["config"]["scenario"]]]
+        assert stdout.splitlines()[-1].endswith("manifest.json")
+    else:
+        _assert_one_json_error_line(stdout, stderr, ("config", "numeric"))
+
+
+def _is_json(raw):
+    """Whether the CLI would read ``raw`` as a JSON document (blank text is ``{}``)."""
+    try:
+        json.loads(raw.decode("utf-8").strip() or "{}")
+    except ValueError:
+        return False
+    return True
+
+
+@PROPERTIES
+@given(st.one_of(st.binary(min_size=1, max_size=40), st.text(min_size=1, max_size=40).map(str.encode)).filter(
+    lambda raw: not _is_json(raw)
+))
+def test_cli_rejects_raw_non_json_and_non_utf8_bytes(raw):
+    code, stdout, stderr, _ = _run_cli(raw)
+    assert code == 2
+    _assert_one_json_error_line(stdout, stderr, ("config",))

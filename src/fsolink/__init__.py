@@ -16,13 +16,11 @@ from .beam import BeamParams, diffraction_transmittance, spot_size
 from .budget import (
     LEO_ALTITUDE_M,
     MEO_ALTITUDE_M,
-    AvTable,
     ChannelGrid,
     ChannelParams,
     FluctuationMode,
     SweepResult,
     TransmittanceBreakdown,
-    av_vs_zenith,
     channel_grid,
     compose,
     sweep_pass,

@@ -2,9 +2,11 @@
 
 Total transmittance is the product of four independent factors: internal
 detection efficiency, atmospheric extinction, diffraction collection loss,
-and the turbulence-induced intensity factor. ``channel_grid`` evaluates that
-model over a (diameter, zenith) grid once; the loss sweep, the
-aperture-averaging table and the tomography sweep are reductions over it.
+and the turbulence-induced intensity factor. ``channel_grid`` sets that model
+up over a (diameter, zenith) grid once per pass. Each experiment reads one
+result of it: the aperture-averaging table is ``ChannelGrid.av``, and the
+loss sweep (:func:`sweep_pass`) and the tomography sweep
+(``qst.fidelity_vs_zenith``) reduce it cell by cell.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .extinction import ExtinctionParams, slant_transmittance
 from .geometry import EARTH_RADIUS_M, LinkGeometry, slant_range
 from .turbulence import (
     ApertureModel,
-    ApertureModelKind,
     ScintillationVariant,
     TurbulenceProfile,
     aperture_averaging,
@@ -77,10 +78,8 @@ class TransmittanceBreakdown:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Loss statistics per (diameter, zenith) cell; arrays are (nD, nZ)."""
+    """Loss statistics per (diameter, zenith) cell of a ChannelGrid; arrays are (nD, nZ)."""
 
-    zenith_deg: np.ndarray
-    diameters_m: np.ndarray
     mean_loss_db: np.ndarray
     sd_loss_db: np.ndarray
     p05_db: np.ndarray
@@ -89,36 +88,46 @@ class SweepResult:
 
 
 @dataclass(frozen=True)
-class AvTable:
-    """Aperture-averaging factors per (diameter, zenith) cell."""
-
-    zenith_deg: np.ndarray
-    diameters_m: np.ndarray
-    av: np.ndarray
-
-
-@dataclass(frozen=True)
 class ChannelGrid:
     """The slant-path channel over a (diameter, zenith) grid; 2-D arrays are (nD, nZ).
 
-    ``eta_det`` is the transmittance at unit intensity, eta_int * eta_atm *
-    eta_d. ``av`` is the configured model's aperture-averaging factor and
-    ``sigma_j2`` the log-variance of the intensity factor in the configured
-    fluctuation mode. Both are evaluated on first access, so a scenario that
-    never reads them evaluates no Cn^2 profile integral.
+    ``beams`` holds the beam with each diameter's receiver and ``range_m`` the
+    slant range per zenith angle. ``eta_det`` is the transmittance at unit
+    intensity, eta_int * eta_atm * eta_d; ``av`` is the configured model's
+    aperture-averaging factor and ``sigma_j2`` the log-variance of the
+    intensity factor in the configured fluctuation mode. These three are
+    evaluated on first access, so a reduction computes only what it reads:
+    the aperture-averaging table never evaluates extinction or diffraction,
+    and a deterministic sweep no Cn^2 profile integral.
     """
 
     params: ChannelParams
     altitude_m: float
     zenith_rad: np.ndarray
     diameters_m: np.ndarray
+    beams: tuple[BeamParams, ...]
     range_m: np.ndarray
-    eta_det: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.diameters_m), len(self.zenith_rad)
+
+    @cached_property
+    def eta_det(self) -> np.ndarray:
+        # Extinction once per zenith angle, diffraction once per cell, with the
+        # same scalar arithmetic as compose.
+        p = self.params
+        eta_det = np.empty(self.shape)
+        for zi, (zen, path) in enumerate(zip(self.zenith_rad.tolist(), self.range_m.tolist())):
+            eta_atm = slant_transmittance(p.extinction, self.altitude_m, zen)
+            for di, beam in enumerate(self.beams):
+                eta_det[di, zi] = p.eta_int * eta_atm * diffraction_transmittance(beam, path)
+        return eta_det
 
     @cached_property
     def av(self) -> np.ndarray:
         p = self.params
-        av = np.empty(self.eta_det.shape)
+        av = np.empty(self.shape)
         for di, zi in np.ndindex(av.shape):
             zen = float(self.zenith_rad[zi])
             av[di, zi] = aperture_averaging(
@@ -137,14 +146,14 @@ class ChannelGrid:
     def sigma_j2(self) -> np.ndarray:
         p = self.params
         if p.fluctuation_mode is FluctuationMode.DETERMINISTIC:
-            return np.zeros(self.eta_det.shape)
+            return np.zeros(self.shape)
         sigma_i2 = np.array([
             scintillation_index(rytov_downlink(p.turbulence, p.beam.wavelength_m, self.altitude_m, zen),
                                 p.scintillation_variant).sigma_I2
             for zen in self.zenith_rad.tolist()
         ])
         if p.fluctuation_mode is FluctuationMode.ISI:
-            return np.broadcast_to(sigma_i2, self.eta_det.shape).copy()
+            return np.broadcast_to(sigma_i2, self.shape).copy()
         return np.vectorize(psi, otypes=[float])(sigma_i2, self.av)
 
 
@@ -156,29 +165,25 @@ def channel_grid(
     *,
     earth_radius_m: float = EARTH_RADIUS_M,
 ) -> ChannelGrid:
-    """Evaluate the channel over a (diameter, zenith) grid for one pass.
+    """The channel over a (diameter, zenith) grid for one pass.
 
-    The station sits at ``params.turbulence.h_ogs_m``. Slant range and
-    extinction are computed once per zenith angle and diffraction once per
-    cell, with the same scalar arithmetic as :func:`compose`. The Cn^2 profile
-    moments behind ``sigma_j2`` and ``av`` are memoized, so each is integrated
-    once however large the grid.
+    The station sits at ``params.turbulence.h_ogs_m``. Only the beams and the
+    slant range per zenith angle are computed here, so a receiver radius that
+    is not positive is rejected whatever a reduction reads; ``eta_det``,
+    ``av`` and ``sigma_j2`` follow on first access. The Cn^2 profile moments
+    behind ``sigma_j2`` and ``av`` are memoized, so each is integrated once
+    however large the grid.
     """
     diameters = np.asarray(list(diameters_m), dtype=float)
     zeniths = np.asarray(list(zenith_grid_rad), dtype=float)
     if np.any(np.abs(zeniths) > math.radians(80.0) + 1e-12):
         raise ValueError("zenith grid must lie within +/-80 degrees")
-
-    beams = [replace(params.beam, receiver_radius_m=diam / 2.0) for diam in diameters.tolist()]
-    ranges = np.empty(len(zeniths))
-    eta_det = np.empty((len(diameters), len(zeniths)))
-    for zi, zen in enumerate(zeniths.tolist()):
-        path = slant_range(LinkGeometry(altitude_m, zen, params.turbulence.h_ogs_m, earth_radius_m))
-        eta_atm = slant_transmittance(params.extinction, altitude_m, zen)
-        ranges[zi] = path
-        for di, beam in enumerate(beams):
-            eta_det[di, zi] = params.eta_int * eta_atm * diffraction_transmittance(beam, path)
-    return ChannelGrid(params, altitude_m, zeniths, diameters, ranges, eta_det)
+    beams = tuple(replace(params.beam, receiver_radius_m=diam / 2.0) for diam in diameters.tolist())
+    ranges = np.array([
+        slant_range(LinkGeometry(altitude_m, zen, params.turbulence.h_ogs_m, earth_radius_m))
+        for zen in zeniths.tolist()
+    ])
+    return ChannelGrid(params, altitude_m, zeniths, diameters, beams, ranges)
 
 
 def compose(params: ChannelParams, geom: LinkGeometry, intensity: float = 1.0) -> TransmittanceBreakdown:
@@ -312,17 +317,8 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def sweep_pass(
-    params: ChannelParams,
-    altitude_m: float,
-    diameters_m,
-    zenith_grid_rad,
-    draws_per_point: int = 10_000,
-    seed: int = 0,
-    *,
-    earth_radius_m: float = EARTH_RADIUS_M,
-) -> SweepResult:
-    """Photon-loss statistics over a (diameter, zenith) grid for one pass.
+def sweep_pass(grid: ChannelGrid, draws_per_point: int = 10_000, seed: int = 0) -> SweepResult:
+    """Photon-loss statistics of every cell of a channel grid.
 
     Each cell draws ``draws_per_point`` unit-mean log-normal intensity fades
     around its deterministic transmittance and records mean/SD and the
@@ -336,8 +332,7 @@ def sweep_pass(
 
     if draws_per_point < 1:
         raise ValueError("draws_per_point must be >= 1")
-    grid = channel_grid(params, altitude_m, diameters_m, zenith_grid_rad, earth_radius_m=earth_radius_m)
-    # Read here, not in the workers: sigma_j2 is evaluated on first access.
+    # Read here, not in the workers: both are evaluated on first access.
     eta_det, sigma_j2 = grid.eta_det, grid.sigma_j2
     if not np.all(eta_det > 0):
         raise ValueError("the transmittance underflows to zero, so the dB loss is infinite")
@@ -386,32 +381,4 @@ def sweep_pass(
         for future in [pool.submit(reduce_cells, block) for block in blocks]:
             future.result()
 
-    return SweepResult(np.degrees(grid.zenith_rad), grid.diameters_m, *stats)
-
-
-def av_vs_zenith(
-    model: ApertureModel,
-    altitude_m: float,
-    diameters_m,
-    zenith_grid_rad,
-    wavelength_m: float,
-    *,
-    profile: TurbulenceProfile | None = None,
-    ogs_altitude_m: float = 0.0,
-    earth_radius_m: float = EARTH_RADIUS_M,
-) -> AvTable:
-    """Aperture-averaging factor over a (diameter, zenith) grid.
-
-    Path context per model: Andrews uses the full slant range from a station
-    at ``ogs_altitude_m``, Giggenbach the elevation angle, Yura the turbulence
-    profile (which must then be supplied).
-    """
-    if model.kind is ApertureModelKind.YURA and profile is None:
-        raise ValueError("Yura model requires profile")
-    # Only Yura reads the profile; the others read the path from the station.
-    turbulence = profile if model.kind is ApertureModelKind.YURA else TurbulenceProfile(h_ogs_m=ogs_altitude_m)
-    params = ChannelParams(
-        beam=BeamParams(wavelength_m=wavelength_m), turbulence=turbulence, aperture_model=model
-    )
-    grid = channel_grid(params, altitude_m, diameters_m, zenith_grid_rad, earth_radius_m=earth_radius_m)
-    return AvTable(zenith_deg=np.degrees(grid.zenith_rad), diameters_m=grid.diameters_m, av=grid.av)
+    return SweepResult(*stats)

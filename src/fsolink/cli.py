@@ -34,13 +34,7 @@ import numpy as np
 
 from . import __version__
 from .beam import BeamParams
-from .budget import (
-    LEO_ALTITUDE_M,
-    ChannelParams,
-    FluctuationMode,
-    av_vs_zenith,
-    sweep_pass,
-)
+from .budget import LEO_ALTITUDE_M, ChannelGrid, ChannelParams, FluctuationMode, channel_grid, sweep_pass
 from .extinction import ExtinctionParams
 from .geometry import EARTH_MU_M3_S2, EARTH_RADIUS_M, pass_times
 from .qst import (
@@ -280,9 +274,12 @@ class ScenarioConfig:
 
     def zenith_grid_rad(self) -> np.ndarray:
         # Floor, not round, so a step that does not divide the span stops short
-        # of zenith_max instead of overshooting it.
+        # of zenith_max. The 1e-9 tolerance can put the last point just past
+        # zenith_max, so points beyond it are set to it (np.minimum would also
+        # turn a 0.0 point into a -0.0 zenith_max).
         n = math.floor((self.zenith_max_rad - self.zenith_min_rad) / self.zenith_step_rad + 1e-9)
-        return self.zenith_min_rad + self.zenith_step_rad * np.arange(n + 1)
+        grid = self.zenith_min_rad + self.zenith_step_rad * np.arange(n + 1)
+        return np.where(grid > self.zenith_max_rad, self.zenith_max_rad, grid)
 
 
 def _decode(document: str | dict) -> dict:
@@ -423,129 +420,69 @@ def _format_cell(cell) -> str:
     return str(cell)
 
 
-def _run_pass_time(cfg: ScenarioConfig, outdir: Path) -> list[Path]:
+def _run_pass_time(cfg: ScenarioConfig, outdir: Path) -> Path:
     rows = []
     for alt in cfg.altitudes_m:
         times = pass_times(alt, cfg.zenith_limit_rad, cfg.earth_radius_m, cfg.mu_m3_s2)
         rows.append((alt, math.degrees(cfg.zenith_limit_rad), times.total_s, times.effective_s))
     path = outdir / "pass_time.csv"
     emit_csv(["altitude_m", "zenith_limit_deg", "total_s", "effective_s"], rows, path)
-    return [path]
+    return path
 
 
-def _run_av_sweep(cfg: ScenarioConfig, outdir: Path) -> list[Path]:
-    table = av_vs_zenith(
-        cfg.channel.aperture_model,
-        cfg.satellite_altitude_m,
-        cfg.diameters_m,
-        cfg.zenith_grid_rad(),
-        cfg.channel.beam.wavelength_m,
-        profile=cfg.channel.turbulence,
-        ogs_altitude_m=cfg.ogs_altitude_m,
-        earth_radius_m=cfg.earth_radius_m,
+def _emit_grid(grid: ChannelGrid, columns: dict[str, Any], path: Path) -> Path:
+    """One row per grid cell, diameter-major: zenith_deg, diameter_m, then ``columns``.
+
+    Each column is an (nD, nZ) array or a scalar repeated on every row.
+    """
+    values = [np.broadcast_to(column, grid.shape) for column in columns.values()]
+    rows = [
+        (zen, diam, *(value[di, zi] for value in values))
+        for di, diam in enumerate(grid.diameters_m)
+        for zi, zen in enumerate(np.degrees(grid.zenith_rad))
+    ]
+    emit_csv(["zenith_deg", "diameter_m", *columns], rows, path)
+    return path
+
+
+def _grid_columns(cfg: ScenarioConfig, grid: ChannelGrid) -> dict[str, Any]:
+    """A grid scenario's columns beside the grid axes; result fields are named as the columns."""
+    if cfg.scenario == "av_sweep":
+        return {"av_factor": grid.av}
+    if cfg.scenario == "link_budget":
+        return vars(sweep_pass(grid, cfg.draws_per_point, cfg.seed))
+    tomography = TomographyConfig(
+        photons=cfg.photons, ensemble_size=cfg.ensemble_size, seed=cfg.seed, ensemble_kind=cfg.ensemble_kind
     )
-    rows = []
-    for di, diam in enumerate(table.diameters_m):
-        for zi, zen in enumerate(table.zenith_deg):
-            rows.append((zen, diam, table.av[di, zi]))
-    path = outdir / "av_sweep.csv"
-    emit_csv(["zenith_deg", "diameter_m", "av_factor"], rows, path)
-    return [path]
+    return {"photons": cfg.photons, **vars(fidelity_vs_zenith(grid, tomography, resample=cfg.fading_resample))}
 
 
-def _run_link_budget(cfg: ScenarioConfig, outdir: Path) -> list[Path]:
-    result = sweep_pass(
-        cfg.channel,
-        cfg.satellite_altitude_m,
-        cfg.diameters_m,
-        cfg.zenith_grid_rad(),
-        cfg.draws_per_point,
-        cfg.seed,
-        earth_radius_m=cfg.earth_radius_m,
-    )
-    rows = []
-    for di, diam in enumerate(result.diameters_m):
-        for zi, zen in enumerate(result.zenith_deg):
-            rows.append(
-                (
-                    zen,
-                    diam,
-                    result.mean_loss_db[di, zi],
-                    result.sd_loss_db[di, zi],
-                    result.p05_db[di, zi],
-                    result.p50_db[di, zi],
-                    result.p95_db[di, zi],
-                )
-            )
-    path = outdir / "link_budget.csv"
-    emit_csv(
-        ["zenith_deg", "diameter_m", "mean_loss_db", "sd_loss_db", "p05_db", "p50_db", "p95_db"],
-        rows,
-        path,
-    )
-    return [path]
-
-
-def _run_qst(cfg: ScenarioConfig, outdir: Path) -> list[Path]:
-    tomo = TomographyConfig(
-        photons=cfg.photons,
-        ensemble_size=cfg.ensemble_size,
-        seed=cfg.seed,
-        ensemble_kind=cfg.ensemble_kind,
-    )
-    table = fidelity_vs_zenith(
-        cfg.channel,
-        cfg.satellite_altitude_m,
-        cfg.diameters_m,
-        cfg.zenith_grid_rad(),
-        cfg.photons,
-        tomo,
-        resample=cfg.fading_resample,
-        earth_radius_m=cfg.earth_radius_m,
-    )
-    rows = []
-    for di, diam in enumerate(table.diameters_m):
-        for zi, zen in enumerate(table.zenith_deg):
-            rows.append(
-                (
-                    zen,
-                    diam,
-                    table.photons,
-                    table.mean_fidelity[di, zi],
-                    table.sd_fidelity[di, zi],
-                    table.failures[di, zi],
-                )
-            )
-    path = outdir / "qst_fidelity.csv"
-    emit_csv(
-        ["zenith_deg", "diameter_m", "photons", "mean_fidelity", "sd_fidelity", "failures"],
-        rows,
-        path,
-    )
-    return [path]
-
-
-_RUNNERS = {
-    "pass_time": _run_pass_time,
-    "av_sweep": _run_av_sweep,
-    "link_budget": _run_link_budget,
-    "qst": _run_qst,
-}
+_GRID_CSV = {"av_sweep": "av_sweep.csv", "link_budget": "link_budget.csv", "qst": "qst_fidelity.csv"}
 
 
 def run(cfg: ScenarioConfig) -> list[Path]:
     """Execute a scenario; returns the paths written (manifest last).
 
-    Every file is renamed into place once complete, and a previous run's
-    manifest is removed first, so a manifest always describes the CSVs of
-    the run that wrote it.
+    The grid scenarios share one channel grid per run. Every file is renamed
+    into place once complete, and a previous run's manifest is removed
+    first, so a manifest always describes the CSVs of the run that wrote it.
     """
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest_path = outdir / "manifest.json"
     manifest_path.unlink(missing_ok=True)
     started = time.time()
-    written = _RUNNERS[cfg.scenario](cfg, outdir)
+    if cfg.scenario == "pass_time":
+        written = [_run_pass_time(cfg, outdir)]
+    else:
+        grid = channel_grid(
+            cfg.channel,
+            cfg.satellite_altitude_m,
+            cfg.diameters_m,
+            cfg.zenith_grid_rad(),
+            earth_radius_m=cfg.earth_radius_m,
+        )
+        written = [_emit_grid(grid, _grid_columns(cfg, grid), outdir / _GRID_CSV[cfg.scenario])]
     manifest = {
         "config": effective_config(cfg),
         "seed": cfg.seed,

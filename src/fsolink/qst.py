@@ -6,6 +6,8 @@ the link. States are reconstructed by least squares in closed form: for the
 tetrahedral SIC-POVM the fitted Bloch vector is r = 3 sum_k (m_k/n_eff) s_k,
 projected radially onto the unit ball when it falls outside. Reconstructions
 are compared to the input via the Uhlmann-Jozsa fidelity.
+``fidelity_vs_zenith`` runs that experiment on every cell of a
+``budget.ChannelGrid``.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import ChannelParams, channel_grid, stream_states
+from .budget import ChannelGrid, stream_states
 from .fading import FadingModel, sample
-from .geometry import EARTH_RADIUS_M
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -85,11 +86,8 @@ class Reconstruction:
 
 @dataclass(frozen=True)
 class FidelityTable:
-    """Ensemble fidelity statistics per (diameter, zenith) cell."""
+    """Ensemble fidelity statistics per (diameter, zenith) cell of a ChannelGrid; arrays are (nD, nZ)."""
 
-    zenith_deg: np.ndarray
-    diameters_m: np.ndarray
-    photons: int
     mean_fidelity: np.ndarray
     sd_fidelity: np.ndarray
     failures: np.ndarray
@@ -321,32 +319,27 @@ def run_ensemble(config: TomographyConfig) -> TomographyResult:
 
 
 def fidelity_vs_zenith(
-    channel: ChannelParams,
-    altitude_m: float,
-    diameters_m,
-    zenith_grid_rad,
-    photons: int,
+    grid: ChannelGrid,
     config: TomographyConfig,
     *,
     resample: FadingResample = FadingResample.PER_TRIAL,
-    earth_radius_m: float = EARTH_RADIUS_M,
 ) -> FidelityTable:
-    """Ensemble fidelity statistics across a (diameter, zenith) grid.
+    """Ensemble fidelity statistics of every cell of a channel grid.
 
     The channel transmittance at each cell combines the deterministic factors
     with a log-normal fade; by default each tomography trial sees a fresh
-    fade, alternatively one draw is shared per grid point. ``photons`` must
-    equal ``config.photons``.
+    fade, alternatively one draw is shared per grid point. Every cell sends
+    ``config.photons`` photons per trial.
     """
-    if photons != config.photons:
-        raise ValueError(f"photons ({photons}) must equal config.photons ({config.photons})")
-    grid = channel_grid(channel, altitude_m, diameters_m, zenith_grid_rad, earth_radius_m=earth_radius_m)
-    mean = np.empty(grid.eta_det.shape)
-    sd = np.zeros(grid.eta_det.shape)
-    failures = np.zeros(grid.eta_det.shape, dtype=np.int64)
+    # eta_det before sigma_j2, so a failing transmittance is reported before
+    # a failing profile integral.
+    eta_det = grid.eta_det
+    mean = np.empty(grid.shape)
+    sd = np.zeros(grid.shape)
+    failures = np.zeros(grid.shape, dtype=np.int64)
     for (di, zi), sigma_j2 in np.ndenumerate(grid.sigma_j2):
         fading = FadingModel(float(sigma_j2)) if sigma_j2 > 0 else None
-        eta = float(grid.eta_det[di, zi])
+        eta = float(eta_det[di, zi])
         if fading is not None and resample is FadingResample.PER_POINT:
             eta *= float(sample(fading, _member_rng(config.seed, di, zi), 1)[0])
             fading = None
@@ -354,12 +347,4 @@ def fidelity_vs_zenith(
         mean[di, zi] = fids.mean()
         if config.ensemble_size > 1:
             sd[di, zi] = fids.std(ddof=1)
-
-    return FidelityTable(
-        zenith_deg=np.degrees(grid.zenith_rad),
-        diameters_m=grid.diameters_m,
-        photons=photons,
-        mean_fidelity=mean,
-        sd_fidelity=sd,
-        failures=failures,
-    )
+    return FidelityTable(mean_fidelity=mean, sd_fidelity=sd, failures=failures)

@@ -139,16 +139,22 @@ def test_criterion_6_fading_moments():
 def test_criterion_7_aperture_averaging_ordering():
     grid = np.radians(np.arange(-80.0, 81.0, 1.0))
     diameters = (0.25, 0.50, 1.00)
-    leo = fl.av_vs_zenith(fl.ApertureModel(), fl.LEO_ALTITUDE_M, diameters, grid, WAVELENGTH, ogs_altitude_m=65.0)
-    meo = fl.av_vs_zenith(fl.ApertureModel(), fl.MEO_ALTITUDE_M, diameters, grid, WAVELENGTH, ogs_altitude_m=65.0)
+    # Andrews averaging at 1550 nm from a station at 65 m, the channel defaults.
+    andrews = fl.ChannelParams(
+        beam=fl.BeamParams(wavelength_m=WAVELENGTH),
+        turbulence=fl.TurbulenceProfile(h_ogs_m=65.0),
+        aperture_model=fl.ApertureModel(),
+    )
+    leo = fl.channel_grid(andrews, fl.LEO_ALTITUDE_M, diameters, grid)
+    meo = fl.channel_grid(andrews, fl.MEO_ALTITUDE_M, diameters, grid)
     av_ordered = bool(np.all(leo.av < meo.av))
 
     isi = fl.sweep_pass(
-        _channel(mode=fl.FluctuationMode.ISI), fl.LEO_ALTITUDE_M, diameters, grid,
+        fl.channel_grid(_channel(mode=fl.FluctuationMode.ISI), fl.LEO_ALTITUDE_M, diameters, grid),
         draws_per_point=10_000, seed=314,
     )
     psi = fl.sweep_pass(
-        _channel(mode=fl.FluctuationMode.PSI), fl.LEO_ALTITUDE_M, diameters, grid,
+        fl.channel_grid(_channel(mode=fl.FluctuationMode.PSI), fl.LEO_ALTITUDE_M, diameters, grid),
         draws_per_point=10_000, seed=314,
     )
     sd_ordered = bool(np.all(psi.sd_loss_db <= isi.sd_loss_db))
@@ -184,11 +190,12 @@ def test_criterion_8_qst_round_trip():
 
 def test_criterion_9_fidelity_vs_zenith_trend():
     table = fl.fidelity_vs_zenith(
-        _channel(mode=fl.FluctuationMode.ISI, diameter_m=1.0),
-        fl.LEO_ALTITUDE_M,
-        (1.0,),
-        [0.0, math.radians(80.0)],
-        photons=200_000,
+        fl.channel_grid(
+            _channel(mode=fl.FluctuationMode.ISI, diameter_m=1.0),
+            fl.LEO_ALTITUDE_M,
+            (1.0,),
+            [0.0, math.radians(80.0)],
+        ),
         config=fl.TomographyConfig(photons=200_000, ensemble_size=50, seed=9),
     )
     mean0, mean80 = table.mean_fidelity[0]

@@ -15,7 +15,6 @@ from fsolink.budget import (
     MEO_ALTITUDE_M,
     ChannelParams,
     FluctuationMode,
-    av_vs_zenith,
     channel_grid,
     compose,
     stream_states,
@@ -28,6 +27,7 @@ from fsolink.turbulence import (
     ApertureModel,
     ApertureModelKind,
     ScintillationVariant,
+    TurbulenceProfile,
     aperture_averaging,
     psi,
     rytov_downlink,
@@ -115,7 +115,7 @@ class TestFadingVariance:
 class TestSweepPass:
     def test_deterministic_curve_is_u_shaped(self):
         grid = np.radians(np.arange(-80.0, 81.0, 10.0))
-        result = sweep_pass(default_channel(), LEO_ALTITUDE_M, DIAMETERS, grid, draws_per_point=1, seed=0)
+        result = sweep_pass(channel_grid(default_channel(), LEO_ALTITUDE_M, DIAMETERS, grid), draws_per_point=1)
         for di in range(len(DIAMETERS)):
             losses = result.mean_loss_db[di]
             mid = len(losses) // 2
@@ -125,14 +125,14 @@ class TestSweepPass:
 
     def test_larger_aperture_lowers_loss_everywhere(self):
         grid = np.radians(np.arange(-80.0, 81.0, 20.0))
-        result = sweep_pass(default_channel(), LEO_ALTITUDE_M, DIAMETERS, grid, draws_per_point=1, seed=0)
+        result = sweep_pass(channel_grid(default_channel(), LEO_ALTITUDE_M, DIAMETERS, grid), draws_per_point=1)
         for smaller, larger in zip(result.mean_loss_db, result.mean_loss_db[1:]):
             assert np.all(larger < smaller)
 
     def test_meo_zenith_dependence_much_weaker(self):
         grid = np.radians(np.arange(-80.0, 81.0, 10.0))
-        leo = sweep_pass(default_channel(), LEO_ALTITUDE_M, DIAMETERS, grid, draws_per_point=1, seed=0)
-        meo = sweep_pass(default_channel(), MEO_ALTITUDE_M, DIAMETERS, grid, draws_per_point=1, seed=0)
+        leo = sweep_pass(channel_grid(default_channel(), LEO_ALTITUDE_M, DIAMETERS, grid), draws_per_point=1)
+        meo = sweep_pass(channel_grid(default_channel(), MEO_ALTITUDE_M, DIAMETERS, grid), draws_per_point=1)
         for di in range(len(DIAMETERS)):
             leo_swing = leo.mean_loss_db[di].max() - leo.mean_loss_db[di].min()
             meo_swing = meo.mean_loss_db[di].max() - meo.mean_loss_db[di].min()
@@ -141,58 +141,60 @@ class TestSweepPass:
     def test_psi_spread_never_exceeds_isi_at_matched_seeds(self):
         grid = np.radians(np.arange(-80.0, 81.0, 20.0))
         isi = sweep_pass(
-            default_channel(mode=FluctuationMode.ISI), LEO_ALTITUDE_M, DIAMETERS, grid,
+            channel_grid(default_channel(mode=FluctuationMode.ISI), LEO_ALTITUDE_M, DIAMETERS, grid),
             draws_per_point=2000, seed=77,
         )
         psi = sweep_pass(
-            default_channel(mode=FluctuationMode.PSI), LEO_ALTITUDE_M, DIAMETERS, grid,
+            channel_grid(default_channel(mode=FluctuationMode.PSI), LEO_ALTITUDE_M, DIAMETERS, grid),
             draws_per_point=2000, seed=77,
         )
         assert np.all(psi.sd_loss_db <= isi.sd_loss_db)
 
     def test_deterministic_given_seed(self):
         grid = np.radians(np.arange(-40.0, 41.0, 20.0))
-        a = sweep_pass(default_channel(mode=FluctuationMode.ISI), LEO_ALTITUDE_M, (0.5,), grid, 500, seed=5)
-        b = sweep_pass(default_channel(mode=FluctuationMode.ISI), LEO_ALTITUDE_M, (0.5,), grid, 500, seed=5)
+        a = sweep_pass(channel_grid(default_channel(mode=FluctuationMode.ISI), LEO_ALTITUDE_M, (0.5,), grid), 500, 5)
+        b = sweep_pass(channel_grid(default_channel(mode=FluctuationMode.ISI), LEO_ALTITUDE_M, (0.5,), grid), 500, 5)
         np.testing.assert_array_equal(a.mean_loss_db, b.mean_loss_db)
         np.testing.assert_array_equal(a.p95_db, b.p95_db)
 
     def test_percentiles_ordered(self):
         grid = np.radians(np.arange(-60.0, 61.0, 30.0))
-        res = sweep_pass(default_channel(mode=FluctuationMode.ISI), LEO_ALTITUDE_M, (0.5,), grid, 2000, seed=1)
+        res = sweep_pass(channel_grid(default_channel(mode=FluctuationMode.ISI), LEO_ALTITUDE_M, (0.5,), grid), 2000, 1)
         assert np.all(res.p05_db <= res.p50_db)
         assert np.all(res.p50_db <= res.p95_db)
 
     def test_rejects_out_of_range_grid(self):
         with pytest.raises(ValueError):
-            sweep_pass(default_channel(), LEO_ALTITUDE_M, (0.5,), [math.radians(85.0)], 10, seed=0)
+            channel_grid(default_channel(), LEO_ALTITUDE_M, (0.5,), [math.radians(85.0)])
         with pytest.raises(ValueError):
-            sweep_pass(default_channel(), LEO_ALTITUDE_M, (0.5,), [0.0], 0, seed=0)
+            sweep_pass(channel_grid(default_channel(), LEO_ALTITUDE_M, (0.5,), [0.0]), 0, seed=0)
 
 
-class TestAvVsZenith:
+# Andrews averaging seen from a sea-level station.
+SEA_LEVEL = ChannelParams(turbulence=TurbulenceProfile(h_ogs_m=0.0))
+
+
+class TestGridAv:
     def test_point_aperture_column_is_unity(self):
         grid = np.radians(np.arange(-80.0, 81.0, 40.0))
-        table = av_vs_zenith(ApertureModel(), LEO_ALTITUDE_M, (1e-9,), grid, 1550e-9)
-        assert np.allclose(table.av, 1.0, atol=1e-6)
+        assert np.allclose(channel_grid(SEA_LEVEL, LEO_ALTITUDE_M, (1e-9,), grid).av, 1.0, atol=1e-6)
 
     def test_leo_averages_harder_than_meo(self):
         grid = np.radians(np.arange(-80.0, 81.0, 10.0))
         diameters = (0.25, 0.50, 1.00)
-        leo = av_vs_zenith(ApertureModel(), LEO_ALTITUDE_M, diameters, grid, 1550e-9)
-        meo = av_vs_zenith(ApertureModel(), MEO_ALTITUDE_M, diameters, grid, 1550e-9)
+        leo = channel_grid(SEA_LEVEL, LEO_ALTITUDE_M, diameters, grid)
+        meo = channel_grid(SEA_LEVEL, MEO_ALTITUDE_M, diameters, grid)
         assert np.all(leo.av < meo.av)
 
     def test_andrews_av_grows_toward_horizon(self):
         # longer slant path at higher zenith -> weaker averaging
         grid = np.radians(np.arange(0.0, 81.0, 10.0))
-        table = av_vs_zenith(ApertureModel(), LEO_ALTITUDE_M, (0.5,), grid, 1550e-9)
-        assert np.all(np.diff(table.av[0]) > 0)
+        assert np.all(np.diff(channel_grid(SEA_LEVEL, LEO_ALTITUDE_M, (0.5,), grid).av[0]) > 0)
 
     def test_zenith_value_frozen(self):
-        table = av_vs_zenith(ApertureModel(), 420e3, (0.5,), [0.0], 1550e-9)
         # slant range equals the altitude at zenith for a sea-level station
-        assert table.av[0, 0] == pytest.approx(0.56124954378109873, rel=1e-12)
+        av = channel_grid(SEA_LEVEL, 420e3, (0.5,), [0.0]).av
+        assert av[0, 0] == pytest.approx(0.56124954378109873, rel=1e-12)
 
 
 GRID_ZENITHS = np.radians([-80.0, -33.0, 0.0, 47.5, 80.0])
@@ -244,6 +246,17 @@ class TestChannelGrid:
                 geom = LinkGeometry(LEO_ALTITUDE_M, zenith, params.turbulence.h_ogs_m)
                 assert grid.eta_det[di, zi] == compose(cell_params, geom).eta_total
                 assert grid.sigma_j2[di, zi] == _scalar_sigma_j2(params, LEO_ALTITUDE_M, zenith, diameter)
+
+    def test_av_and_sigma_j2_evaluate_no_transmittance(self):
+        # A waist of 1e-300 m has a Rayleigh range of 0, so only eta_det fails.
+        params = _grid_params(FluctuationMode.PSI, ApertureModelKind.ANDREWS, ScintillationVariant.SEVEN_SIXTHS)
+        tiny_waist = replace(params, beam=BeamParams(waist_m=1e-300))
+        grid = channel_grid(tiny_waist, LEO_ALTITUDE_M, GRID_DIAMETERS, GRID_ZENITHS)
+        reference = channel_grid(params, LEO_ALTITUDE_M, GRID_DIAMETERS, GRID_ZENITHS)
+        assert grid.sigma_j2.tobytes() == reference.sigma_j2.tobytes()
+        assert grid.av.tobytes() == reference.av.tobytes()
+        with pytest.raises(ZeroDivisionError):
+            grid.eta_det
 
     @pytest.mark.parametrize(
         "mode, kind, integrals",
@@ -345,7 +358,7 @@ class TestConcurrentSweep:
         params = default_channel(mode=mode)
         expected = _serial_sweep(params, GRID_DIAMETERS, GRID_ZENITHS, draws, seed=9)
         runs = [
-            _sweep_stats(sweep_pass(params, LEO_ALTITUDE_M, GRID_DIAMETERS, GRID_ZENITHS, draws, seed=9))
+            _sweep_stats(sweep_pass(channel_grid(params, LEO_ALTITUDE_M, GRID_DIAMETERS, GRID_ZENITHS), draws, seed=9))
             for _ in range(2)
         ]
         np.testing.assert_array_equal(runs[0], expected)
@@ -362,7 +375,7 @@ class TestConcurrentSweep:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            result = sweep_pass(params, LEO_ALTITUDE_M, DIAMETERS, zeniths, 300, seed=3)
+            result = sweep_pass(channel_grid(params, LEO_ALTITUDE_M, DIAMETERS, zeniths), 300, seed=3)
         finally:
             sys.setswitchinterval(interval)
         np.testing.assert_array_equal(_sweep_stats(result), expected)
@@ -377,7 +390,7 @@ class TestConcurrentSweep:
     def test_matches_the_fade_based_loss_path(self, mode, draws):
         params = default_channel(mode=mode)
         expected = _old_path_sweep(params, GRID_DIAMETERS, GRID_ZENITHS, draws, seed=9)
-        result = sweep_pass(params, LEO_ALTITUDE_M, GRID_DIAMETERS, GRID_ZENITHS, draws, seed=9)
+        result = sweep_pass(channel_grid(params, LEO_ALTITUDE_M, GRID_DIAMETERS, GRID_ZENITHS), draws, seed=9)
         np.testing.assert_allclose(_sweep_stats(result), expected, rtol=0.0, atol=self.OLD_PATH_TOLERANCE_DB)
 
 
@@ -393,7 +406,7 @@ class TestSweepGaussianOracle:
         params = default_channel(mode=mode)
         zeniths = np.radians([-70.0, 0.0, 45.0])
         grid = channel_grid(params, LEO_ALTITUDE_M, GRID_DIAMETERS, zeniths)
-        result = sweep_pass(params, LEO_ALTITUDE_M, GRID_DIAMETERS, zeniths, n, seed=21)
+        result = sweep_pass(grid, n, seed=21)
         c = 10.0 / math.log(10.0)
         for di, zi in np.ndindex(grid.eta_det.shape):
             s2 = float(grid.sigma_j2[di, zi])
@@ -440,4 +453,4 @@ class TestStreamStates:
 def test_sweep_rejects_a_transmittance_that_underflows_to_zero():
     # Like compose, whose math.log10(0) raises: an infinite dB loss is an error, not a table of inf and NaN.
     with pytest.raises(ValueError, match="underflows to zero"):
-        sweep_pass(ChannelParams(), LEO_ALTITUDE_M, [2.2250738585072014e-308], [0.0], 10)
+        sweep_pass(channel_grid(ChannelParams(), LEO_ALTITUDE_M, [2.2250738585072014e-308], [0.0]), 10)

@@ -231,13 +231,13 @@ class TestRun:
         args = ["--scenario", "pass_time", "--out", str(tmp_path)]
         assert main(args) == 0
         assert (tmp_path / "manifest.json").exists()
-        real = cli._RUNNERS["pass_time"]
+        real = cli._run_pass_time
 
         def fails_after_first_csv(cfg, outdir):
             real(cfg, outdir)
             raise ValueError("failed after the first table")
 
-        monkeypatch.setitem(cli._RUNNERS, "pass_time", fails_after_first_csv)
+        monkeypatch.setattr(cli, "_run_pass_time", fails_after_first_csv)
         assert main(args) == 3
         assert sorted(p.name for p in tmp_path.iterdir()) == ["pass_time.csv"]
 
@@ -372,6 +372,44 @@ class TestMain:
         assert zeniths[0] == pytest.approx(-80.0)
         assert 79.3 < zeniths[-1] <= 80.0
         assert len(zeniths) == 229
+
+    @pytest.mark.parametrize("scenario", ["link_budget", "av_sweep", "qst"])
+    def test_zenith_step_that_overshoots_in_rounding_ends_at_zenith_max(self, tmp_path, capsys, scenario):
+        # Every key is in bounds, but min + step lands 1.4e-9 rad past max
+        # within the floor's 1e-9 tolerance; the grid is clamped to max.
+        top = math.radians(80.0)
+        sweep = {"diameters": ["1 m"], "zenith_min": f"{-top!r} rad", "zenith_max": f"{top!r} rad",
+                 "zenith_step": f"{2.0 * top / (1.0 - 5e-10)!r} rad"}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scenario": scenario, "sweep": sweep, "tomography": {"ensemble_size": 2}}))
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        (csv_path,) = tmp_path.glob("*.csv")
+        with open(csv_path, encoding="utf-8") as fh:
+            assert [row["zenith_deg"] for row in csv.DictReader(fh)] == ["-80", "80"]
+
+    def test_zenith_grid_clamp_keeps_the_sign_of_zero(self):
+        cfg = parse_config({"sweep": {"zenith_min": -0.0, "zenith_max": -0.0}})
+        assert math.copysign(1.0, cfg.zenith_grid_rad()[0]) == 1.0
+
+    @pytest.mark.parametrize(
+        "doc, scenario, code",
+        [
+            # A waist this small breaks only eta_det (its Rayleigh range is 0),
+            # which the aperture-averaging table does not read.
+            ({"channel": {"beam_waist": 1e-300}}, "av_sweep", 0),
+            ({"channel": {"beam_waist": 1e-300}}, "link_budget", 3),
+            # Every scenario builds the receivers, and this radius underflows to 0.
+            ({"sweep": {"diameters": [1.0, 5e-324]}}, "av_sweep", 3),
+        ],
+    )
+    def test_grid_scenarios_exit_on_what_they_compute(self, tmp_path, capsys, doc, scenario, code):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg_path), "--scenario", scenario, "--out", str(tmp_path / "out")]) == code
+        if code:
+            assert json.loads(capsys.readouterr().err)["error"] == "numeric"
+        else:
+            assert (tmp_path / "out" / f"{scenario}.csv").exists()
 
     def test_booleans_in_integer_keys_are_config_errors(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -456,12 +456,10 @@ class TestFidelityVsZenith:
         )
 
     def test_identical_seed_gives_identical_table(self):
-        from fsolink.qst import fidelity_vs_zenith
-
         config = TomographyConfig(photons=50_000, ensemble_size=3, seed=17)
-        args = (self._channel(1.0), 420e3, (1.0,), [0.0, math.radians(40.0)], 50_000, config)
-        a = fidelity_vs_zenith(*args)
-        b = fidelity_vs_zenith(*args)
+        grid = channel_grid(self._channel(1.0), 420e3, (1.0,), [0.0, math.radians(40.0)])
+        a = fidelity_vs_zenith(grid, config)
+        b = fidelity_vs_zenith(grid, config)
         np.testing.assert_array_equal(a.mean_fidelity, b.mean_fidelity)
         np.testing.assert_array_equal(a.failures, b.failures)
 
@@ -479,9 +477,7 @@ class TestFidelityVsZenith:
                     for photons in (1, 30, 1000, 10**6):
                         case = (kind, resample, mode, photons, size)
                         config = TomographyConfig(photons=photons, ensemble_size=size, seed=12, ensemble_kind=kind)
-                        table = fidelity_vs_zenith(
-                            channel, 420e3, diameters, zeniths, photons, config, resample=resample
-                        )
+                        table = fidelity_vs_zenith(grid, config, resample=resample)
                         mean, sd = np.empty((2, 2)), np.empty((2, 2))
                         failures = np.empty((2, 2), dtype=np.int64)
                         for (di, zi), sigma_j2 in np.ndenumerate(grid.sigma_j2):
@@ -502,21 +498,14 @@ class TestFidelityVsZenith:
         # all-zero counts at the 25 cm, 80 degree cell's n_eff of about 2.
         assert dead > 0 and zero > 0, (dead, zero)
 
-    def test_photons_must_match_config(self):
-        config = TomographyConfig(photons=10**6, ensemble_size=2)
-        with pytest.raises(ValueError, match=r"photons \(100\) must equal config.photons \(1000000\)"):
-            fidelity_vs_zenith(self._channel(1.0), 420e3, (1.0,), [0.0], 100, config)
-
     def test_starved_meo_link_sits_below_leo(self):
         # 25 cm aperture at MEO altitude: ~79 dB of loss starves even 1e7
         # photons down to zero effective detections, so reconstruction
         # degenerates; a 1 m LEO receiver at 2e5 photons stays informative.
-        from fsolink.qst import fidelity_vs_zenith
-
         config = TomographyConfig(photons=10**7, ensemble_size=10, seed=23)
-        meo = fidelity_vs_zenith(self._channel(0.25), 20_200e3, (0.25,), [0.0], 10**7, config)
+        meo = fidelity_vs_zenith(channel_grid(self._channel(0.25), 20_200e3, (0.25,), [0.0]), config)
         leo_config = TomographyConfig(photons=200_000, ensemble_size=10, seed=23)
-        leo = fidelity_vs_zenith(self._channel(1.0), 420e3, (1.0,), [0.0], 200_000, leo_config)
+        leo = fidelity_vs_zenith(channel_grid(self._channel(1.0), 420e3, (1.0,), [0.0]), leo_config)
         assert meo.mean_fidelity[0, 0] + meo.sd_fidelity[0, 0] < leo.mean_fidelity[0, 0]
         assert meo.failures[0, 0] == 10
 

@@ -333,6 +333,11 @@ def parse_config(document: str | dict) -> ScenarioConfig:
         problems.append("geometry.satellite_altitude must exceed geometry.ogs_altitude")
     if altitudes is not None and ogs is not None and any(a <= ogs for a in altitudes):
         problems.append("geometry.altitudes must all exceed geometry.ogs_altitude")
+    # The beams take half of each diameter as their receiver radius.
+    problems += [
+        f"sweep.diameters[{i}]: the receiver radius {diameter!r} m / 2 underflows to 0"
+        for i, diameter in enumerate(values.get("diameters_m", ())) if diameter / 2.0 == 0.0
+    ]
     zen_min, zen_max, zen_step = (values.get(f) for f in ("zenith_min_rad", "zenith_max_rad", "zenith_step_rad"))
     if zen_min is not None and zen_max is not None:
         if zen_max < zen_min:

@@ -66,11 +66,7 @@ def slant_transmittance(params: ExtinctionParams, altitude_m: float, zenith_rad:
     return eta_zen ** (1.0 / math.cos(zenith_rad))
 
 
-def exact_slant_transmittance(
-    params: ExtinctionParams,
-    geom: LinkGeometry,
-    rel_tol: float = 1e-8,
-) -> float:
+def exact_slant_transmittance(params: ExtinctionParams, geom: LinkGeometry) -> float:
     """Slant-path transmittance from the spherical-geometry path integral.
 
     Integrates gamma(h(s)) along the actual line of sight, where h(s) is the
@@ -99,5 +95,5 @@ def exact_slant_transmittance(
     def gamma_along(s: float) -> float:
         return params.alpha0_per_m * math.exp(-altitude_at(s) / params.h0_m)
 
-    optical_depth = adaptive_simpson(gamma_along, 0.0, total_path, rel_tol=rel_tol)
+    optical_depth = adaptive_simpson(gamma_along, 0.0, total_path)
     return math.exp(-optical_depth)

@@ -157,10 +157,12 @@ def simulate_counts(
         raise ValueError(f"n_photons must be <= {MAX_PHOTONS:.0e}")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     n_eff = round_half_away(eta * n_photons)
-    means = np.array(
-        [round_half_away(n_eff * p) for p in born_probabilities(rho_in, povm)], dtype=float
+    # One scalar draw per effect: the same draws as one call on the vector of
+    # means, without its per-call array checks.
+    return np.array(
+        [gen.poisson(round_half_away(n_eff * p)) for p in born_probabilities(rho_in, povm).tolist()],
+        dtype=np.int64,
     )
-    return gen.poisson(means)
 
 
 def fit_state(counts, n_eff: int) -> Reconstruction:
@@ -241,10 +243,6 @@ def _draw_state(kind: EnsembleKind, rng: np.random.Generator) -> np.ndarray:
     return bures_random_mixed(rng)
 
 
-def _member_rng(seed: int, *index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(index)))
-
-
 def _round_half_away_array(x: np.ndarray) -> np.ndarray:
     """``round_half_away`` elementwise, as floats."""
     return np.where(x >= 0, np.floor(x + 0.5), -np.floor(0.5 - x))
@@ -255,41 +253,33 @@ def _member_fidelities(
 ) -> tuple[np.ndarray, int]:
     """Fidelity of every ensemble member (seed, *key, i), and how many failed.
 
-    Member i draws its fade (when ``fading`` is given), its state and then its
-    counts from its own stream, in the order of a scalar trial through
-    ``simulate_counts``, ``fit_state`` and ``fidelity``; its transmittance is
-    ``eta`` times its fade, capped at 1. The arithmetic in between runs on
-    (members, ...) arrays with the same operations, so each fidelity is
-    bit-identical to that scalar trial. A member fails when it detects
-    nothing, including when eta * photons rounds to zero.
+    Member i is one scalar trial on its own stream: its fade (when ``fading``
+    is given), its state, and its counts from ``simulate_counts`` at ``eta``
+    times its fade, capped at 1. The fit and the fidelity then run on
+    (members, ...) arrays with the operations of ``fit_state`` and
+    ``fidelity``, so each fidelity is bit-identical to that scalar trial. A
+    member fails when it detects nothing, including when eta * photons rounds
+    to zero.
     """
     fids = np.empty(config.ensemble_size)
     failures = 0
-    # One generator, set to each member's stream in turn. A member's state after
-    # its fade and state draws is kept for its Poisson draw.
+    # One generator, set to each member's stream in turn.
     rng = np.random.default_rng(0)
     bit_generator = rng.bit_generator
     for start in range(0, config.ensemble_size, _MEMBER_BLOCK):
-        members = range(start, min(start + _MEMBER_BLOCK, config.ensemble_size))
-        states = stream_states(config.seed, key, members.start, members.stop)
-        fades = np.ones(len(members))
-        rho_in = np.empty((len(members), 2, 2), dtype=complex)
-        for j, state in enumerate(states):
+        stop = min(start + _MEMBER_BLOCK, config.ensemble_size)
+        etas = np.empty(stop - start)
+        rho_in = np.empty((stop - start, 2, 2), dtype=complex)
+        counts = np.empty((stop - start, len(_SIC_POVM)), dtype=np.int64)
+        for j, state in enumerate(stream_states(config.seed, key, start, stop)):
             bit_generator.state = state
-            if fading is not None:
-                fades[j] = sample(fading, rng, 1)[0]
+            fade = sample(fading, rng, 1)[0] if fading is not None else 1.0
+            etas[j] = min(eta * fade, 1.0)
             rho_in[j] = _draw_state(config.ensemble_kind, rng)
-            states[j] = bit_generator.state
-
-        n_eff = _round_half_away_array(np.minimum(eta * fades, 1.0) * config.photons)
-        born = np.stack([np.einsum("ij,mji->m", e, rho_in) for e in _SIC_POVM], 1).real
-        means = _round_half_away_array(n_eff[:, None] * born)
-        counts = np.zeros_like(means)
-        for j in np.flatnonzero(n_eff >= 1):
-            bit_generator.state = states[j]
-            counts[j] = rng.poisson(means[j])
+            counts[j] = simulate_counts(rho_in[j], _SIC_POVM, config.photons, etas[j], rng)
 
         # Zero counts give r = 0, the maximally mixed state of the degenerate fit.
+        n_eff = _round_half_away_array(etas * config.photons)
         target = counts / np.maximum(n_eff, 1.0)[:, None]
         r = ((3.0 * target)[:, None, :] @ _TETRAHEDRON)[:, 0]
         r /= np.maximum(np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0]), 1.0)[:, None]
@@ -298,7 +288,7 @@ def _member_fidelities(
 
         overlap = np.trace(rho_in @ sigma, axis1=1, axis2=2).real
         det_term = np.maximum(np.linalg.det(rho_in).real, 0.0) * np.maximum(np.linalg.det(sigma).real, 0.0)
-        fids[start : members.stop] = np.minimum(np.maximum(overlap + 2.0 * np.sqrt(det_term), 0.0), 1.0)
+        fids[start:stop] = np.minimum(np.maximum(overlap + 2.0 * np.sqrt(det_term), 0.0), 1.0)
         failures += int(np.count_nonzero(~counts.any(axis=1)))
     return fids, failures
 
@@ -337,11 +327,14 @@ def fidelity_vs_zenith(
     mean = np.empty(grid.shape)
     sd = np.zeros(grid.shape)
     failures = np.zeros(grid.shape, dtype=np.int64)
+    # A per-point fade comes from the cell's stream (seed, di, zi), as in sweep_pass.
+    point_rng = np.random.default_rng(0)
     for (di, zi), sigma_j2 in np.ndenumerate(grid.sigma_j2):
         fading = FadingModel(float(sigma_j2)) if sigma_j2 > 0 else None
         eta = float(eta_det[di, zi])
         if fading is not None and resample is FadingResample.PER_POINT:
-            eta *= float(sample(fading, _member_rng(config.seed, di, zi), 1)[0])
+            point_rng.bit_generator.state = stream_states(config.seed, (di,), zi, zi + 1)[0]
+            eta *= float(sample(fading, point_rng, 1)[0])
             fading = None
         fids, failures[di, zi] = _member_fidelities(config, (di, zi), eta, fading)
         mean[di, zi] = fids.mean()

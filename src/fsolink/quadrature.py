@@ -11,6 +11,10 @@ from __future__ import annotations
 from typing import Callable
 
 
+# Relative tolerance of the package's altitude integrals.
+REL_TOL = 1e-8
+
+
 class QuadratureError(RuntimeError):
     """Raised when the adaptive scheme fails to reach the requested tolerance."""
 
@@ -19,7 +23,7 @@ def adaptive_simpson(
     f: Callable[[float], float],
     a: float,
     b: float,
-    rel_tol: float = 1e-8,
+    rel_tol: float = REL_TOL,
     abs_tol: float = 0.0,
     max_depth: int = 60,
     presample_panels: int = 256,

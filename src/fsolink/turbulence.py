@@ -126,7 +126,7 @@ def rytov_horizontal(cn2_const: float, wavelength_m: float, path_m: float) -> fl
 # cell; the profile is frozen and the result a float, so a small cache makes
 # that one quadrature per distinct moment.
 @lru_cache(maxsize=32)
-def _profile_moment(profile: TurbulenceProfile, top_m: float, exponent: float, rel_tol: float) -> float:
+def _profile_moment(profile: TurbulenceProfile, top_m: float, exponent: float) -> float:
     """integral of Cn^2(z) * (z - h_ogs)^exponent over [h_ogs, min(top, cutoff)]."""
     h0 = profile.h_ogs_m
     upper = min(top_m, TURBULENCE_TOP_M)
@@ -137,7 +137,7 @@ def _profile_moment(profile: TurbulenceProfile, top_m: float, exponent: float, r
             return 0.0
         return cn2(profile, z) * u**exponent
 
-    return adaptive_simpson(integrand, h0, upper, rel_tol=rel_tol)
+    return adaptive_simpson(integrand, h0, upper)
 
 
 def rytov_downlink(
@@ -145,7 +145,6 @@ def rytov_downlink(
     wavelength_m: float,
     altitude_m: float,
     zenith_rad: float,
-    rel_tol: float = 1e-8,
 ) -> float:
     """Downlink Rytov index for a plane wave through the altitude profile.
 
@@ -158,7 +157,7 @@ def rytov_downlink(
     if altitude_m <= profile.h_ogs_m:
         raise ValueError("altitude_m must exceed the station altitude")
     k = 2.0 * math.pi / wavelength_m
-    moment = _profile_moment(profile, altitude_m, 5.0 / 6.0, rel_tol)
+    moment = _profile_moment(profile, altitude_m, 5.0 / 6.0)
     sec_z = 1.0 / math.cos(zenith_rad)
     return 2.25 * k ** (7.0 / 6.0) * sec_z ** (11.0 / 6.0) * moment
 
@@ -227,18 +226,14 @@ def av_giggenbach(diameter_m: float, wavelength_m: float, elevation_deg: float, 
     return (1.0 + 1.062 * k * diameter_m**2 / (9.0 * layer)) ** (-7.0 / 6.0)
 
 
-def turbulence_scale_height(
-    profile: TurbulenceProfile,
-    altitude_m: float,
-    rel_tol: float = 1e-8,
-) -> float:
+def turbulence_scale_height(profile: TurbulenceProfile, altitude_m: float) -> float:
     """Yura's turbulence scale height h_s (m).
 
     Quotient of the second and 5/6-th profile moments, raised to 6/7; the
     reference height of both moments is the station altitude.
     """
-    num = _profile_moment(profile, altitude_m, 2.0, rel_tol)
-    den = _profile_moment(profile, altitude_m, 5.0 / 6.0, rel_tol)
+    num = _profile_moment(profile, altitude_m, 2.0)
+    den = _profile_moment(profile, altitude_m, 5.0 / 6.0)
     return (num / den) ** (6.0 / 7.0)
 
 
@@ -248,14 +243,13 @@ def av_yura(
     profile: TurbulenceProfile,
     altitude_m: float,
     zenith_rad: float,
-    rel_tol: float = 1e-8,
 ) -> float:
     """Yura aperture-averaging factor [1 + 1.1 (D^2/(lambda h_s sec z))^(7/6)]^(-1)."""
     if diameter_m <= 0:
         raise ValueError("diameter_m must be > 0")
     if abs(zenith_rad) >= math.pi / 2:
         raise ValueError("|zenith_rad| must be < pi/2")
-    h_s = turbulence_scale_height(profile, altitude_m, rel_tol)
+    h_s = turbulence_scale_height(profile, altitude_m)
     sec_z = 1.0 / math.cos(zenith_rad)
     x = diameter_m**2 / (wavelength_m * h_s * sec_z)
     return 1.0 / (1.0 + 1.1 * x ** (7.0 / 6.0))

@@ -392,24 +392,33 @@ class TestMain:
         assert math.copysign(1.0, cfg.zenith_grid_rad()[0]) == 1.0
 
     @pytest.mark.parametrize(
-        "doc, scenario, code",
+        "doc, scenario, code, error",
         [
             # A waist this small breaks only eta_det (its Rayleigh range is 0),
             # which the aperture-averaging table does not read.
-            ({"channel": {"beam_waist": 1e-300}}, "av_sweep", 0),
-            ({"channel": {"beam_waist": 1e-300}}, "link_budget", 3),
-            # Every scenario builds the receivers, and this radius underflows to 0.
-            ({"sweep": {"diameters": [1.0, 5e-324]}}, "av_sweep", 3),
+            ({"channel": {"beam_waist": 1e-300}}, "av_sweep", 0, None),
+            ({"channel": {"beam_waist": 1e-300}}, "link_budget", 3, "numeric"),
+            # Every scenario builds the receivers, and these radii underflow to 0.
+            ({"sweep": {"diameters": [1.0, 5e-324]}}, "av_sweep", 2, "config"),
+            ({"sweep": {"diameters": [5e-324]}}, "qst", 2, "config"),
         ],
     )
-    def test_grid_scenarios_exit_on_what_they_compute(self, tmp_path, capsys, doc, scenario, code):
+    def test_grid_scenarios_exit_on_what_they_compute(self, tmp_path, capsys, doc, scenario, code, error):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         assert main(["--config", str(cfg_path), "--scenario", scenario, "--out", str(tmp_path / "out")]) == code
         if code:
-            assert json.loads(capsys.readouterr().err)["error"] == "numeric"
+            assert json.loads(capsys.readouterr().err)["error"] == error
         else:
             assert (tmp_path / "out" / f"{scenario}.csv").exists()
+
+    def test_diameters_whose_radius_underflows_are_named(self):
+        with pytest.raises(ConfigError, match=r"^sweep\.diameters\[0\]: .* underflows to 0$"):
+            parse_config({"sweep": {"diameters": [5e-324]}})
+        with pytest.raises(ConfigError, match=r"^sweep\.diameters\[1\]: .* underflows to 0$"):
+            parse_config({"sweep": {"diameters": [1.0, 5e-324]}})
+        # Twice the smallest subnormal still halves to a positive radius.
+        assert parse_config({"sweep": {"diameters": [1e-323]}}).diameters_m == (1e-323,)
 
     def test_booleans_in_integer_keys_are_config_errors(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -6,6 +6,7 @@ import pytest
 from fsolink import qst
 from fsolink.beam import BeamParams
 from fsolink.budget import ChannelParams, FluctuationMode, channel_grid
+from fsolink.extinction import ExtinctionParams
 from fsolink.fading import FadingModel, sample
 from fsolink.qst import (
     MAX_ENSEMBLE_SIZE,
@@ -13,7 +14,6 @@ from fsolink.qst import (
     EnsembleKind,
     FadingResample,
     TomographyConfig,
-    _member_rng,
     born_probabilities,
     bures_random_mixed,
     cholesky_to_rho,
@@ -32,6 +32,11 @@ from fsolink.qst import (
 POVM = sic_povm_qubit()
 MIXED = np.eye(2, dtype=complex) / 2.0
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+
+
+def _member_rng(seed, *index):
+    """numpy's own generator for the stream of sub-seed (seed, *index)."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(index)))
 
 
 def fidelity_eig_oracle(rho, sigma):
@@ -234,6 +239,30 @@ class TestSimulateCounts:
     def test_rejects_bad_eta(self):
         with pytest.raises(ValueError):
             simulate_counts(KET0, POVM, 100, 1.5, rng=0)
+
+    @pytest.mark.parametrize(
+        "rho, photons, eta, means",
+        [
+            (KET0, 1000, 0.0, [0, 0, 0, 0]),
+            (MIXED, 20, 1.0, [5, 5, 5, 5]),
+            # 12 and 3 photons: numpy's PTRS branch (mean >= 10) and its inversion branch.
+            (KET0, 30, 1.0, [12, 3, 3, 12]),
+            (MIXED, 10**6, 0.37, [92_500] * 4),
+            (KET0, MAX_PHOTONS, 1.0, [394_337_567_297_406, 105_662_432_702_594, 105_662_432_702_594, 394_337_567_297_406]),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 5, 99])
+    def test_scalar_draws_match_one_draw_on_the_vector_of_means(self, rho, photons, eta, means, seed):
+        gen = np.random.default_rng(seed)
+        ref = np.random.default_rng()
+        ref.bit_generator.state = gen.bit_generator.state
+        expected = expected_counts(rho, POVM, round_half_away(eta * photons))
+        assert expected.tolist() == means
+        counts = simulate_counts(rho, POVM, photons, eta, gen)
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, ref.poisson(expected.astype(float)))
+        # Both consumed the same draws from the stream.
+        assert gen.bit_generator.state == ref.bit_generator.state
 
 
 class TestReconstruct:
@@ -497,6 +526,30 @@ class TestFidelityVsZenith:
         # Both kinds of failed trial occur: n_eff < 1 below 1e6 photons, and
         # all-zero counts at the 25 cm, 80 degree cell's n_eff of about 2.
         assert dead > 0 and zero > 0, (dead, zero)
+
+    def test_point_fade_above_one_is_capped(self):
+        # eta_int 1, almost no extinction and a 1 km receiver leave eta_det
+        # within 1e-7 of 1; the 80 degree cell's point fade of seed 0 is
+        # about 1.36, so eta_det times it exceeds 1 and must be capped there.
+        channel = ChannelParams(
+            beam=BeamParams(receiver_radius_m=500.0),
+            extinction=ExtinctionParams(alpha0_per_m=1e-12),
+            eta_int=1.0,
+            fluctuation_mode=FluctuationMode.ISI,
+        )
+        grid = channel_grid(channel, 420e3, (1000.0,), [math.radians(80.0)])
+        eta_det = float(grid.eta_det[0, 0])
+        point_fade = float(sample(FadingModel(float(grid.sigma_j2[0, 0])), _member_rng(0, 0, 0), 1)[0])
+        assert eta_det * point_fade > 1.0
+        config = TomographyConfig(photons=1000, ensemble_size=17, seed=0)
+        table = fidelity_vs_zenith(grid, config, resample=FadingResample.PER_POINT)
+        fids, failures, _, _ = scalar_trials(config, (0, 0), eta_det, None, point_fade)
+        capped, _, _, _ = scalar_trials(config, (0, 0), 1.0)
+        assert fids.tobytes() == capped.tobytes()
+        mean, sd = scalar_stats(fids)
+        assert table.mean_fidelity.tobytes() == np.array([[mean]]).tobytes()
+        assert table.sd_fidelity.tobytes() == np.array([[sd]]).tobytes()
+        assert table.failures.tolist() == [[failures]]
 
     def test_starved_meo_link_sits_below_leo(self):
         # 25 cm aperture at MEO altitude: ~79 dB of loss starves even 1e7

@@ -51,12 +51,10 @@ from .qst import (
     born_probabilities,
     bures_random_mixed,
     cholesky_to_rho,
-    expected_counts,
     fidelity,
     fidelity_vs_zenith,
     fit_state,
     haar_random_pure,
-    reconstruct,
     run_ensemble,
     sic_povm_qubit,
     simulate_counts,

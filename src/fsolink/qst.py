@@ -54,7 +54,7 @@ class FadingResample(enum.Enum):
 
 @dataclass(frozen=True)
 class TomographyConfig:
-    photons: int = 1_000_000
+    photons: int = 200_000
     transmittance: float = 1.0
     ensemble_size: int = 220
     seed: int = 0
@@ -79,9 +79,10 @@ class TomographyResult:
 
 @dataclass(frozen=True)
 class Reconstruction:
+    """Fitted states, shape (..., 2, 2), and which fits saw no counts, shape (...)."""
+
     rho: np.ndarray
-    cost: float
-    degenerate: bool
+    degenerate: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -135,14 +136,6 @@ def cholesky_to_rho(t) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def expected_counts(rho: np.ndarray, povm: np.ndarray, n_photons: int) -> np.ndarray:
-    """Noise-free counts: the Born-rule means rounded to integers."""
-    if n_photons < 0:
-        raise ValueError("n_photons must be >= 0")
-    probs = born_probabilities(rho, povm)
-    return np.array([round_half_away(n_photons * p) for p in probs], dtype=np.int64)
-
-
 def simulate_counts(
     rho_in: np.ndarray,
     povm: np.ndarray,
@@ -165,59 +158,50 @@ def simulate_counts(
     )
 
 
-def fit_state(counts, n_eff: int) -> Reconstruction:
-    """Least-squares state fit to tetrahedral SIC-POVM counts, in closed form.
+def fit_state(counts, n_eff) -> Reconstruction:
+    """Least-squares state fits to tetrahedral SIC-POVM counts, in closed form.
 
-    With p_k(r) = (1 + s_k . r) / 4, sum_k s_k = 0 and sum_k s_k s_k^T =
-    (4/3) I, the cost sum_k (p_k(r) - m_k/n_eff)^2 is isotropic in the Bloch
-    vector r. The best physical state therefore has r = 3 sum_k (m_k/n_eff) s_k,
-    scaled back onto the unit sphere when |r| > 1 (Rehacek, Englert &
-    Kaszlikowski, PRA 70, 052321, 2004). ``cost`` is that sum times n_eff^2,
-    i.e. on the counts scale.
+    ``counts`` has shape (..., 4) and ``n_eff`` broadcasts over (...). With
+    p_k(r) = (1 + s_k . r) / 4, sum_k s_k = 0 and sum_k s_k s_k^T = (4/3) I,
+    the cost sum_k (p_k(r) - m_k/n_eff)^2 is isotropic in the Bloch vector r.
+    The best physical state therefore has r = 3 sum_k (m_k/n_eff) s_k, scaled
+    back onto the unit sphere when |r| > 1 (Rehacek, Englert & Kaszlikowski,
+    PRA 70, 052321, 2004).
 
-    All-zero counts carry no information, so the maximally mixed state is
-    returned with ``degenerate`` set.
+    All-zero counts carry no information: they give r = 0, the maximally
+    mixed state, with ``degenerate`` set.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    if counts.shape != (len(_TETRAHEDRON),):
+    n_eff = np.asarray(n_eff)
+    if counts.shape[-1:] != (len(_TETRAHEDRON),):
         raise ValueError("counts must have one entry per SIC-POVM effect (four)")
     if np.any(counts < 0):
         raise ValueError("counts must be non-negative")
-    if n_eff < 1:
+    if np.any(n_eff < 1):
         raise ValueError("n_eff must be >= 1")
-    if not np.any(counts):
-        return Reconstruction(rho=np.eye(2, dtype=complex) / 2.0, cost=float("nan"), degenerate=True)
-
-    target = counts / n_eff
-    r = 3.0 * target @ _TETRAHEDRON
-    norm = float(np.linalg.norm(r))
-    if norm > 1.0:
-        r /= norm
-    mismatch = (1.0 + _TETRAHEDRON @ r) / 4.0 - target
-    x, y, z = r
-    rho = 0.5 * np.array([[1.0 + z, x - 1.0j * y], [x + 1.0j * y, 1.0 - z]])
-    return Reconstruction(rho=rho, cost=float(mismatch @ mismatch) * n_eff**2, degenerate=False)
+    target = counts / n_eff[..., None]
+    r = ((3.0 * target)[..., None, :] @ _TETRAHEDRON)[..., 0, :]
+    r /= np.maximum(np.sqrt((r[..., None, :] @ r[..., :, None])[..., 0, 0]), 1.0)[..., None]
+    x, y, z = np.moveaxis(r, -1, 0)
+    rho = np.moveaxis(0.5 * np.array([[1.0 + z, x - 1.0j * y], [x + 1.0j * y, 1.0 - z]]), (0, 1), (-2, -1))
+    return Reconstruction(rho=rho, degenerate=~counts.any(axis=-1))
 
 
-def reconstruct(counts, n_eff: int) -> np.ndarray:
-    """Density matrix minimizing the least-squares count mismatch."""
-    return fit_state(counts, n_eff).rho
-
-
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann-Jozsa fidelity between two qubit states.
+def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
+    """Uhlmann-Jozsa fidelity between qubit states of shape (..., 2, 2).
 
     Uses the closed form tr(rho sigma) + 2 sqrt(det rho det sigma), which
-    equals (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 in dimension two.
+    equals (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 in dimension two. A pair of
+    single states gives a float, stacks give an array over (...).
     """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != (2, 2) or sigma.shape != (2, 2):
+    if rho.shape[-2:] != (2, 2) or sigma.shape[-2:] != (2, 2):
         raise ValueError("fidelity is implemented for single-qubit states")
-    overlap = np.trace(rho @ sigma).real
-    det_term = max(np.linalg.det(rho).real, 0.0) * max(np.linalg.det(sigma).real, 0.0)
-    value = overlap + 2.0 * math.sqrt(det_term)
-    return min(max(value, 0.0), 1.0)
+    overlap = np.trace(rho @ sigma, axis1=-2, axis2=-1).real
+    det_term = np.maximum(np.linalg.det(rho).real, 0.0) * np.maximum(np.linalg.det(sigma).real, 0.0)
+    value = np.minimum(np.maximum(overlap + 2.0 * np.sqrt(det_term), 0.0), 1.0)
+    return float(value) if value.ndim == 0 else value
 
 
 def haar_random_pure(rng: np.random.Generator) -> np.ndarray:
@@ -243,11 +227,6 @@ def _draw_state(kind: EnsembleKind, rng: np.random.Generator) -> np.ndarray:
     return bures_random_mixed(rng)
 
 
-def _round_half_away_array(x: np.ndarray) -> np.ndarray:
-    """``round_half_away`` elementwise, as floats."""
-    return np.where(x >= 0, np.floor(x + 0.5), -np.floor(0.5 - x))
-
-
 def _member_fidelities(
     config: TomographyConfig, key: tuple[int, ...], eta: float, fading: FadingModel | None
 ) -> tuple[np.ndarray, int]:
@@ -255,11 +234,9 @@ def _member_fidelities(
 
     Member i is one scalar trial on its own stream: its fade (when ``fading``
     is given), its state, and its counts from ``simulate_counts`` at ``eta``
-    times its fade, capped at 1. The fit and the fidelity then run on
-    (members, ...) arrays with the operations of ``fit_state`` and
-    ``fidelity``, so each fidelity is bit-identical to that scalar trial. A
-    member fails when it detects nothing, including when eta * photons rounds
-    to zero.
+    times its fade, capped at 1. ``fit_state`` and ``fidelity`` then run once
+    on each block's (members, ...) stacks. A member fails when it detects
+    nothing, including when eta * photons rounds to zero.
     """
     fids = np.empty(config.ensemble_size)
     failures = 0
@@ -268,28 +245,20 @@ def _member_fidelities(
     bit_generator = rng.bit_generator
     for start in range(0, config.ensemble_size, _MEMBER_BLOCK):
         stop = min(start + _MEMBER_BLOCK, config.ensemble_size)
-        etas = np.empty(stop - start)
+        n_eff = np.empty(stop - start, dtype=np.int64)
         rho_in = np.empty((stop - start, 2, 2), dtype=complex)
         counts = np.empty((stop - start, len(_SIC_POVM)), dtype=np.int64)
         for j, state in enumerate(stream_states(config.seed, key, start, stop)):
             bit_generator.state = state
             fade = sample(fading, rng, 1)[0] if fading is not None else 1.0
-            etas[j] = min(eta * fade, 1.0)
+            member_eta = min(eta * fade, 1.0)
+            n_eff[j] = round_half_away(member_eta * config.photons)
             rho_in[j] = _draw_state(config.ensemble_kind, rng)
-            counts[j] = simulate_counts(rho_in[j], _SIC_POVM, config.photons, etas[j], rng)
-
-        # Zero counts give r = 0, the maximally mixed state of the degenerate fit.
-        n_eff = _round_half_away_array(etas * config.photons)
-        target = counts / np.maximum(n_eff, 1.0)[:, None]
-        r = ((3.0 * target)[:, None, :] @ _TETRAHEDRON)[:, 0]
-        r /= np.maximum(np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0]), 1.0)[:, None]
-        x, y, z = r.T
-        sigma = 0.5 * np.array([[1.0 + z, x - 1.0j * y], [x + 1.0j * y, 1.0 - z]]).transpose(2, 0, 1)
-
-        overlap = np.trace(rho_in @ sigma, axis1=1, axis2=2).real
-        det_term = np.maximum(np.linalg.det(rho_in).real, 0.0) * np.maximum(np.linalg.det(sigma).real, 0.0)
-        fids[start:stop] = np.minimum(np.maximum(overlap + 2.0 * np.sqrt(det_term), 0.0), 1.0)
-        failures += int(np.count_nonzero(~counts.any(axis=1)))
+            counts[j] = simulate_counts(rho_in[j], _SIC_POVM, config.photons, member_eta, rng)
+        # n_eff = 0 comes with zero counts, whose fit is degenerate whatever n_eff.
+        fit = fit_state(counts, np.maximum(n_eff, 1))
+        fids[start:stop] = fidelity(rho_in, fit.rho)
+        failures += int(np.count_nonzero(fit.degenerate))
     return fids, failures
 
 

@@ -450,6 +450,43 @@ class TestStreamStates:
             stream_states(seed, key, start, stop)
 
 
+class TestGeneratorCanary:
+    """First draws of every Generator method the CLI uses, from one stream_states state.
+
+    NEP 19 keeps SeedSequence and the bit generators stable across numpy
+    releases, but not Generator's distribution methods. When a numpy release
+    changes one of them, the test named after it fails here.
+    """
+
+    DRAWS = [0.7859067677198036, -0.9199529560235964, 1.4715789384981375, 0.1672107598129597]
+
+    @staticmethod
+    def _rng():
+        rng = np.random.default_rng(0)
+        rng.bit_generator.state = stream_states(0, (0,), 0, 1)[0]
+        return rng
+
+    def test_standard_normal_into_a_buffer(self):
+        out = np.empty(4)
+        self._rng().standard_normal(4, out=out)
+        assert out.tolist() == self.DRAWS
+
+    def test_standard_normal(self):
+        assert self._rng().standard_normal(4).tolist() == self.DRAWS
+
+    def test_normal_vector(self):
+        assert self._rng().normal(size=2).tolist() == self.DRAWS[:2]
+
+    def test_normal_matrix(self):
+        assert self._rng().normal(size=(2, 2)).tolist() == [self.DRAWS[:2], self.DRAWS[2:]]
+
+    # numpy draws by inversion below a mean of 10 and by PTRS from 10 on.
+    @pytest.mark.parametrize(("lam", "draws"), [(3, [7, 2, 3, 1]), (30, [31, 30, 34, 37])])
+    def test_scalar_poisson(self, lam, draws):
+        rng = self._rng()
+        assert [rng.poisson(lam) for _ in range(4)] == draws
+
+
 def test_sweep_rejects_a_transmittance_that_underflows_to_zero():
     # Like compose, whose math.log10(0) raises: an infinite dB loss is an error, not a table of inf and NaN.
     with pytest.raises(ValueError, match="underflows to zero"):

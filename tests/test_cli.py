@@ -28,6 +28,7 @@ from fsolink.cli import (
     parse_config,
     run,
 )
+from fsolink.qst import TomographyConfig
 
 
 class TestParseConfig:
@@ -41,6 +42,11 @@ class TestParseConfig:
         assert cfg.channel.eta_int == pytest.approx(0.4)
         assert cfg.satellite_altitude_m == pytest.approx(420e3)
         assert cfg.channel.fluctuation_mode is FluctuationMode.DETERMINISTIC
+
+    def test_tomography_defaults_match_the_library(self):
+        cfg = parse_config("{}")
+        library = TomographyConfig()
+        assert (cfg.photons, cfg.ensemble_size) == (library.photons, library.ensemble_size)
 
     def test_unit_strings_normalize_to_si(self):
         cfg = parse_config(

@@ -17,12 +17,10 @@ from fsolink.qst import (
     born_probabilities,
     bures_random_mixed,
     cholesky_to_rho,
-    expected_counts,
     fidelity,
     fidelity_vs_zenith,
     fit_state,
     haar_random_pure,
-    reconstruct,
     round_half_away,
     run_ensemble,
     sic_povm_qubit,
@@ -37,6 +35,25 @@ KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 def _member_rng(seed, *index):
     """numpy's own generator for the stream of sub-seed (seed, *index)."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(index)))
+
+
+def expected_counts(rho, povm, n_photons):
+    """Noise-free counts: the Born-rule means rounded half away from zero."""
+    return np.array([round_half_away(n_photons * p) for p in born_probabilities(rho, povm)], dtype=np.int64)
+
+
+def fit_cost(rho, counts, n_eff):
+    """The least-squares cost sum_k (tr(M_k rho) - m_k/n_eff)^2 of a fitted state."""
+    mismatch = born_probabilities(rho, POVM) - np.asarray(counts) / n_eff
+    return float(mismatch @ mismatch)
+
+
+def bloch_fit_oracle(counts, n_eff):
+    """r = 3 sum_k (m_k/n_eff) s_k, projected onto the unit ball, in pure Python."""
+    s = [[sign / math.sqrt(3.0) for sign in row] for row in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))]
+    r = [3.0 * sum(m / n_eff * s_k[i] for m, s_k in zip(counts, s)) for i in range(3)]
+    norm = math.sqrt(sum(c * c for c in r))
+    return [c / norm for c in r] if norm > 1.0 else r
 
 
 def fidelity_eig_oracle(rho, sigma):
@@ -271,11 +288,11 @@ class TestReconstruct:
         for _ in range(10):
             rho = haar_random_pure(rng)
             counts = expected_counts(rho, POVM, 10**6)
-            rec = reconstruct(counts, 10**6)
+            rec = fit_state(counts, 10**6).rho
             assert fidelity(rho, rec) >= 0.999
 
     def test_uniform_counts_give_maximally_mixed(self):
-        rec = reconstruct(np.array([500, 500, 500, 500]), 2000)
+        rec = fit_state(np.array([500, 500, 500, 500]), 2000).rho
         trace_distance = 0.5 * np.abs(np.linalg.eigvalsh(rec - MIXED)).sum()
         assert trace_distance < 0.01
 
@@ -290,7 +307,7 @@ class TestReconstruct:
             counts = rng.integers(0, 2000, size=4)
             if not counts.any():
                 continue
-            rec = reconstruct(counts, int(counts.sum()))
+            rec = fit_state(counts, int(counts.sum())).rho
             assert np.abs(rec - rec.conj().T).max() < 1e-12
             assert np.trace(rec).real == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.eigvalsh(rec).min() > -1e-10
@@ -313,7 +330,7 @@ class TestReconstruct:
             if not counts.any():
                 continue
             fit = fit_state(counts, n_eff)
-            closed = fit.cost / n_eff**2
+            closed = fit_cost(fit.rho, counts, n_eff)
             grid_min = float(np.min(np.sum((grid - counts / n_eff) ** 2, axis=1)))
             assert closed <= grid_min + 1e-12
             assert np.linalg.eigvalsh(fit.rho).min() > -1e-12
@@ -325,7 +342,7 @@ class TestReconstruct:
     def test_two_opposite_outcomes_cost_one_sixteenth(self):
         fit = fit_state([1, 0, 0, 1], 4)
         assert not fit.degenerate
-        assert fit.cost / 4**2 == pytest.approx(1.0 / 16.0, abs=1e-15)
+        assert fit_cost(fit.rho, [1, 0, 0, 1], 4) == pytest.approx(1.0 / 16.0, abs=1e-15)
 
     @pytest.mark.parametrize("n", [1, 7, 1000])
     def test_single_outcome_projects_to_pure_state(self, n):
@@ -336,11 +353,63 @@ class TestReconstruct:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            reconstruct([1, 2, 3], 6)
+            fit_state([1, 2, 3], 6)
         with pytest.raises(ValueError):
-            reconstruct([-1, 2, 3, 4], 8)
+            fit_state([-1, 2, 3, 4], 8)
         with pytest.raises(ValueError):
-            reconstruct([1, 2, 3, 4], 0)
+            fit_state([1, 2, 3, 4], 0)
+
+
+class TestStackedEstimator:
+    @pytest.mark.parametrize("per_row_n_eff", [False, True])
+    @pytest.mark.parametrize("shape", [(40,), (2, 3)])
+    def test_fit_state_stack_matches_scalar_calls(self, shape, per_row_n_eff):
+        rng = np.random.default_rng(16)
+        counts = rng.integers(0, 12, size=shape + (4,))
+        # All-zero, single-outcome (projected) and interior fits in every stack.
+        counts.reshape(-1, 4)[:3] = [[0, 0, 0, 0], [7, 0, 0, 0], [1, 0, 0, 1]]
+        n_eff = rng.integers(1, 40, size=shape) if per_row_n_eff else 17
+        fit = fit_state(counts, n_eff)
+        assert fit.rho.shape == shape + (2, 2)
+        assert fit.degenerate.shape == shape
+        for idx in np.ndindex(shape):
+            one = fit_state(counts[idx], int(np.broadcast_to(n_eff, shape)[idx]))
+            assert fit.rho[idx].tobytes() == one.rho.tobytes(), idx
+            assert fit.degenerate[idx] == one.degenerate == (not counts[idx].any()), idx
+
+    def test_fidelity_stack_matches_pairwise_calls(self):
+        rng = np.random.default_rng(17)
+        rho = np.array([random_mixed(rng) for _ in range(6)] + [KET0, KET0]).reshape(2, 4, 2, 2)
+        sigma = np.array([haar_random_pure(rng) for _ in range(6)] + [KET0, MIXED]).reshape(2, 4, 2, 2)
+        got = fidelity(rho, sigma)
+        assert got.shape == (2, 4)
+        for idx in np.ndindex(2, 4):
+            one = fidelity(rho[idx], sigma[idx])
+            assert isinstance(one, float)
+            assert got[idx].tobytes() == np.float64(one).tobytes(), idx
+        # One state against a stack broadcasts like the pairwise calls.
+        against_mixed = fidelity(rho, MIXED)
+        for idx in np.ndindex(2, 4):
+            assert against_mixed[idx].tobytes() == np.float64(fidelity(rho[idx], MIXED)).tobytes(), idx
+
+    def test_bloch_vector_matches_pure_python_closed_form(self):
+        rng = np.random.default_rng(2004)
+        projected = interior = 0
+        for i in range(400):
+            n_eff = int(rng.integers(1, 20)) if i % 2 else int(rng.integers(20, 10**6))
+            mean = n_eff * born_probabilities(random_mixed(rng), POVM)
+            counts = rng.poisson(mean) if i % 2 == 0 else rng.integers(0, n_eff + 3, size=4)
+            if not counts.any():
+                continue
+            rho = fit_state(counts, n_eff).rho
+            got = [2.0 * rho[1, 0].real, 2.0 * rho[1, 0].imag, (rho[0, 0] - rho[1, 1]).real]
+            expected = bloch_fit_oracle(counts.tolist(), n_eff)
+            assert got == pytest.approx(expected, rel=0.0, abs=1e-15), (counts, n_eff)
+            if math.hypot(*expected) >= 1.0 - 1e-12:
+                projected += 1
+            else:
+                interior += 1
+        assert projected > 50 and interior > 50, (projected, interior)
 
 
 class TestFidelity:
@@ -467,7 +536,7 @@ class TestRunEnsemble:
                 rng = np.random.default_rng(10_000 + i)
                 rho = haar_random_pure(rng)
                 counts = simulate_counts(rho, POVM, n, 1.0, rng)
-                rec = reconstruct(counts, n)
+                rec = fit_state(counts, n).rho
                 infids.append(1.0 - fidelity(rho, rec))
             medians.append(float(np.median(infids)))
         assert all(b < a for a, b in zip(medians, medians[1:]))

@@ -18,9 +18,7 @@ neither, so in-process callers are unaffected.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
-import io
 import json
 import math
 import os
@@ -390,48 +388,46 @@ def _write_atomically(path: Path, text: str) -> None:
     """Write ``text`` to a temp file beside ``path``, then rename it into place.
 
     A reader sees the old file or the complete new one, never a partial
-    write; on failure the temp file is removed.
+    write; on failure the temp file is removed and the OSError names ``path``.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise OSError(f"cannot write {path}: {exc}") from exc
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def emit_csv(header: list[str], rows: list[tuple], path: Path) -> None:
-    """Write a result table with 9-significant-digit decimals, UTF-8, LF rows."""
-    if not rows:
+def emit_csv(header: list[str], columns: list, path: Path) -> None:
+    """Write a result table: one 1-D column per header name, row i from entry i of each.
+
+    Integer columns are written in decimal, all others to 9 significant
+    digits; UTF-8, LF line ends, no quoting (no field holds a comma or quote).
+    """
+    columns = [np.asarray(column) for column in columns]
+    lengths = [len(column) for column in columns]
+    if len(set(lengths)) > 1 or len(columns) != len(header):
+        raise ValueError(f"{path}: {len(header)} header names for columns of lengths {lengths}")
+    if not any(lengths):
         raise ValueError(f"refusing to write empty table to {path}")
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_format_cell(cell) for cell in row])
-    try:
-        _write_atomically(path, text.getvalue())
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
-
-
-def _format_cell(cell) -> str:
-    if isinstance(cell, (int, np.integer)):
-        return str(int(cell))
-    if isinstance(cell, (float, np.floating)):
-        return format(float(cell), ".9g")
-    return str(cell)
+    fields = [
+        map(str, c.tolist()) if np.issubdtype(c.dtype, np.integer) else [format(x, ".9g") for x in c.tolist()]
+        for c in columns
+    ]
+    _write_atomically(path, "\n".join([",".join(header), *map(",".join, zip(*fields))]) + "\n")
 
 
 def _run_pass_time(cfg: ScenarioConfig, outdir: Path) -> Path:
-    rows = []
-    for alt in cfg.altitudes_m:
-        times = pass_times(alt, cfg.zenith_limit_rad, cfg.earth_radius_m, cfg.mu_m3_s2)
-        rows.append((alt, math.degrees(cfg.zenith_limit_rad), times.total_s, times.effective_s))
+    times = [pass_times(alt, cfg.zenith_limit_rad, cfg.earth_radius_m, cfg.mu_m3_s2) for alt in cfg.altitudes_m]
+    limit_deg = [math.degrees(cfg.zenith_limit_rad)] * len(times)
     path = outdir / "pass_time.csv"
-    emit_csv(["altitude_m", "zenith_limit_deg", "total_s", "effective_s"], rows, path)
+    header = ["altitude_m", "zenith_limit_deg", "total_s", "effective_s"]
+    emit_csv(header, [cfg.altitudes_m, limit_deg, [t.total_s for t in times], [t.effective_s for t in times]], path)
     return path
 
 
@@ -440,13 +436,10 @@ def _emit_grid(grid: ChannelGrid, columns: dict[str, Any], path: Path) -> Path:
 
     Each column is an (nD, nZ) array or a scalar repeated on every row.
     """
-    values = [np.broadcast_to(column, grid.shape) for column in columns.values()]
-    rows = [
-        (zen, diam, *(value[di, zi] for value in values))
-        for di, diam in enumerate(grid.diameters_m)
-        for zi, zen in enumerate(np.degrees(grid.zenith_rad))
-    ]
-    emit_csv(["zenith_deg", "diameter_m", *columns], rows, path)
+    n_diameters, n_zenith = grid.shape
+    axes = [np.tile(np.degrees(grid.zenith_rad), n_diameters), np.repeat(grid.diameters_m, n_zenith)]
+    values = [np.broadcast_to(column, grid.shape).ravel() for column in columns.values()]
+    emit_csv(["zenith_deg", "diameter_m", *columns], axes + values, path)
     return path
 
 

@@ -139,17 +139,17 @@ def cholesky_to_rho(t) -> np.ndarray:
 def simulate_counts(
     rho_in: np.ndarray,
     povm: np.ndarray,
-    n_photons: int,
-    eta: float,
+    n_eff: int,
     rng: np.random.Generator | int | None = None,
 ) -> np.ndarray:
-    """Poisson-fluctuated counts at the effective photon number eta * N."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
-    if n_photons > MAX_PHOTONS:
-        raise ValueError(f"n_photons must be <= {MAX_PHOTONS:.0e}")
+    """Poisson-fluctuated counts at the effective photon number ``n_eff``.
+
+    ``n_eff`` is an integer in [0, MAX_PHOTONS]; the mean count of effect k
+    is n_eff * p_k rounded half away from zero.
+    """
+    if not 0 <= n_eff <= MAX_PHOTONS:
+        raise ValueError(f"n_eff must lie in [0, {MAX_PHOTONS:.0e}]")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    n_eff = round_half_away(eta * n_photons)
     # One scalar draw per effect: the same draws as one call on the vector of
     # means, without its per-call array checks.
     return np.array(
@@ -233,10 +233,11 @@ def _member_fidelities(
     """Fidelity of every ensemble member (seed, *key, i), and how many failed.
 
     Member i is one scalar trial on its own stream: its fade (when ``fading``
-    is given), its state, and its counts from ``simulate_counts`` at ``eta``
-    times its fade, capped at 1. ``fit_state`` and ``fidelity`` then run once
-    on each block's (members, ...) stacks. A member fails when it detects
-    nothing, including when eta * photons rounds to zero.
+    is given), its state, and its counts from ``simulate_counts`` at n_eff,
+    the photons times ``eta`` times its fade (capped at 1), rounded once.
+    ``fit_state`` and ``fidelity`` then run once on each block's
+    (members, ...) stacks. A member fails when it detects nothing, including
+    when n_eff is zero.
     """
     fids = np.empty(config.ensemble_size)
     failures = 0
@@ -251,10 +252,10 @@ def _member_fidelities(
         for j, state in enumerate(stream_states(config.seed, key, start, stop)):
             bit_generator.state = state
             fade = sample(fading, rng, 1)[0] if fading is not None else 1.0
-            member_eta = min(eta * fade, 1.0)
-            n_eff[j] = round_half_away(member_eta * config.photons)
+            member_n_eff = round_half_away(min(eta * fade, 1.0) * config.photons)
+            n_eff[j] = member_n_eff
             rho_in[j] = _draw_state(config.ensemble_kind, rng)
-            counts[j] = simulate_counts(rho_in[j], _SIC_POVM, config.photons, member_eta, rng)
+            counts[j] = simulate_counts(rho_in[j], _SIC_POVM, member_n_eff, rng)
         # n_eff = 0 comes with zero counts, whose fit is degenerate whatever n_eff.
         fit = fit_state(counts, np.maximum(n_eff, 1))
         fids[start:stop] = fidelity(rho_in, fit.rho)

@@ -9,11 +9,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fsolink
 from fsolink import cli
-from fsolink.budget import FluctuationMode
+from fsolink.budget import FluctuationMode, channel_grid
 from fsolink.cli import (
     _TABLE,
     MAX_DRAWS_PER_POINT,
@@ -145,14 +146,39 @@ class TestParseConfig:
 class TestEmitCsv:
     def test_writes_units_in_header_and_9_digits(self, tmp_path):
         path = tmp_path / "t.csv"
-        emit_csv(["zenith_deg", "loss_db"], [(10.0, 1.0 / 3.0)], path)
+        emit_csv(["zenith_deg", "loss_db"], [[10.0], [1.0 / 3.0]], path)
         text = path.read_text(encoding="utf-8")
         assert text == "zenith_deg,loss_db\n10,0.333333333\n"
+        # Integers in decimal, everything else to 9 significant digits.
+        emit_csv(
+            ["count", "photons", "value"],
+            [
+                np.array([0, -7, 42, 10**15, 2**63 - 1], dtype=np.int64),
+                np.broadcast_to(200_000, (1, 5)).ravel(),
+                [1.0 / 3.0, 1e-300, 123456789.5, -0.0, math.inf],
+            ],
+            path,
+        )
+        assert path.read_text(encoding="utf-8") == (
+            "count,photons,value\n"
+            "0,200000,0.333333333\n"
+            "-7,200000,1e-300\n"
+            "42,200000,123456790\n"
+            "1000000000000000,200000,-0\n"
+            "9223372036854775807,200000,inf\n"
+        )
 
     def test_empty_table_is_an_error_and_writes_nothing(self, tmp_path):
         path = tmp_path / "t.csv"
         with pytest.raises(ValueError):
-            emit_csv(["a"], [], path)
+            emit_csv(["a"], [[]], path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("header, columns", [(["a", "b"], [[1, 2], [3]]), (["a", "b"], [[1]]), (["a"], [[1], [2]])])
+    def test_columns_of_unequal_length_or_count_are_an_error_and_write_nothing(self, tmp_path, header, columns):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="header names for columns of lengths"):
+            emit_csv(header, columns, path)
         assert not path.exists()
 
     def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(self, tmp_path, monkeypatch):
@@ -160,12 +186,43 @@ class TestEmitCsv:
             raise OSError("rename refused")
 
         path = tmp_path / "t.csv"
-        emit_csv(["a"], [(1,)], path)
+        emit_csv(["a"], [[1]], path)
         monkeypatch.setattr(cli.os, "replace", no_rename)
         with pytest.raises(OSError, match="rename refused"):
-            emit_csv(["a"], [(2,)], path)
+            emit_csv(["a"], [[2]], path)
         assert path.read_text(encoding="utf-8") == "a\n1\n"
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+    def test_failed_manifest_write_names_the_manifest(self, tmp_path, monkeypatch, capsys):
+        real_replace = os.replace
+
+        def no_manifest_rename(src, dst):
+            if Path(dst).name == "manifest.json":
+                raise OSError("rename refused")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", no_manifest_rename)
+        assert main(["--scenario", "pass_time", "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "io", "detail": f"cannot write {tmp_path / 'manifest.json'}: rename refused"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pass_time.csv"]
+
+    def test_grid_rows_are_diameter_major_and_repeat_scalar_columns(self, tmp_path):
+        cfg = parse_config({"sweep": {"diameters": [0.25, 0.5], "zenith_min": -10, "zenith_max": 10, "zenith_step": 10}})
+        grid = channel_grid(cfg.channel, cfg.satellite_altitude_m, cfg.diameters_m, cfg.zenith_grid_rad())
+        assert grid.shape == (2, 3)
+        path = tmp_path / "grid.csv"
+        cli._emit_grid(grid, {"cell": np.arange(6).reshape(2, 3), "photons": 7}, path)
+        assert path.read_text(encoding="utf-8") == (
+            "zenith_deg,diameter_m,cell,photons\n"
+            "-10,0.25,0,7\n"
+            "0,0.25,1,7\n"
+            "10,0.25,2,7\n"
+            "-10,0.5,3,7\n"
+            "0,0.5,4,7\n"
+            "10,0.5,5,7\n"
+        )
 
 
 def _run_scenario(tmp_path, doc):

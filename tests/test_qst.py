@@ -109,7 +109,7 @@ def scalar_trials(config, key, eta_det, fading=None, point_fade=1.0):
             dead += 1
             fids[i] = fidelity(rho_in, MIXED)
             continue
-        fit = fit_state(simulate_counts(rho_in, POVM, config.photons, eta, rng), n_eff)
+        fit = fit_state(simulate_counts(rho_in, POVM, n_eff, rng), n_eff)
         zero += fit.degenerate
         fids[i] = fidelity(rho_in, fit.rho)
     return fids, dead + zero, dead, zero
@@ -215,17 +215,17 @@ class TestSimulateCounts:
     def test_photon_number_is_capped(self):
         # Beyond the cap numpy's Poisson sampler would fail on its own terms.
         with pytest.raises(ValueError, match="1e\\+15"):
-            simulate_counts(np.eye(2) / 2, sic_povm_qubit(), 10**20, 1.0, 1)
+            simulate_counts(np.eye(2) / 2, sic_povm_qubit(), 10**20, 1)
         with pytest.raises(ValueError, match="1e\\+15"):
-            simulate_counts(MIXED, POVM, MAX_PHOTONS + 1, 0.0, 1)
-        assert simulate_counts(MIXED, POVM, MAX_PHOTONS, 1.0, 1).sum() > 0
+            simulate_counts(MIXED, POVM, MAX_PHOTONS + 1, 1)
+        assert simulate_counts(MIXED, POVM, MAX_PHOTONS, 1).sum() > 0
 
     def test_dark_channel(self):
-        np.testing.assert_array_equal(simulate_counts(KET0, POVM, 10_000, 0.0, rng=1), [0, 0, 0, 0])
+        np.testing.assert_array_equal(simulate_counts(KET0, POVM, 0, rng=1), [0, 0, 0, 0])
 
     def test_deterministic_for_seed(self):
-        a = simulate_counts(KET0, POVM, 10_000, 0.5, rng=123)
-        b = simulate_counts(KET0, POVM, 10_000, 0.5, rng=123)
+        a = simulate_counts(KET0, POVM, 5000, rng=123)
+        b = simulate_counts(KET0, POVM, 5000, rng=123)
         np.testing.assert_array_equal(a, b)
 
     def test_poisson_moments_match_means(self):
@@ -233,7 +233,7 @@ class TestSimulateCounts:
         n, trials = 1000, 20_000
         rng = np.random.default_rng(2024)
         target = expected_counts(KET0, POVM, n).astype(float)
-        draws = np.array([simulate_counts(KET0, POVM, n, 1.0, rng) for _ in range(trials)], dtype=float)
+        draws = np.array([simulate_counts(KET0, POVM, n, rng) for _ in range(trials)], dtype=float)
         for k in range(4):
             lam = target[k]
             se_mean = math.sqrt(lam / trials)
@@ -249,13 +249,13 @@ class TestSimulateCounts:
         rng = np.random.default_rng(8)
         lam = 4e7
         rho = MIXED
-        draws = np.array([simulate_counts(rho, POVM, int(4 * lam), 1.0, rng)[0] for _ in range(3000)], dtype=float)
+        draws = np.array([simulate_counts(rho, POVM, int(4 * lam), rng)[0] for _ in range(3000)], dtype=float)
         assert draws.mean() == pytest.approx(lam, rel=1e-3)
         assert draws.var(ddof=1) == pytest.approx(lam, rel=0.1)
 
-    def test_rejects_bad_eta(self):
-        with pytest.raises(ValueError):
-            simulate_counts(KET0, POVM, 100, 1.5, rng=0)
+    def test_rejects_negative_n_eff(self):
+        with pytest.raises(ValueError, match="n_eff"):
+            simulate_counts(KET0, POVM, -1, rng=0)
 
     @pytest.mark.parametrize(
         "rho, photons, eta, means",
@@ -273,9 +273,10 @@ class TestSimulateCounts:
         gen = np.random.default_rng(seed)
         ref = np.random.default_rng()
         ref.bit_generator.state = gen.bit_generator.state
-        expected = expected_counts(rho, POVM, round_half_away(eta * photons))
+        n_eff = round_half_away(eta * photons)
+        expected = expected_counts(rho, POVM, n_eff)
         assert expected.tolist() == means
-        counts = simulate_counts(rho, POVM, photons, eta, gen)
+        counts = simulate_counts(rho, POVM, n_eff, gen)
         assert counts.dtype == np.int64
         np.testing.assert_array_equal(counts, ref.poisson(expected.astype(float)))
         # Both consumed the same draws from the stream.
@@ -535,7 +536,7 @@ class TestRunEnsemble:
             for i in range(50):
                 rng = np.random.default_rng(10_000 + i)
                 rho = haar_random_pure(rng)
-                counts = simulate_counts(rho, POVM, n, 1.0, rng)
+                counts = simulate_counts(rho, POVM, n, rng)
                 rec = fit_state(counts, n).rho
                 infids.append(1.0 - fidelity(rho, rec))
             medians.append(float(np.median(infids)))

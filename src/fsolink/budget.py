@@ -283,32 +283,67 @@ def stream_states(seed: int, key: tuple[int, ...], start: int, stop: int) -> lis
     return states
 
 
-def _loss_percentiles(z: np.ndarray, offset: float, slope: float) -> list[float]:
-    """The 5th, 50th and 95th percentiles of the loss ``offset - slope * z``.
+# Doubles in one worker's batch of draw rows (1 MiB). A batch holds one row per
+# cell, so its reductions are a few 2-D numpy calls instead of about ten short
+# calls per cell, each of which hands the GIL to the other workers.
+BATCH_DOUBLES = 2**17
 
-    Bit for bit what ``np.percentile(offset - slope * z, [5, 50, 95])``
-    returns (its default "linear" method) for ``slope > 0``, without building
-    the loss array or sorting. The loss falls as z rises, so its rank-k order
-    statistic is the image of z's rank n-1-k, and the affine map keeps ties
-    and order. ``z`` is partitioned in place, in increasing rank: each
-    percentile takes one partition for its upper neighbour's z and a min of
-    the rest for the lower one's.
+
+def _linear_points(n: int) -> list[tuple[int, bool, float]]:
+    """numpy's "linear" percentile rule at 5, 50 and 95 on n losses that fall as z rises.
+
+    Per percentile: the z rank whose loss is the upper neighbour, whether the
+    lower neighbour is another draw (the next z rank up) or the same one, and
+    the interpolation weight t.
     """
-    n = len(z)
     out = []
-    start = 0
-    for q in (0.95, 0.5, 0.05):
+    for q in (0.05, 0.5, 0.95):
         v = (n - 1) * q
         # numpy pins both loss indices to the top (z rank 0) when v >= n - 1.
         lo = math.floor(v) if v < n - 1 else -1
-        rank = n - 2 - lo if lo >= 0 else 0
-        z[start:].partition(rank - start)
-        start = rank
-        b = offset - slope * float(z[rank])
-        a = offset - slope * float(z[rank + 1:].min()) if lo >= 0 else b
-        t = v - lo
+        out.append((n - 2 - lo if lo >= 0 else 0, lo >= 0, v - lo))
+    return out
+
+
+def _percentile_neighbours(z: np.ndarray) -> np.ndarray:
+    """The z behind the loss neighbours of the 5/50/95 percentiles of each row of z.
+
+    ``z`` is (rows, n) and is partitioned in place along its rows: each
+    percentile's upper loss neighbour is a z order statistic, and its lower
+    one the min of the z ranked above it. Returns (3, 2, rows): per
+    percentile, the z of the lower and of the upper loss neighbour.
+    """
+    points = _linear_points(z.shape[1])
+    (r05, _, _), (r50, _, _), (r95, _, _) = points
+    # z ranks r95 <= r50 <= r05. The median first, so that the other two
+    # partitions each take about half a row.
+    z.partition(r50, axis=1)
+    if r95 < r50:
+        z[:, :r50].partition(r95, axis=1)
+    if r05 > r50:
+        z[:, r50 + 1:].partition(r05 - r50 - 1, axis=1)
+    out = np.empty((3, 2, len(z)))
+    for k, (rank, split, _) in enumerate(points):
+        out[k, 1] = z[:, rank]
+        out[k, 0] = z[:, rank + 1:].min(axis=1) if split else z[:, rank]
+    return out
+
+
+def _loss_percentiles(neighbours: np.ndarray, n: int, offset, slope) -> np.ndarray:
+    """The 5th, 50th and 95th percentiles of the loss ``offset - slope * z``.
+
+    ``neighbours`` comes from :func:`_percentile_neighbours` on n draws per
+    row; ``offset`` and ``slope > 0`` broadcast against its rows. Bit for bit
+    what ``np.percentile(offset - slope * z, [5, 50, 95])`` returns for each
+    row (its default "linear" method), without building the loss array or
+    sorting: the loss falls as z rises, so its rank-k order statistic is the
+    image of z's rank n-1-k, and the affine map keeps ties and order.
+    """
+    out = []
+    for (a_z, b_z), (_, _, t) in zip(neighbours, _linear_points(n)):
+        a, b = offset - slope * a_z, offset - slope * b_z
         out.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
-    return out[::-1]
+    return np.array(out)
 
 
 def _worker_count() -> int:
@@ -324,61 +359,78 @@ def sweep_pass(grid: ChannelGrid, draws_per_point: int = 10_000, seed: int = 0) 
     around its deterministic transmittance and records mean/SD and the
     5/50/95 percentiles of the dB loss, reduced from the standard normal
     draws behind the fades; a cell without fading draws nothing. Cells are
-    reduced concurrently on the CPUs the process may use; each has its own
-    sub-seed, so the result does not depend on the number of workers.
+    reduced concurrently on the CPUs the process may use, in batches of
+    ``BATCH_DOUBLES // draws_per_point`` cells (at least one); each has its
+    own sub-seed, so the result does not depend on the number of workers.
     """
     # Imported here: at module level it would add to every CLI start-up.
     from concurrent.futures import ThreadPoolExecutor
 
-    if draws_per_point < 1:
+    n = draws_per_point
+    if n < 1:
         raise ValueError("draws_per_point must be >= 1")
     # Read here, not in the workers: both are evaluated on first access.
     eta_det, sigma_j2 = grid.eta_det, grid.sigma_j2
     if not np.all(eta_det > 0):
         raise ValueError("the transmittance underflows to zero, so the dB loss is infinite")
 
+    # Cell (di, zi) draws from the stream of sub-seed (seed, di, zi), so the
+    # result does not depend on how the grid is scheduled. Cells are indexed
+    # flat, diameter-major.
+    n_d, n_z = eta_det.shape
+    fading = sigma_j2 != 0
+    states = []
+    for di in range(n_d):
+        states += stream_states(seed, (di,), 0, n_z) if fading[di].any() else [None] * n_z
+    # Per fading cell, the workers keep only summaries of its draws z: their
+    # mean, the sum of squares of z - mean and the percentile neighbours of
+    # z - mean.
+    z_mean, z_ss = np.zeros(n_d * n_z), np.zeros(n_d * n_z)
+    z_pct = np.zeros((3, 2, n_d * n_z))
+
+    def reduce_cells(cells: np.ndarray) -> None:
+        # One batch buffer and one generator per worker, reused by every batch
+        # of its block; numpy releases the GIL in the draws, reductions and
+        # partitions.
+        z = np.empty((max(1, BATCH_DOUBLES // n), n))
+        rng = np.random.default_rng(0)
+        for start in range(0, len(cells), len(z)):
+            batch = cells[start:start + len(z)]
+            rows = z[:len(batch)]
+            for row, i in zip(rows, batch.tolist()):
+                rng.bit_generator.state = states[i]
+                rng.standard_normal(n, out=row)
+            m = rows.mean(axis=1)
+            z_mean[batch] = m
+            # In place, so the rows hold the deviations z - m from here on.
+            rows -= m[:, None]
+            if n > 1:
+                # One 1-D einsum per row: the stacked "ij,ij->i" sums rows
+                # longer than nditer's 8192-element buffer in another order.
+                # einsum, not np.dot: dot runs on BLAS threads that compete
+                # with the workers.
+                z_ss[batch] = [np.einsum("i,i->", row, row) for row in rows]
+            z_pct[:, :, batch] = _percentile_neighbours(rows)
+
+    # One contiguous block of fading cells per worker keeps dispatch off
+    # small cells.
+    cells = np.flatnonzero(fading)
+    workers = min(_worker_count(), len(cells))
+    if workers:
+        with ThreadPoolExecutor(workers) as pool:
+            for future in [pool.submit(reduce_cells, block) for block in np.array_split(cells, workers)]:
+                future.result()
+
     # With unit-mean log-normal fading I = exp(sigma z - sigma^2/2), the dB
     # loss -10 log10(eta_det I) is affine and falling in the standard normal
-    # z: loss0 + c sigma^2/2 - c sigma z, with c = 10/ln 10.
+    # z: loss0 + c sigma^2/2 - c sigma z, with c = 10/ln 10. It is applied
+    # once to the whole grid with + - * / and sqrt, which round exactly as
+    # the scalar arithmetic of one cell would.
     c = 10.0 / math.log(10.0)
     loss0 = -10.0 * np.log10(eta_det)
-    # mean, SD, p05, p50, p95 per cell
-    stats = np.empty((5,) + eta_det.shape)
-    # Cell (di, zi) draws from the stream of sub-seed (seed, di, zi), so the
-    # result does not depend on how the grid is scheduled.
-    n_d, n_z = eta_det.shape
-    states = [stream_states(seed, (di,), 0, n_z) if sigma_j2[di].any() else None for di in range(n_d)]
-
-    def reduce_cells(cells) -> None:
-        # One draw buffer and one generator per worker, reused by every cell of
-        # its block; numpy releases the GIL in the draws, reductions and
-        # partitions.
-        z = np.empty(draws_per_point)
-        rng = np.random.default_rng(0)
-        for di, zi in cells:
-            s2, l0 = float(sigma_j2[di, zi]), float(loss0[di, zi])
-            if s2 == 0:
-                stats[:, di, zi] = (l0, 0.0, l0, l0, l0)
-                continue
-            rng.bit_generator.state = states[di][zi]
-            rng.standard_normal(draws_per_point, out=z)
-            slope = c * math.sqrt(s2)
-            m = float(z.mean())
-            mean = l0 + c * s2 / 2.0 - slope * m
-            # In place, so z holds the deviations z - m from here on; the loss
-            # is mean - slope * (z - m). einsum, not np.dot: dot runs on BLAS
-            # threads that compete with the workers.
-            z -= m
-            ss = float(np.einsum("i,i->", z, z))
-            sd = slope * math.sqrt(ss / (draws_per_point - 1)) if draws_per_point > 1 else 0.0
-            stats[:, di, zi] = (mean, sd, *_loss_percentiles(z, mean, slope))
-
-    # One contiguous block of cells per worker keeps dispatch off small cells.
-    cells = list(np.ndindex(eta_det.shape))
-    workers = min(_worker_count(), len(cells))
-    blocks = [cells[i * len(cells) // workers:(i + 1) * len(cells) // workers] for i in range(workers)]
-    with ThreadPoolExecutor(workers) as pool:
-        for future in [pool.submit(reduce_cells, block) for block in blocks]:
-            future.result()
-
-    return SweepResult(*stats)
+    slope = c * np.sqrt(sigma_j2)
+    mean = loss0 + c * sigma_j2 / 2.0 - slope * z_mean.reshape(n_d, n_z)
+    sd = slope * np.sqrt(z_ss.reshape(n_d, n_z) / (n - 1)) if n > 1 else np.zeros_like(mean)
+    pct = _loss_percentiles(z_pct.reshape(3, 2, n_d, n_z), n, mean, slope)
+    # A cell without fading has the deterministic loss in every statistic.
+    return SweepResult(np.where(fading, mean, loss0), np.where(fading, sd, 0.0), *np.where(fading, pct, loss0))

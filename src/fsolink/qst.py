@@ -206,8 +206,10 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
 
 def haar_random_pure(rng: np.random.Generator) -> np.ndarray:
     """Haar-random pure qubit state as a density matrix."""
-    v = rng.normal(size=2) + 1.0j * rng.normal(size=2)
-    v /= np.linalg.norm(v)
+    xr, xi = rng.normal(size=2), rng.normal(size=2)
+    v = xr + 1.0j * xi
+    # np.linalg.norm's own formula for a complex vector, without its dispatch.
+    v /= math.sqrt(xr.dot(xr) + xi.dot(xi))
     return np.outer(v, v.conj())
 
 

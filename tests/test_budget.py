@@ -284,21 +284,47 @@ class TestChannelGrid:
         assert len(calls) == integrals
 
 
+def _row_percentiles(z, offset, slope):
+    # The sweep's two steps on a (rows, n) stack: the percentile neighbours of
+    # each row's z, then the loss line of each row through them.
+    return budget._loss_percentiles(budget._percentile_neighbours(z.copy()), z.shape[1], offset, slope)
+
+
 class TestLossPercentiles:
-    @pytest.mark.parametrize("n", [1, 2, 3, 19, 20, 21, 10_000, 10_001, 200_000])
-    def test_equals_numpy_percentile_of_the_mapped_draws_bit_for_bit(self, n):
+    N = [1, 2, 3, 19, 20, 21, 10_000, 10_001, 200_000]
+
+    @staticmethod
+    def _inputs(n):
         rng = np.random.default_rng(n)
         tied = rng.integers(-2, 3, n).astype(float)
-        for z in (rng.standard_normal(n), rng.lognormal(0.0, 2.0, n), tied):
+        return rng.standard_normal(n), rng.lognormal(0.0, 2.0, n), tied
+
+    @pytest.mark.parametrize("n", N)
+    def test_equals_numpy_percentile_of_the_mapped_draws_bit_for_bit(self, n):
+        for z in self._inputs(n):
             for offset, slope in ((41.3, 2.17), (0.0, 1.0), (-3.5, 1e-3)):
                 expected = np.percentile(offset - slope * z, [5, 50, 95]).tolist()
-                assert budget._loss_percentiles(z.copy(), offset, slope) == expected
+                assert _row_percentiles(z[None], offset, slope)[:, 0].tolist() == expected
+
+    @pytest.mark.parametrize("n", N)
+    def test_stacked_rows_equal_numpy_percentile_of_each_mapped_row(self, n):
+        # One row per input kind and per (offset, slope), so neighbouring rows
+        # differ in their draws, ties, offset and slope.
+        offsets = np.array([41.3, 0.0, -3.5, 17.25])
+        slopes = np.array([2.17, 1.0, 1e-3, 0.37])
+        z = np.array([row for row in self._inputs(n) for _ in offsets])
+        offset, slope = np.tile(offsets, 3), np.tile(slopes, 3)
+        result = _row_percentiles(z, offset, slope)
+        assert result.shape == (3, len(z))
+        for r in range(len(z)):
+            expected = np.percentile(offset[r] - slope[r] * z[r], [5, 50, 95]).tolist()
+            assert result[:, r].tolist() == expected
 
     def test_midpoint_takes_numpys_upper_formula(self):
         # At t = 0.5, a + (b - a) t and b - (b - a)(1 - t) differ for these
         # neighbours (50000.049999999996 against 50000.05); numpy takes the second.
         z = np.array([-0.1, -1e5])
-        assert budget._loss_percentiles(z.copy(), 0.0, 1.0)[1] == np.percentile(-z, 50) == 50000.05
+        assert _row_percentiles(z[None], 0.0, 1.0)[1, 0] == np.percentile(-z, 50) == 50000.05
 
 
 def _serial_sweep(params, diameters, zeniths, draws, seed):
@@ -352,7 +378,10 @@ def _sweep_stats(result):
 
 
 class TestConcurrentSweep:
-    @pytest.mark.parametrize("draws", [1, 2, 1001])
+    # 8193 draws is one past nditer's buffer; at 50_000 a batch of
+    # budget.BATCH_DOUBLES holds two cells, so each worker's block spans
+    # several batches and ends in a partial one.
+    @pytest.mark.parametrize("draws", [1, 2, 1001, 8193, 50_000])
     @pytest.mark.parametrize("mode", list(FluctuationMode))
     def test_equals_serial_reference_and_repeats(self, mode, draws):
         params = default_channel(mode=mode)

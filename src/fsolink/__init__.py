@@ -67,7 +67,6 @@ from .turbulence import (
     ScintillationResult,
     ScintillationVariant,
     TurbulenceProfile,
-    aperture_averaging,
     av_andrews,
     av_giggenbach,
     av_yura,

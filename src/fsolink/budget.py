@@ -25,12 +25,16 @@ from .extinction import ExtinctionParams, slant_transmittance
 from .geometry import EARTH_RADIUS_M, LinkGeometry, slant_range
 from .turbulence import (
     ApertureModel,
+    ApertureModelKind,
     ScintillationVariant,
     TurbulenceProfile,
-    aperture_averaging,
+    av_andrews,
+    av_giggenbach,
+    av_yura,
     psi,
     rytov_downlink,
     scintillation_index,
+    turbulence_scale_height,
 )
 
 LEO_ALTITUDE_M = 420e3
@@ -126,21 +130,28 @@ class ChannelGrid:
 
     @cached_property
     def av(self) -> np.ndarray:
+        # The model's input once per zenith angle (slant range, elevation in
+        # degrees or zenith angle) and Yura's scale height once per grid.
         p = self.params
-        av = np.empty(self.shape)
-        for di, zi in np.ndindex(av.shape):
-            zen = float(self.zenith_rad[zi])
-            av[di, zi] = aperture_averaging(
-                p.aperture_model,
-                float(self.diameters_m[di]),
-                p.beam.wavelength_m,
-                path_m=float(self.range_m[zi]),
-                elevation_deg=90.0 - abs(math.degrees(zen)),
-                profile=p.turbulence,
-                altitude_m=self.altitude_m,
-                zenith_rad=zen,
-            )
-        return av
+        model, wavelength = p.aperture_model, p.beam.wavelength_m
+        if model.kind is ApertureModelKind.ANDREWS:
+            per_zenith = self.range_m.tolist()
+
+            def cell(diameter: float, path: float) -> float:
+                return av_andrews(diameter, wavelength, path)
+        elif model.kind is ApertureModelKind.GIGGENBACH:
+            per_zenith = [90.0 - abs(math.degrees(zen)) for zen in self.zenith_rad.tolist()]
+
+            def cell(diameter: float, elevation: float) -> float:
+                return av_giggenbach(diameter, wavelength, elevation, model)
+        else:
+            per_zenith = self.zenith_rad.tolist()
+            h_s = turbulence_scale_height(p.turbulence, self.altitude_m)
+
+            def cell(diameter: float, zen: float) -> float:
+                return av_yura(diameter, wavelength, h_s, zen)
+        av = [[cell(diameter, x) for x in per_zenith] for diameter in self.diameters_m.tolist()]
+        return np.array(av, dtype=float).reshape(self.shape)
 
     @cached_property
     def sigma_j2(self) -> np.ndarray:
@@ -154,7 +165,7 @@ class ChannelGrid:
         ])
         if p.fluctuation_mode is FluctuationMode.ISI:
             return np.broadcast_to(sigma_i2, self.shape).copy()
-        return np.vectorize(psi, otypes=[float])(sigma_i2, self.av)
+        return psi(sigma_i2, self.av)
 
 
 def channel_grid(
@@ -172,7 +183,7 @@ def channel_grid(
     is not positive is rejected whatever a reduction reads; ``eta_det``,
     ``av`` and ``sigma_j2`` follow on first access. The Cn^2 profile moments
     behind ``sigma_j2`` and ``av`` are memoized, so each is integrated once
-    however large the grid.
+    however large the grid, and Yura's scale height is computed once per grid.
     """
     diameters = np.asarray(list(diameters_m), dtype=float)
     zeniths = np.asarray(list(zenith_grid_rad), dtype=float)

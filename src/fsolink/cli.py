@@ -469,7 +469,7 @@ def run(cfg: ScenarioConfig) -> list[Path]:
     outdir.mkdir(parents=True, exist_ok=True)
     manifest_path = outdir / "manifest.json"
     manifest_path.unlink(missing_ok=True)
-    started = time.time()
+    started = time.perf_counter()
     if cfg.scenario == "pass_time":
         written = [_run_pass_time(cfg, outdir)]
     else:
@@ -485,7 +485,7 @@ def run(cfg: ScenarioConfig) -> list[Path]:
         "config": effective_config(cfg),
         "seed": cfg.seed,
         "version": __version__,
-        "wall_time_s": time.time() - started,
+        "wall_time_s": time.perf_counter() - started,
         "outputs": [p.name for p in written],
     }
     _write_atomically(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -13,6 +13,10 @@ from typing import Callable
 
 # Relative tolerance of the package's altitude integrals.
 REL_TOL = 1e-8
+# Floor of the absolute tolerance the adaptive phase refines against.
+ABS_TOL = 0.0
+# Panels of the uniform composite-Simpson pre-pass.
+PRESAMPLE_PANELS = 256
 
 
 class QuadratureError(RuntimeError):
@@ -24,9 +28,7 @@ def adaptive_simpson(
     a: float,
     b: float,
     rel_tol: float = REL_TOL,
-    abs_tol: float = 0.0,
     max_depth: int = 60,
-    presample_panels: int = 256,
 ) -> float:
     """Integrate ``f`` over ``[a, b]`` to the requested relative tolerance.
 
@@ -43,17 +45,17 @@ def adaptive_simpson(
     if b == a:
         return 0.0
 
-    h = (b - a) / presample_panels
+    h = (b - a) / PRESAMPLE_PANELS
     rough = 0.0
     left = f(a)
-    for i in range(presample_panels):
+    for i in range(PRESAMPLE_PANELS):
         x0 = a + i * h
         mid = f(x0 + 0.5 * h)
-        right = f(x0 + h) if i < presample_panels - 1 else f(b)
+        right = f(x0 + h) if i < PRESAMPLE_PANELS - 1 else f(b)
         rough += h / 6.0 * (left + 4.0 * mid + right)
         left = right
 
-    tol = max(rel_tol * abs(rough), abs_tol)
+    tol = max(rel_tol * abs(rough), ABS_TOL)
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .quadrature import adaptive_simpson
 
 # Altitude above which Cn^2 is negligible (< 1e-20 m^-2/3 for any sane profile);
@@ -127,9 +129,12 @@ def rytov_horizontal(cn2_const: float, wavelength_m: float, path_m: float) -> fl
 # that one quadrature per distinct moment.
 @lru_cache(maxsize=32)
 def _profile_moment(profile: TurbulenceProfile, top_m: float, exponent: float) -> float:
-    """integral of Cn^2(z) * (z - h_ogs)^exponent over [h_ogs, min(top, cutoff)]."""
+    """integral of Cn^2(z) * (z - h_ogs)^exponent over [h_ogs, min(top, cutoff)].
+
+    The moment is 0 for a station at or above the cutoff.
+    """
     h0 = profile.h_ogs_m
-    upper = min(top_m, TURBULENCE_TOP_M)
+    upper = max(h0, min(top_m, TURBULENCE_TOP_M))
 
     def integrand(z: float) -> float:
         u = z - h0
@@ -230,65 +235,44 @@ def turbulence_scale_height(profile: TurbulenceProfile, altitude_m: float) -> fl
     """Yura's turbulence scale height h_s (m).
 
     Quotient of the second and 5/6-th profile moments, raised to 6/7; the
-    reference height of both moments is the station altitude.
+    reference height of both moments is the station altitude. A station at
+    or above ``TURBULENCE_TOP_M`` has no profile weight above it, so h_s is
+    undefined there.
     """
     num = _profile_moment(profile, altitude_m, 2.0)
     den = _profile_moment(profile, altitude_m, 5.0 / 6.0)
+    if den == 0.0:
+        raise ValueError(
+            f"the Cn^2 profile has no weight above the station at {profile.h_ogs_m!r} m "
+            f"(profiles end at {TURBULENCE_TOP_M!r} m), so Yura's scale height is undefined"
+        )
     return (num / den) ** (6.0 / 7.0)
 
 
-def av_yura(
-    diameter_m: float,
-    wavelength_m: float,
-    profile: TurbulenceProfile,
-    altitude_m: float,
-    zenith_rad: float,
-) -> float:
-    """Yura aperture-averaging factor [1 + 1.1 (D^2/(lambda h_s sec z))^(7/6)]^(-1)."""
+def av_yura(diameter_m: float, wavelength_m: float, scale_height_m: float, zenith_rad: float) -> float:
+    """Yura aperture-averaging factor [1 + 1.1 (D^2/(lambda h_s sec z))^(7/6)]^(-1).
+
+    ``scale_height_m`` is h_s from :func:`turbulence_scale_height`, which
+    depends on the profile and the satellite altitude but not on D or z.
+    """
     if diameter_m <= 0:
         raise ValueError("diameter_m must be > 0")
     if abs(zenith_rad) >= math.pi / 2:
         raise ValueError("|zenith_rad| must be < pi/2")
-    h_s = turbulence_scale_height(profile, altitude_m)
     sec_z = 1.0 / math.cos(zenith_rad)
-    x = diameter_m**2 / (wavelength_m * h_s * sec_z)
+    x = diameter_m**2 / (wavelength_m * scale_height_m * sec_z)
     return 1.0 / (1.0 + 1.1 * x ** (7.0 / 6.0))
 
 
-def aperture_averaging(
-    model: ApertureModel,
-    diameter_m: float,
-    wavelength_m: float,
-    *,
-    path_m: float | None = None,
-    elevation_deg: float | None = None,
-    profile: TurbulenceProfile | None = None,
-    altitude_m: float | None = None,
-    zenith_rad: float | None = None,
-) -> float:
-    """Dispatch to the configured aperture-averaging model.
+def psi(sigma_I2, av):
+    """Power scintillation index: the ISI scaled down by the averaging factor.
 
-    Context requirements: Andrews needs ``path_m``; Giggenbach needs
-    ``elevation_deg``; Yura needs ``profile``, ``altitude_m`` and
-    ``zenith_rad``.
+    Takes floats or arrays that broadcast against each other. Every
+    ``sigma_I2`` must be >= 0 and every ``av`` lie in (0, 1]; a NaN
+    ``sigma_I2`` passes and a NaN ``av`` does not.
     """
-    if model.kind is ApertureModelKind.ANDREWS:
-        if path_m is None:
-            raise ValueError("Andrews model requires path_m")
-        return av_andrews(diameter_m, wavelength_m, path_m)
-    if model.kind is ApertureModelKind.GIGGENBACH:
-        if elevation_deg is None:
-            raise ValueError("Giggenbach model requires elevation_deg")
-        return av_giggenbach(diameter_m, wavelength_m, elevation_deg, model)
-    if profile is None or altitude_m is None or zenith_rad is None:
-        raise ValueError("Yura model requires profile, altitude_m and zenith_rad")
-    return av_yura(diameter_m, wavelength_m, profile, altitude_m, zenith_rad)
-
-
-def psi(sigma_I2: float, av: float) -> float:
-    """Power scintillation index: the ISI scaled down by the averaging factor."""
-    if sigma_I2 < 0:
+    if np.any(sigma_I2 < 0):
         raise ValueError("sigma_I2 must be >= 0")
-    if not 0.0 < av <= 1.0:
+    if not (np.all(0.0 < av) and np.all(av <= 1.0)):
         raise ValueError("av must lie in (0, 1]")
     return av * sigma_I2

@@ -28,10 +28,13 @@ from fsolink.turbulence import (
     ApertureModelKind,
     ScintillationVariant,
     TurbulenceProfile,
-    aperture_averaging,
+    av_andrews,
+    av_giggenbach,
+    av_yura,
     psi,
     rytov_downlink,
     scintillation_index,
+    turbulence_scale_height,
 )
 
 DIAMETERS = (0.25, 0.50, 0.75, 1.00)
@@ -218,17 +221,15 @@ def _scalar_sigma_j2(params, altitude_m, zenith_rad, diameter_m):
     sigma_i2 = scintillation_index(sigma_r2, params.scintillation_variant).sigma_I2
     if params.fluctuation_mode is FluctuationMode.ISI:
         return sigma_i2
-    geom = LinkGeometry(altitude_m, zenith_rad, params.turbulence.h_ogs_m)
-    av = aperture_averaging(
-        params.aperture_model,
-        diameter_m,
-        wavelength,
-        path_m=slant_range(geom),
-        elevation_deg=90.0 - abs(math.degrees(zenith_rad)),
-        profile=params.turbulence,
-        altitude_m=altitude_m,
-        zenith_rad=zenith_rad,
-    )
+    model = params.aperture_model
+    if model.kind is ApertureModelKind.ANDREWS:
+        path = slant_range(LinkGeometry(altitude_m, zenith_rad, params.turbulence.h_ogs_m))
+        av = av_andrews(diameter_m, wavelength, path)
+    elif model.kind is ApertureModelKind.GIGGENBACH:
+        av = av_giggenbach(diameter_m, wavelength, 90.0 - abs(math.degrees(zenith_rad)), model)
+    else:
+        h_s = turbulence_scale_height(params.turbulence, altitude_m)
+        av = av_yura(diameter_m, wavelength, h_s, zenith_rad)
     return psi(sigma_i2, av)
 
 
@@ -282,6 +283,22 @@ class TestChannelGrid:
         grid = channel_grid(params, LEO_ALTITUDE_M, DIAMETERS, np.radians(np.arange(-80.0, 81.0, 10.0)))
         assert np.all(grid.sigma_j2 >= 0.0)
         assert len(calls) == integrals
+
+    @pytest.mark.parametrize("n_zenith", [1, 17])
+    @pytest.mark.parametrize("diameters", [(0.5,), DIAMETERS])
+    def test_yura_scale_height_once_per_grid(self, monkeypatch, n_zenith, diameters):
+        calls = []
+        real = budget.turbulence_scale_height
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(budget, "turbulence_scale_height", counting)
+        params = _grid_params(FluctuationMode.PSI, ApertureModelKind.YURA, ScintillationVariant.SEVEN_SIXTHS)
+        grid = channel_grid(params, LEO_ALTITUDE_M, diameters, np.radians(np.linspace(-80.0, 80.0, n_zenith)))
+        assert grid.sigma_j2.shape == (len(diameters), n_zenith)
+        assert calls == [(params.turbulence, LEO_ALTITUDE_M)]
 
 
 def _row_percentiles(z, offset, slope):

@@ -475,6 +475,19 @@ class TestMain:
         else:
             assert (tmp_path / "out" / f"{scenario}.csv").exists()
 
+    @pytest.mark.parametrize("ogs", ["100 km", "150 km"])
+    @pytest.mark.parametrize("scenario", ["av_sweep", "link_budget"])
+    def test_yura_station_above_the_profile_is_numeric_error(self, tmp_path, capsys, ogs, scenario):
+        # Cn^2 ends at 100 km, so both profile moments of Yura's scale height are 0.
+        doc = {"scenario": scenario, "geometry": {"ogs_altitude": ogs, "satellite_altitude": "200 km"},
+               "channel": {"aperture_model": "yura", "fluctuation_mode": "psi"}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numeric"
+        assert "Cn^2 profile has no weight above the station" in err["detail"]
+
     def test_diameters_whose_radius_underflows_are_named(self):
         with pytest.raises(ConfigError, match=r"^sweep\.diameters\[0\]: .* underflows to 0$"):
             parse_config({"sweep": {"diameters": [5e-324]}})

@@ -9,7 +9,6 @@ from fsolink.turbulence import (
     Regime,
     ScintillationVariant,
     TurbulenceProfile,
-    aperture_averaging,
     av_andrews,
     av_giggenbach,
     av_yura,
@@ -196,7 +195,8 @@ class TestApertureAveraging:
         model = ApertureModel()
         assert av_andrews(1e-9, WAVELENGTH, 420e3) == pytest.approx(1.0, abs=1e-6)
         assert av_giggenbach(1e-9, WAVELENGTH, 45.0, model) == pytest.approx(1.0, abs=1e-6)
-        assert av_yura(1e-9, WAVELENGTH, DEFAULTS, 420e3, 0.0) == pytest.approx(1.0, abs=1e-9)
+        h_s = turbulence_scale_height(DEFAULTS, 420e3)
+        assert av_yura(1e-9, WAVELENGTH, h_s, 0.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_andrews_frozen_value(self):
         assert av_andrews(1.0, WAVELENGTH, 420e3) == pytest.approx(0.22713621003931579, rel=1e-12)
@@ -239,20 +239,13 @@ class TestApertureAveraging:
     @pytest.mark.parametrize("kind", list(ApertureModelKind))
     def test_strictly_decreasing_in_diameter(self, kind):
         model = ApertureModel(kind=kind)
-        diameters = np.linspace(0.05, 2.0, 25)
-        values = [
-            aperture_averaging(
-                model,
-                float(d),
-                WAVELENGTH,
-                path_m=420e3,
-                elevation_deg=45.0,
-                profile=DEFAULTS,
-                altitude_m=420e3,
-                zenith_rad=math.radians(45.0),
-            )
-            for d in diameters
-        ]
+        h_s = turbulence_scale_height(DEFAULTS, 420e3)
+        formula = {
+            ApertureModelKind.ANDREWS: lambda d: av_andrews(d, WAVELENGTH, 420e3),
+            ApertureModelKind.GIGGENBACH: lambda d: av_giggenbach(d, WAVELENGTH, 45.0, model),
+            ApertureModelKind.YURA: lambda d: av_yura(d, WAVELENGTH, h_s, math.radians(45.0)),
+        }[kind]
+        values = [formula(d) for d in np.linspace(0.05, 2.0, 25).tolist()]
         assert all(0.0 < v <= 1.0 for v in values)
         assert all(b < a for a, b in zip(values, values[1:]))
 
@@ -269,8 +262,14 @@ class TestApertureAveraging:
             av_giggenbach(0.5, WAVELENGTH, -5.0, model)
         with pytest.raises(ValueError):
             av_andrews(0.0, WAVELENGTH, 420e3)
-        with pytest.raises(ValueError):
-            aperture_averaging(ApertureModel(), 0.5, WAVELENGTH, elevation_deg=45.0)
+
+    @pytest.mark.parametrize("h_ogs_m", [100e3, 150e3])
+    def test_yura_scale_height_of_a_station_above_the_profile(self, h_ogs_m):
+        profile = TurbulenceProfile(h_ogs_m=h_ogs_m)
+        with pytest.raises(ValueError, match="no weight above the station"):
+            turbulence_scale_height(profile, 200e3)
+        # No turbulence above the station: the Rytov index is 0.
+        assert rytov_downlink(profile, WAVELENGTH, 200e3, 0.0) == 0.0
 
 
 class TestPsi:
@@ -297,3 +296,27 @@ class TestPsi:
             psi(0.5, 0.0)
         with pytest.raises(ValueError):
             psi(0.5, 1.5)
+        with pytest.raises(ValueError):
+            psi(0.5, math.nan)
+
+    def test_broadcast_arrays_equal_the_scalar_form(self):
+        sigma_i2 = np.array([0.0, 0.3, 2.5])
+        av = np.array([[1.0], [0.227], [1e-6]])
+        got = psi(sigma_i2, av)
+        assert got.shape == (3, 3)
+        expected = [[psi(s, a) for s in sigma_i2.tolist()] for a in av.ravel().tolist()]
+        assert got.tolist() == expected
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, 1.5, -0.2])
+    def test_any_av_outside_the_range_raises(self, bad):
+        with pytest.raises(ValueError, match="av must lie"):
+            psi(np.array([0.5, 0.5, 0.5]), np.array([0.3, bad, 1.0]))
+
+    def test_any_negative_isi_raises(self):
+        with pytest.raises(ValueError, match="sigma_I2"):
+            psi(np.array([0.5, -1e-12]), 0.5)
+
+    def test_nan_isi_passes(self):
+        assert math.isnan(psi(math.nan, 0.5))
+        got = psi(np.array([0.2, math.nan]), np.array([0.5, 0.5]))
+        assert got[0] == 0.1 and math.isnan(got[1])

@@ -50,7 +50,6 @@ from .qst import (
     TomographyResult,
     born_probabilities,
     bures_random_mixed,
-    cholesky_to_rho,
     fidelity,
     fidelity_vs_zenith,
     fit_state,

@@ -114,35 +114,17 @@ def sic_povm_qubit() -> np.ndarray:
 _SIC_POVM = sic_povm_qubit()
 
 
-def born_probabilities(rho: np.ndarray, povm: np.ndarray) -> np.ndarray:
-    """Outcome probabilities tr(M_k rho) for every effect."""
-    return np.einsum("kij,ji->k", povm, rho).real
-
-
-def cholesky_to_rho(t) -> np.ndarray:
-    """Density matrix T^dagger T / tr(T^dagger T) from four real parameters.
-
-    T is lower triangular with diagonal (t1, t2) and off-diagonal t3 + i t4;
-    any non-degenerate parameter vector maps to a valid state.
-    """
-    t = np.asarray(t, dtype=float)
-    if t.shape != (4,):
-        raise ValueError("t must have exactly four entries")
-    norm2 = float(np.dot(t, t))
-    if norm2 < 1e-30:
-        raise ValueError("parameter vector is degenerate (norm below 1e-15)")
-    tmat = np.array([[t[0], 0.0], [t[2] + 1.0j * t[3], t[1]]], dtype=complex)
-    rho = tmat.conj().T @ tmat
-    return rho / np.trace(rho).real
+def born_probabilities(rho: np.ndarray) -> np.ndarray:
+    """Outcome probabilities tr(M_k rho) for every SIC-POVM effect."""
+    return np.einsum("kij,ji->k", _SIC_POVM, rho).real
 
 
 def simulate_counts(
     rho_in: np.ndarray,
-    povm: np.ndarray,
     n_eff: int,
     rng: np.random.Generator | int | None = None,
 ) -> np.ndarray:
-    """Poisson-fluctuated counts at the effective photon number ``n_eff``.
+    """Poisson-fluctuated SIC-POVM counts at the effective photon number ``n_eff``.
 
     ``n_eff`` is an integer in [0, MAX_PHOTONS]; the mean count of effect k
     is n_eff * p_k rounded half away from zero.
@@ -153,7 +135,7 @@ def simulate_counts(
     # One scalar draw per effect: the same draws as one call on the vector of
     # means, without its per-call array checks.
     return np.array(
-        [gen.poisson(round_half_away(n_eff * p)) for p in born_probabilities(rho_in, povm).tolist()],
+        [gen.poisson(round_half_away(n_eff * p)) for p in born_probabilities(rho_in).tolist()],
         dtype=np.int64,
     )
 
@@ -223,12 +205,6 @@ def bures_random_mixed(rng: np.random.Generator) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def _draw_state(kind: EnsembleKind, rng: np.random.Generator) -> np.ndarray:
-    if kind is EnsembleKind.HAAR_PURE:
-        return haar_random_pure(rng)
-    return bures_random_mixed(rng)
-
-
 def _member_fidelities(
     config: TomographyConfig, key: tuple[int, ...], eta: float, fading: FadingModel | None
 ) -> tuple[np.ndarray, int]:
@@ -241,6 +217,7 @@ def _member_fidelities(
     (members, ...) stacks. A member fails when it detects nothing, including
     when n_eff is zero.
     """
+    draw_state = haar_random_pure if config.ensemble_kind is EnsembleKind.HAAR_PURE else bures_random_mixed
     fids = np.empty(config.ensemble_size)
     failures = 0
     # One generator, set to each member's stream in turn.
@@ -256,8 +233,8 @@ def _member_fidelities(
             fade = sample(fading, rng, 1)[0] if fading is not None else 1.0
             member_n_eff = round_half_away(min(eta * fade, 1.0) * config.photons)
             n_eff[j] = member_n_eff
-            rho_in[j] = _draw_state(config.ensemble_kind, rng)
-            counts[j] = simulate_counts(rho_in[j], _SIC_POVM, member_n_eff, rng)
+            rho_in[j] = draw_state(rng)
+            counts[j] = simulate_counts(rho_in[j], member_n_eff, rng)
         # n_eff = 0 comes with zero counts, whose fit is degenerate whatever n_eff.
         fit = fit_state(counts, np.maximum(n_eff, 1))
         fids[start:stop] = fidelity(rho_in, fit.rho)

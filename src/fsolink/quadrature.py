@@ -13,8 +13,8 @@ from typing import Callable
 
 # Relative tolerance of the package's altitude integrals.
 REL_TOL = 1e-8
-# Floor of the absolute tolerance the adaptive phase refines against.
-ABS_TOL = 0.0
+# Bisection levels the adaptive phase may use before it gives up.
+MAX_DEPTH = 60
 # Panels of the uniform composite-Simpson pre-pass.
 PRESAMPLE_PANELS = 256
 
@@ -23,21 +23,15 @@ class QuadratureError(RuntimeError):
     """Raised when the adaptive scheme fails to reach the requested tolerance."""
 
 
-def adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    rel_tol: float = REL_TOL,
-    max_depth: int = 60,
-) -> float:
-    """Integrate ``f`` over ``[a, b]`` to the requested relative tolerance.
+def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
+    """Integrate ``f`` over ``[a, b]`` to the relative tolerance ``REL_TOL``.
 
     A uniform composite-Simpson pre-pass estimates the magnitude of the
     integral; the adaptive phase then refines against an absolute tolerance
     derived from that magnitude. The pre-pass matters because several of the
     integrands here are concentrated near one endpoint, where a single
     three-point estimate would be orders of magnitude too small to anchor a
-    relative tolerance. Non-convergence within ``max_depth`` bisection levels
+    relative tolerance. Non-convergence within ``MAX_DEPTH`` bisection levels
     raises :class:`QuadratureError` instead of returning a bad value.
     """
     if b < a:
@@ -55,12 +49,12 @@ def adaptive_simpson(
         rough += h / 6.0 * (left + 4.0 * mid + right)
         left = right
 
-    tol = max(rel_tol * abs(rough), ABS_TOL)
+    tol = REL_TOL * abs(rough)
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, max_depth)
+    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, MAX_DEPTH)
 
 
 def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):

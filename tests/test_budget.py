@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from dataclasses import replace
@@ -425,6 +426,26 @@ class TestConcurrentSweep:
         finally:
             sys.setswitchinterval(interval)
         np.testing.assert_array_equal(_sweep_stats(result), expected)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_error_reaches_the_caller(self, monkeypatch, workers):
+        # 20_000 draws give six cells a batch, so each worker reduces several
+        # batches; the third batch to reach the percentiles fails.
+        calls = itertools.count()
+        real = budget._percentile_neighbours
+
+        def failing(z):
+            if next(calls) == 2:
+                raise RuntimeError("batch failed")
+            return real(z)
+
+        monkeypatch.setattr(budget, "_worker_count", lambda: workers)
+        monkeypatch.setattr(budget, "_percentile_neighbours", failing)
+        zeniths = np.radians(np.arange(-80.0, 81.0, 10.0))
+        grid = channel_grid(default_channel(mode=FluctuationMode.PSI), LEO_ALTITUDE_M, DIAMETERS, zeniths)
+        with pytest.raises(RuntimeError, match="batch failed"):
+            sweep_pass(grid, 20_000, seed=3)
+        assert next(calls) > 2
 
     # The affine map reorders the floating-point operations of the old
     # -10 log10(eta_det * I) path; the two agree far below the 9 significant

@@ -16,7 +16,6 @@ from fsolink.qst import (
     TomographyConfig,
     born_probabilities,
     bures_random_mixed,
-    cholesky_to_rho,
     fidelity,
     fidelity_vs_zenith,
     fit_state,
@@ -37,14 +36,14 @@ def _member_rng(seed, *index):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(index)))
 
 
-def expected_counts(rho, povm, n_photons):
+def expected_counts(rho, n_photons):
     """Noise-free counts: the Born-rule means rounded half away from zero."""
-    return np.array([round_half_away(n_photons * p) for p in born_probabilities(rho, povm)], dtype=np.int64)
+    return np.array([round_half_away(n_photons * p) for p in born_probabilities(rho)], dtype=np.int64)
 
 
 def fit_cost(rho, counts, n_eff):
     """The least-squares cost sum_k (tr(M_k rho) - m_k/n_eff)^2 of a fitted state."""
-    mismatch = born_probabilities(rho, POVM) - np.asarray(counts) / n_eff
+    mismatch = born_probabilities(rho) - np.asarray(counts) / n_eff
     return float(mismatch @ mismatch)
 
 
@@ -109,7 +108,7 @@ def scalar_trials(config, key, eta_det, fading=None, point_fade=1.0):
             dead += 1
             fids[i] = fidelity(rho_in, MIXED)
             continue
-        fit = fit_state(simulate_counts(rho_in, POVM, n_eff, rng), n_eff)
+        fit = fit_state(simulate_counts(rho_in, n_eff, rng), n_eff)
         zero += fit.degenerate
         fids[i] = fidelity(rho_in, fit.rho)
     return fids, dead + zero, dead, zero
@@ -162,52 +161,27 @@ class TestSicPovm:
     def test_born_probabilities_form_distribution(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            p = born_probabilities(random_mixed(rng), POVM)
+            p = born_probabilities(random_mixed(rng))
             assert np.all(p >= -1e-12)
             assert np.all(p <= 1.0 + 1e-12)
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-class TestCholesky:
-    def test_pure_zero_state(self):
-        np.testing.assert_allclose(cholesky_to_rho([1.0, 0.0, 0.0, 0.0]), KET0, atol=1e-15)
-
-    def test_maximally_mixed(self):
-        np.testing.assert_allclose(cholesky_to_rho([1.0, 1.0, 0.0, 0.0]), MIXED, atol=1e-15)
-
-    def test_random_vectors_give_valid_states(self):
-        rng = np.random.default_rng(42)
-        for _ in range(2000):
-            t = rng.uniform(-5.0, 5.0, size=4)
-            if np.dot(t, t) < 1e-12:
-                continue
-            rho = cholesky_to_rho(t)
-            assert np.abs(rho - rho.conj().T).max() < 1e-12
-            assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
-            assert np.linalg.eigvalsh(rho).min() > -1e-10
-
-    def test_degenerate_vector_rejected(self):
-        with pytest.raises(ValueError):
-            cholesky_to_rho([0.0, 0.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            cholesky_to_rho([1.0, 2.0, 3.0])
-
-
 class TestExpectedCounts:
     def test_maximally_mixed_splits_evenly(self):
-        np.testing.assert_array_equal(expected_counts(MIXED, POVM, 1000), [250, 250, 250, 250])
+        np.testing.assert_array_equal(expected_counts(MIXED, 1000), [250, 250, 250, 250])
 
     def test_pure_zero_state_tetrahedron_split(self):
-        np.testing.assert_array_equal(expected_counts(KET0, POVM, 10_000), [3943, 1057, 1057, 3943])
+        np.testing.assert_array_equal(expected_counts(KET0, 10_000), [3943, 1057, 1057, 3943])
 
     def test_zero_photons(self):
-        np.testing.assert_array_equal(expected_counts(KET0, POVM, 0), [0, 0, 0, 0])
+        np.testing.assert_array_equal(expected_counts(KET0, 0), [0, 0, 0, 0])
 
     def test_total_within_rounding_slack(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             n = int(rng.integers(1, 10**6))
-            counts = expected_counts(random_mixed(rng), POVM, n)
+            counts = expected_counts(random_mixed(rng), n)
             assert abs(int(counts.sum()) - n) <= 2
 
 
@@ -215,25 +189,25 @@ class TestSimulateCounts:
     def test_photon_number_is_capped(self):
         # Beyond the cap numpy's Poisson sampler would fail on its own terms.
         with pytest.raises(ValueError, match="1e\\+15"):
-            simulate_counts(np.eye(2) / 2, sic_povm_qubit(), 10**20, 1)
+            simulate_counts(np.eye(2) / 2, 10**20, 1)
         with pytest.raises(ValueError, match="1e\\+15"):
-            simulate_counts(MIXED, POVM, MAX_PHOTONS + 1, 1)
-        assert simulate_counts(MIXED, POVM, MAX_PHOTONS, 1).sum() > 0
+            simulate_counts(MIXED, MAX_PHOTONS + 1, 1)
+        assert simulate_counts(MIXED, MAX_PHOTONS, 1).sum() > 0
 
     def test_dark_channel(self):
-        np.testing.assert_array_equal(simulate_counts(KET0, POVM, 0, rng=1), [0, 0, 0, 0])
+        np.testing.assert_array_equal(simulate_counts(KET0, 0, rng=1), [0, 0, 0, 0])
 
     def test_deterministic_for_seed(self):
-        a = simulate_counts(KET0, POVM, 5000, rng=123)
-        b = simulate_counts(KET0, POVM, 5000, rng=123)
+        a = simulate_counts(KET0, 5000, rng=123)
+        b = simulate_counts(KET0, 5000, rng=123)
         np.testing.assert_array_equal(a, b)
 
     def test_poisson_moments_match_means(self):
         # mean and variance of each outcome should both equal the Born mean
         n, trials = 1000, 20_000
         rng = np.random.default_rng(2024)
-        target = expected_counts(KET0, POVM, n).astype(float)
-        draws = np.array([simulate_counts(KET0, POVM, n, rng) for _ in range(trials)], dtype=float)
+        target = expected_counts(KET0, n).astype(float)
+        draws = np.array([simulate_counts(KET0, n, rng) for _ in range(trials)], dtype=float)
         for k in range(4):
             lam = target[k]
             se_mean = math.sqrt(lam / trials)
@@ -249,13 +223,13 @@ class TestSimulateCounts:
         rng = np.random.default_rng(8)
         lam = 4e7
         rho = MIXED
-        draws = np.array([simulate_counts(rho, POVM, int(4 * lam), rng)[0] for _ in range(3000)], dtype=float)
+        draws = np.array([simulate_counts(rho, int(4 * lam), rng)[0] for _ in range(3000)], dtype=float)
         assert draws.mean() == pytest.approx(lam, rel=1e-3)
         assert draws.var(ddof=1) == pytest.approx(lam, rel=0.1)
 
     def test_rejects_negative_n_eff(self):
         with pytest.raises(ValueError, match="n_eff"):
-            simulate_counts(KET0, POVM, -1, rng=0)
+            simulate_counts(KET0, -1, rng=0)
 
     @pytest.mark.parametrize(
         "rho, photons, eta, means",
@@ -274,9 +248,9 @@ class TestSimulateCounts:
         ref = np.random.default_rng()
         ref.bit_generator.state = gen.bit_generator.state
         n_eff = round_half_away(eta * photons)
-        expected = expected_counts(rho, POVM, n_eff)
+        expected = expected_counts(rho, n_eff)
         assert expected.tolist() == means
-        counts = simulate_counts(rho, POVM, n_eff, gen)
+        counts = simulate_counts(rho, n_eff, gen)
         assert counts.dtype == np.int64
         np.testing.assert_array_equal(counts, ref.poisson(expected.astype(float)))
         # Both consumed the same draws from the stream.
@@ -288,7 +262,7 @@ class TestReconstruct:
         rng = np.random.default_rng(31)
         for _ in range(10):
             rho = haar_random_pure(rng)
-            counts = expected_counts(rho, POVM, 10**6)
+            counts = expected_counts(rho, 10**6)
             rec = fit_state(counts, 10**6).rho
             assert fidelity(rho, rec) >= 0.999
 
@@ -326,7 +300,7 @@ class TestReconstruct:
                 counts = rng.integers(0, n_eff + 3, size=4)
             else:
                 n_eff = int(rng.integers(10, 100_000))
-                mean = n_eff * rng.uniform(0.8, 1.2) * born_probabilities(random_mixed(rng), POVM)
+                mean = n_eff * rng.uniform(0.8, 1.2) * born_probabilities(random_mixed(rng))
                 counts = rng.poisson(mean)
             if not counts.any():
                 continue
@@ -398,7 +372,7 @@ class TestStackedEstimator:
         projected = interior = 0
         for i in range(400):
             n_eff = int(rng.integers(1, 20)) if i % 2 else int(rng.integers(20, 10**6))
-            mean = n_eff * born_probabilities(random_mixed(rng), POVM)
+            mean = n_eff * born_probabilities(random_mixed(rng))
             counts = rng.poisson(mean) if i % 2 == 0 else rng.integers(0, n_eff + 3, size=4)
             if not counts.any():
                 continue
@@ -456,6 +430,18 @@ class TestFidelity:
             trace_distance = 0.5 * np.abs(np.linalg.eigvalsh(rho - sigma)).sum()
             if trace_distance > 1e-3:
                 assert fidelity(rho, sigma) < 1.0 - 1e-8
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="det of a pure state is LAPACK round-off, often positive, so 2 sqrt(det rho det sigma) adds up to ~1e-8",
+    )
+    def test_pure_input_gives_the_overlap(self):
+        # For a pure rho, F(rho, sigma) = tr(rho sigma) exactly.
+        rng = np.random.default_rng(17)
+        sigma = np.array([[0.7, 0.1 - 0.2j], [0.1 + 0.2j, 0.3]])
+        rho = np.array([haar_random_pure(rng) for _ in range(2000)])
+        overlap = np.trace(rho @ sigma, axis1=-2, axis2=-1).real
+        np.testing.assert_allclose(fidelity(rho, sigma), overlap, rtol=0.0, atol=1e-12)
 
     def test_rejects_larger_systems(self):
         with pytest.raises(ValueError):
@@ -536,7 +522,7 @@ class TestRunEnsemble:
             for i in range(50):
                 rng = np.random.default_rng(10_000 + i)
                 rho = haar_random_pure(rng)
-                counts = simulate_counts(rho, POVM, n, rng)
+                counts = simulate_counts(rho, n, rng)
                 rec = fit_state(counts, n).rho
                 infids.append(1.0 - fidelity(rho, rec))
             medians.append(float(np.median(infids)))

@@ -166,6 +166,18 @@ class TestSicPovm:
             assert np.all(p <= 1.0 + 1e-12)
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_born_probabilities_match_the_bloch_closed_form(self):
+        # p_k = (1 + s_k . r) / 4, with r read off the matrix entries and the
+        # tetrahedron written out in pure Python, so a wrong Born map (a
+        # transposed or conjugated effect, a permuted outcome) shows here.
+        s = [[sign / math.sqrt(3.0) for sign in row] for row in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))]
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            rho = random_mixed(rng)
+            r = [2.0 * rho[1, 0].real, 2.0 * rho[1, 0].imag, (rho[0, 0] - rho[1, 1]).real]
+            expected = [(1.0 + sum(a * b for a, b in zip(s_k, r))) / 4.0 for s_k in s]
+            np.testing.assert_allclose(born_probabilities(rho), expected, rtol=0.0, atol=1e-15)
+
 
 class TestExpectedCounts:
     def test_maximally_mixed_splits_evenly(self):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from fsolink import quadrature
 from fsolink.quadrature import REL_TOL, QuadratureError, adaptive_simpson
 
 
@@ -39,3 +40,12 @@ def test_reports_non_convergence():
     # sin(1/x) oscillates without bound as x -> 0, so bisection runs out of depth there.
     with pytest.raises(QuadratureError):
         adaptive_simpson(lambda x: math.sin(1.0 / x) if x else 0.0, 0.0, 1.0)
+
+
+def test_depth_limit_is_max_depth(monkeypatch):
+    # With no bisection level left, Simpson's rule is still exact for a cubic,
+    # but anything it does not resolve on the first split raises.
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 0)
+    assert adaptive_simpson(lambda x: x**3 - 2 * x, 0.0, 2.0) == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(QuadratureError):
+        adaptive_simpson(lambda x: math.exp(-x / 100.0), 0.0, 5000.0)

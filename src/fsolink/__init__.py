@@ -8,8 +8,8 @@ qubit tomography experiment through the resulting channel.
 
 import os
 
-# Set before numpy loads: BLAS only sees 2x2 matrices here, and an idle
-# OpenBLAS pool spins its threads for CPU time. A caller's value is kept.
+# Set before numpy loads: only the Bures state draw reaches BLAS and LAPACK (2x2),
+# and an idle OpenBLAS pool spins its threads for CPU time. A caller's value is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .beam import BeamParams, diffraction_transmittance, spot_size

@@ -5,7 +5,8 @@ either as SI numbers (meters; degrees for angles) or as strings with an
 explicit unit ("50 cm", "1.4 rad"). Internally everything is SI with radians.
 Every key, with its kind, default, bounds and ScenarioConfig field, is one
 entry of ``_TABLE``; parsing and the normalized echo both walk it.
-Identical config + seed reproduces byte-identical CSV output.
+Identical config + seed reproduces byte-identical CSV output on one machine
+with one numpy version, at every x86 SIMD level numpy may dispatch to.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O error.
 

@@ -2,12 +2,10 @@
 
 A four-outcome SIC-POVM measures identically prepared photons; counts follow
 independent Poisson statistics at the effective photon number that survives
-the link. States are reconstructed by least squares in closed form: for the
-tetrahedral SIC-POVM the fitted Bloch vector is r = 3 sum_k (m_k/n_eff) s_k,
-projected radially onto the unit ball when it falls outside. Reconstructions
-are compared to the input via the Uhlmann-Jozsa fidelity.
-``fidelity_vs_zenith`` runs that experiment on every cell of a
-``budget.ChannelGrid``.
+the link. States are Bloch vectors, shape (..., 3), in real arithmetic. They
+are reconstructed by least squares in closed form and compared to the input
+via the Uhlmann-Jozsa fidelity. ``fidelity_vs_zenith`` runs that experiment
+on every cell of a ``budget.ChannelGrid``.
 """
 
 from __future__ import annotations
@@ -21,21 +19,17 @@ import numpy as np
 from .budget import ChannelGrid, stream_states
 from .fading import FadingModel, sample
 
-_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
 # Bloch vectors of a regular tetrahedron; pairwise dot products are -1/3.
-_TETRAHEDRON = np.array(
-    [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
-) / math.sqrt(3.0)
+_TETRAHEDRON = tuple(
+    tuple(sign / math.sqrt(3.0) for sign in row) for row in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
+)
 
 # eta * photons stays an exact integer in a float below 2**53, and the Poisson
 # means stay far below numpy's limit of about 9.2e18.
 MAX_PHOTONS = 10**15
 MAX_ENSEMBLE_SIZE = 10**6
 # Members evaluated per batch: bounds the generator states and the
-# (members, 2, 2) arrays held at once, whatever the ensemble size.
+# (members, 3) arrays held at once, whatever the ensemble size.
 _MEMBER_BLOCK = 4096
 
 
@@ -79,9 +73,10 @@ class TomographyResult:
 
 @dataclass(frozen=True)
 class Reconstruction:
-    """Fitted states, shape (..., 2, 2), and which fits saw no counts, shape (...)."""
+    """Fitted Bloch vectors (..., 3); which fits are pure and which saw no counts (...)."""
 
-    rho: np.ndarray
+    r: np.ndarray
+    pure: np.ndarray
     degenerate: np.ndarray
 
 
@@ -105,26 +100,21 @@ def sic_povm_qubit() -> np.ndarray:
     M_k = (I + s_k . sigma) / 4 with the tetrahedron Bloch vectors s_k; the
     effects sum to the identity and have pairwise overlaps tr(M_j M_k) = 1/12.
     """
-    effects = np.empty((4, 2, 2), dtype=complex)
-    for k, s in enumerate(_TETRAHEDRON):
-        effects[k] = 0.25 * (np.eye(2) + s[0] * _PAULI_X + s[1] * _PAULI_Y + s[2] * _PAULI_Z)
-    return effects
+    return 0.25 * np.array([[[1.0 + z, x - 1.0j * y], [x + 1.0j * y, 1.0 - z]] for x, y, z in _TETRAHEDRON])
 
 
-_SIC_POVM = sic_povm_qubit()
-
-
-def born_probabilities(rho: np.ndarray) -> np.ndarray:
-    """Outcome probabilities tr(M_k rho) for every SIC-POVM effect."""
-    return np.einsum("kij,ji->k", _SIC_POVM, rho).real
+def born_probabilities(r: np.ndarray) -> list[float]:
+    """Probabilities (1 + s_k . r)/4 of the SIC-POVM outcomes for the Bloch vector ``r``."""
+    x, y, z = np.asarray(r, dtype=float).tolist()
+    return [(1.0 + (sx * x + sy * y + sz * z)) / 4.0 for sx, sy, sz in _TETRAHEDRON]
 
 
 def simulate_counts(
-    rho_in: np.ndarray,
+    r_in: np.ndarray,
     n_eff: int,
     rng: np.random.Generator | int | None = None,
 ) -> np.ndarray:
-    """Poisson-fluctuated SIC-POVM counts at the effective photon number ``n_eff``.
+    """Poisson-fluctuated SIC-POVM counts of ``r_in`` at the effective photon number ``n_eff``.
 
     ``n_eff`` is an integer in [0, MAX_PHOTONS]; the mean count of effect k
     is n_eff * p_k rounded half away from zero.
@@ -134,10 +124,12 @@ def simulate_counts(
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     # One scalar draw per effect: the same draws as one call on the vector of
     # means, without its per-call array checks.
-    return np.array(
-        [gen.poisson(round_half_away(n_eff * p)) for p in born_probabilities(rho_in).tolist()],
-        dtype=np.int64,
-    )
+    return np.array([gen.poisson(round_half_away(n_eff * p)) for p in born_probabilities(r_in)], dtype=np.int64)
+
+
+def _dot(r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """r . s over the last axis, summed in a fixed order: no BLAS or SIMD reduction."""
+    return r[..., 0] * s[..., 0] + r[..., 1] * s[..., 1] + r[..., 2] * s[..., 2]
 
 
 def fit_state(counts, n_eff) -> Reconstruction:
@@ -148,7 +140,8 @@ def fit_state(counts, n_eff) -> Reconstruction:
     the cost sum_k (p_k(r) - m_k/n_eff)^2 is isotropic in the Bloch vector r.
     The best physical state therefore has r = 3 sum_k (m_k/n_eff) s_k, scaled
     back onto the unit sphere when |r| > 1 (Rehacek, Englert & Kaszlikowski,
-    PRA 70, 052321, 2004).
+    PRA 70, 052321, 2004); those fits are ``pure``. As s_k = (+-1, +-1, +-1)/sqrt(3),
+    r is sqrt(3) times signed sums of the counts over n_eff.
 
     All-zero counts carry no information: they give r = 0, the maximally
     mixed state, with ``degenerate`` set.
@@ -161,48 +154,51 @@ def fit_state(counts, n_eff) -> Reconstruction:
         raise ValueError("counts must be non-negative")
     if np.any(n_eff < 1):
         raise ValueError("n_eff must be >= 1")
-    target = counts / n_eff[..., None]
-    r = ((3.0 * target)[..., None, :] @ _TETRAHEDRON)[..., 0, :]
-    r /= np.maximum(np.sqrt((r[..., None, :] @ r[..., :, None])[..., 0, 0]), 1.0)[..., None]
-    x, y, z = np.moveaxis(r, -1, 0)
-    rho = np.moveaxis(0.5 * np.array([[1.0 + z, x - 1.0j * y], [x + 1.0j * y, 1.0 - z]]), (0, 1), (-2, -1))
-    return Reconstruction(rho=rho, degenerate=~counts.any(axis=-1))
+    m0, m1, m2, m3 = np.moveaxis(counts, -1, 0)
+    signed = np.stack([m0 + m1 - m2 - m3, m0 - m1 + m2 - m3, m0 - m1 - m2 + m3], axis=-1)
+    r = math.sqrt(3.0) * signed / n_eff[..., None]
+    norm = np.sqrt(_dot(r, r))
+    r /= np.maximum(norm, 1.0)[..., None]
+    return Reconstruction(r=r, pure=norm >= 1.0, degenerate=~counts.any(axis=-1))
 
 
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
-    """Uhlmann-Jozsa fidelity between qubit states of shape (..., 2, 2).
+def fidelity(r: np.ndarray, s: np.ndarray, pure: bool | np.ndarray = False) -> float | np.ndarray:
+    """Uhlmann-Jozsa fidelity between qubit Bloch vectors of shape (..., 3).
 
-    Uses the closed form tr(rho sigma) + 2 sqrt(det rho det sigma), which
-    equals (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 in dimension two. A pair of
-    single states gives a float, stacks give an array over (...).
+    F = (1 + r . s + sqrt((1 - |r|^2)(1 - |s|^2))) / 2 (Jozsa, J. Mod. Opt.
+    41, 2315, 1994). Where ``pure`` (broadcast over (...)) is set, either
+    state is known to be pure and the root is exactly 0; read off the
+    round-off in 1 - |r|^2 it would add about 1e-8. A pair of single states
+    gives a float, stacks give an array over (...).
     """
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape[-2:] != (2, 2) or sigma.shape[-2:] != (2, 2):
-        raise ValueError("fidelity is implemented for single-qubit states")
-    overlap = np.trace(rho @ sigma, axis1=-2, axis2=-1).real
-    det_term = np.maximum(np.linalg.det(rho).real, 0.0) * np.maximum(np.linalg.det(sigma).real, 0.0)
-    value = np.minimum(np.maximum(overlap + 2.0 * np.sqrt(det_term), 0.0), 1.0)
+    r = np.asarray(r, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if r.shape[-1:] != (3,) or s.shape[-1:] != (3,):
+        raise ValueError("fidelity takes single-qubit Bloch vectors, shape (..., 3)")
+    mixedness = np.maximum(1.0 - _dot(r, r), 0.0) * np.maximum(1.0 - _dot(s, s), 0.0)
+    root = np.where(pure, 0.0, np.sqrt(mixedness))
+    value = np.minimum(np.maximum(0.5 * (1.0 + _dot(r, s) + root), 0.0), 1.0)
     return float(value) if value.ndim == 0 else value
 
 
 def haar_random_pure(rng: np.random.Generator) -> np.ndarray:
-    """Haar-random pure qubit state as a density matrix."""
-    xr, xi = rng.normal(size=2), rng.normal(size=2)
-    v = xr + 1.0j * xi
-    # np.linalg.norm's own formula for a complex vector, without its dispatch.
-    v /= math.sqrt(xr.dot(xr) + xi.dot(xi))
-    return np.outer(v, v.conj())
+    """Bloch vector, shape (3,), of the Haar-random pure qubit state (a + ic, b + id)
+    from two normal(size=2) draws (a, b) and (c, d)."""
+    a, b = rng.normal(size=2).tolist()
+    c, d = rng.normal(size=2).tolist()
+    s = a * a + b * b + c * c + d * d
+    return np.array([2.0 * (a * b + c * d) / s, 2.0 * (a * d - c * b) / s, (a * a + c * c - b * b - d * d) / s])
 
 
 def bures_random_mixed(rng: np.random.Generator) -> np.ndarray:
-    """Bures-distributed mixed qubit state."""
+    """Bloch vector, shape (3,), of a Bures-distributed mixed qubit state."""
     g = (rng.normal(size=(2, 2)) + 1.0j * rng.normal(size=(2, 2))) / math.sqrt(2.0)
     q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1.0j * rng.normal(size=(2, 2)))
     u = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
     a = (np.eye(2) + u) @ g
     rho = a @ a.conj().T
-    return rho / np.trace(rho).real
+    rho /= np.trace(rho).real
+    return np.array([2.0 * rho[0, 1].real, -2.0 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real])
 
 
 def _member_fidelities(
@@ -217,7 +213,8 @@ def _member_fidelities(
     (members, ...) stacks. A member fails when it detects nothing, including
     when n_eff is zero.
     """
-    draw_state = haar_random_pure if config.ensemble_kind is EnsembleKind.HAAR_PURE else bures_random_mixed
+    haar = config.ensemble_kind is EnsembleKind.HAAR_PURE
+    draw_state = haar_random_pure if haar else bures_random_mixed
     fids = np.empty(config.ensemble_size)
     failures = 0
     # One generator, set to each member's stream in turn.
@@ -226,18 +223,18 @@ def _member_fidelities(
     for start in range(0, config.ensemble_size, _MEMBER_BLOCK):
         stop = min(start + _MEMBER_BLOCK, config.ensemble_size)
         n_eff = np.empty(stop - start, dtype=np.int64)
-        rho_in = np.empty((stop - start, 2, 2), dtype=complex)
-        counts = np.empty((stop - start, len(_SIC_POVM)), dtype=np.int64)
+        r_in = np.empty((stop - start, 3))
+        counts = np.empty((stop - start, len(_TETRAHEDRON)), dtype=np.int64)
         for j, state in enumerate(stream_states(config.seed, key, start, stop)):
             bit_generator.state = state
             fade = sample(fading, rng, 1)[0] if fading is not None else 1.0
             member_n_eff = round_half_away(min(eta * fade, 1.0) * config.photons)
             n_eff[j] = member_n_eff
-            rho_in[j] = draw_state(rng)
-            counts[j] = simulate_counts(rho_in[j], member_n_eff, rng)
+            r_in[j] = draw_state(rng)
+            counts[j] = simulate_counts(r_in[j], member_n_eff, rng)
         # n_eff = 0 comes with zero counts, whose fit is degenerate whatever n_eff.
         fit = fit_state(counts, np.maximum(n_eff, 1))
-        fids[start:stop] = fidelity(rho_in, fit.rho)
+        fids[start:stop] = fidelity(r_in, fit.r, fit.pure | haar)
         failures += int(np.count_nonzero(fit.degenerate))
     return fids, failures
 

@@ -174,10 +174,10 @@ def test_criterion_8_qst_round_trip():
     noiseless_fidelities = []
     rng = np.random.default_rng(88)
     for _ in range(50):
-        rho = fl.haar_random_pure(rng)
-        counts = [round_half_away(10**6 * p) for p in fl.born_probabilities(rho)]
-        rec = fl.fit_state(counts, 10**6).rho
-        noiseless_fidelities.append(fl.fidelity(rho, rec))
+        r = fl.haar_random_pure(rng)
+        counts = [round_half_away(10**6 * p) for p in fl.born_probabilities(r)]
+        rec = fl.fit_state(counts, 10**6).r
+        noiseless_fidelities.append(fl.fidelity(r, rec, True))
     noiseless_mean = float(np.mean(noiseless_fidelities))
     ok = noisy.mean_fidelity >= 0.99 and noiseless_mean >= 0.999
     _report(
@@ -224,6 +224,9 @@ def test_criterion_10_invariant_suites():
         ev = np.linalg.eigvalsh(sq @ sigma @ sq)
         return float(np.sum(np.sqrt(np.clip(ev, 0.0, None))) ** 2)
 
+    def bloch(rho):
+        return np.array([2.0 * rho[0, 1].real, -2.0 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real])
+
     fidelity_ok = True
     for _ in range(100):
         g1 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -232,9 +235,9 @@ def test_criterion_10_invariant_suites():
         rho /= np.trace(rho).real
         sigma = g2 @ g2.conj().T
         sigma /= np.trace(sigma).real
-        f = fl.fidelity(rho, sigma)
+        f = fl.fidelity(bloch(rho), bloch(sigma))
         fidelity_ok = fidelity_ok and abs(f - eig_fidelity(rho, sigma)) < 1e-10
-        fidelity_ok = fidelity_ok and abs(f - fl.fidelity(sigma, rho)) < 1e-10
+        fidelity_ok = fidelity_ok and abs(f - fl.fidelity(bloch(sigma), bloch(rho))) < 1e-10
         fidelity_ok = fidelity_ok and 0.0 <= f <= 1.0
 
     from scipy.integrate import quad

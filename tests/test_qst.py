@@ -5,7 +5,7 @@ import pytest
 
 from fsolink import qst
 from fsolink.beam import BeamParams
-from fsolink.budget import ChannelParams, FluctuationMode, channel_grid
+from fsolink.budget import ChannelParams, FluctuationMode, channel_grid, stream_states
 from fsolink.extinction import ExtinctionParams
 from fsolink.fading import FadingModel, sample
 from fsolink.qst import (
@@ -27,8 +27,10 @@ from fsolink.qst import (
 )
 
 POVM = sic_povm_qubit()
-MIXED = np.eye(2, dtype=complex) / 2.0
-KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+# Bloch vectors of the maximally mixed state and of |0><0|.
+MIXED = np.zeros(3)
+KET0 = np.array([0.0, 0.0, 1.0])
+TETRAHEDRON = [[sign / math.sqrt(3.0) for sign in row] for row in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))]
 
 
 def _member_rng(seed, *index):
@@ -36,21 +38,31 @@ def _member_rng(seed, *index):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(index)))
 
 
-def expected_counts(rho, n_photons):
+def rho_of(r):
+    """Density matrix (I + r . sigma)/2 of a Bloch vector, shape (..., 2, 2)."""
+    x, y, z = np.moveaxis(np.asarray(r, dtype=float), -1, 0)
+    return np.moveaxis(0.5 * np.array([[1.0 + z, x - 1.0j * y], [x + 1.0j * y, 1.0 - z]]), (0, 1), (-2, -1))
+
+
+def bloch_of(rho):
+    """Bloch vector (2 Re rho01, -2 Im rho01, rho00 - rho11) of a qubit density matrix."""
+    return np.array([2.0 * rho[0, 1].real, -2.0 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real])
+
+
+def expected_counts(r, n_photons):
     """Noise-free counts: the Born-rule means rounded half away from zero."""
-    return np.array([round_half_away(n_photons * p) for p in born_probabilities(rho)], dtype=np.int64)
+    return np.array([round_half_away(n_photons * p) for p in born_probabilities(r)], dtype=np.int64)
 
 
-def fit_cost(rho, counts, n_eff):
-    """The least-squares cost sum_k (tr(M_k rho) - m_k/n_eff)^2 of a fitted state."""
-    mismatch = born_probabilities(rho) - np.asarray(counts) / n_eff
+def fit_cost(r, counts, n_eff):
+    """The least-squares cost sum_k (p_k(r) - m_k/n_eff)^2 of a fitted Bloch vector."""
+    mismatch = np.array(born_probabilities(r)) - np.asarray(counts) / n_eff
     return float(mismatch @ mismatch)
 
 
 def bloch_fit_oracle(counts, n_eff):
     """r = 3 sum_k (m_k/n_eff) s_k, projected onto the unit ball, in pure Python."""
-    s = [[sign / math.sqrt(3.0) for sign in row] for row in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))]
-    r = [3.0 * sum(m / n_eff * s_k[i] for m, s_k in zip(counts, s)) for i in range(3)]
+    r = [3.0 * sum(m / n_eff * s_k[i] for m, s_k in zip(counts, TETRAHEDRON)) for i in range(3)]
     norm = math.sqrt(sum(c * c for c in r))
     return [c / norm for c in r] if norm > 1.0 else r
 
@@ -68,12 +80,36 @@ def fidelity_eig_oracle(rho, sigma):
     return float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
 
 
+def haar_rho_reference(rng):
+    """The density-matrix path: the Haar state |v><v| from the same two normal(size=2) draws."""
+    xr, xi = rng.normal(size=2), rng.normal(size=2)
+    v = xr + 1.0j * xi
+    v /= math.sqrt(xr.dot(xr) + xi.dot(xi))
+    return np.outer(v, v.conj())
+
+
+def bures_rho_reference(rng):
+    """The density-matrix path: the Bures state from the same draws and QR."""
+    g = (rng.normal(size=(2, 2)) + 1.0j * rng.normal(size=(2, 2))) / math.sqrt(2.0)
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1.0j * rng.normal(size=(2, 2)))
+    u = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+    a = (np.eye(2) + u) @ g
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def reference_probabilities(rho):
+    """tr(M_k rho) with the complex SIC-POVM effects, as the density-matrix path computed them."""
+    return np.einsum("kij,ji->k", POVM, rho).real.tolist()
+
+
 def bloch_ball_probabilities():
     """Born probabilities of a dense set of feasible states, shape (G, 4).
 
     The states are a 0.05-spaced cubic lattice of Bloch vectors inside the
     unit ball plus 4000 Fibonacci points on the sphere, where fits that leave
-    the ball are projected to.
+    the ball are projected to. The probabilities are tr(M_k rho) of the
+    complex effects, independent of ``born_probabilities``.
     """
     axis = np.linspace(-1.0, 1.0, 41)
     cube = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -83,9 +119,7 @@ def bloch_ball_probabilities():
     phi = math.pi * (3.0 - math.sqrt(5.0)) * k
     ring = np.sqrt(1.0 - z * z)
     bloch = np.vstack([inner, np.column_stack([ring * np.cos(phi), ring * np.sin(phi), z])])
-    x, y, zz = bloch.T
-    rhos = 0.5 * np.array([[1.0 + zz, x - 1.0j * y], [x + 1.0j * y, 1.0 - zz]]).transpose(2, 0, 1)
-    return np.einsum("kij,gji->gk", POVM, rhos).real
+    return np.einsum("kij,gji->gk", POVM, rho_of(bloch)).real
 
 
 def scalar_trials(config, key, eta_det, fading=None, point_fade=1.0):
@@ -95,22 +129,23 @@ def scalar_trials(config, key, eta_det, fading=None, point_fade=1.0):
     Returns the fidelities, the failures, and how many members had
     n_eff < 1 and how many drew all-zero counts.
     """
-    draw_state = haar_random_pure if config.ensemble_kind is EnsembleKind.HAAR_PURE else bures_random_mixed
+    haar = config.ensemble_kind is EnsembleKind.HAAR_PURE
+    draw_state = haar_random_pure if haar else bures_random_mixed
     fids = np.empty(config.ensemble_size)
     dead = zero = 0
     for i in range(config.ensemble_size):
         rng = _member_rng(config.seed, *key, i)
         fade = float(sample(fading, rng, 1)[0]) if fading is not None else point_fade
         eta = min(eta_det * fade, 1.0)
-        rho_in = draw_state(rng)
+        r_in = draw_state(rng)
         n_eff = round_half_away(eta * config.photons)
         if n_eff < 1:
             dead += 1
-            fids[i] = fidelity(rho_in, MIXED)
+            fids[i] = fidelity(r_in, MIXED, haar)
             continue
-        fit = fit_state(simulate_counts(rho_in, n_eff, rng), n_eff)
+        fit = fit_state(simulate_counts(r_in, n_eff, rng), n_eff)
         zero += fit.degenerate
-        fids[i] = fidelity(rho_in, fit.rho)
+        fids[i] = fidelity(r_in, fit.r, fit.pure or haar)
     return fids, dead + zero, dead, zero
 
 
@@ -119,9 +154,10 @@ def scalar_stats(fids):
 
 
 def random_mixed(rng):
+    """Bloch vector of a random full-rank qubit state."""
     g = rng.normal(size=(2, 2)) + 1.0j * rng.normal(size=(2, 2))
     rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    return bloch_of(rho / np.trace(rho).real)
 
 
 class TestRounding:
@@ -161,22 +197,20 @@ class TestSicPovm:
     def test_born_probabilities_form_distribution(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            p = born_probabilities(random_mixed(rng))
+            p = np.array(born_probabilities(random_mixed(rng)))
             assert np.all(p >= -1e-12)
             assert np.all(p <= 1.0 + 1e-12)
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_born_probabilities_match_the_bloch_closed_form(self):
-        # p_k = (1 + s_k . r) / 4, with r read off the matrix entries and the
-        # tetrahedron written out in pure Python, so a wrong Born map (a
-        # transposed or conjugated effect, a permuted outcome) shows here.
-        s = [[sign / math.sqrt(3.0) for sign in row] for row in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))]
+    def test_born_probabilities_match_the_povm_trace(self):
+        # (1 + s_k . r) / 4 against tr(M_k rho) of the complex effects, so a
+        # Bloch convention that disagrees with the POVM (a conjugated or
+        # transposed effect, a permuted outcome) shows here.
         rng = np.random.default_rng(21)
         for _ in range(200):
-            rho = random_mixed(rng)
-            r = [2.0 * rho[1, 0].real, 2.0 * rho[1, 0].imag, (rho[0, 0] - rho[1, 1]).real]
-            expected = [(1.0 + sum(a * b for a, b in zip(s_k, r))) / 4.0 for s_k in s]
-            np.testing.assert_allclose(born_probabilities(rho), expected, rtol=0.0, atol=1e-15)
+            r = random_mixed(rng)
+            expected = [np.trace(effect @ rho_of(r)).real for effect in POVM]
+            np.testing.assert_allclose(born_probabilities(r), expected, rtol=0.0, atol=1e-15)
 
 
 class TestExpectedCounts:
@@ -201,7 +235,7 @@ class TestSimulateCounts:
     def test_photon_number_is_capped(self):
         # Beyond the cap numpy's Poisson sampler would fail on its own terms.
         with pytest.raises(ValueError, match="1e\\+15"):
-            simulate_counts(np.eye(2) / 2, 10**20, 1)
+            simulate_counts(MIXED, 10**20, 1)
         with pytest.raises(ValueError, match="1e\\+15"):
             simulate_counts(MIXED, MAX_PHOTONS + 1, 1)
         assert simulate_counts(MIXED, MAX_PHOTONS, 1).sum() > 0
@@ -234,8 +268,7 @@ class TestSimulateCounts:
         # better than a part in 1e3
         rng = np.random.default_rng(8)
         lam = 4e7
-        rho = MIXED
-        draws = np.array([simulate_counts(rho, int(4 * lam), rng)[0] for _ in range(3000)], dtype=float)
+        draws = np.array([simulate_counts(MIXED, int(4 * lam), rng)[0] for _ in range(3000)], dtype=float)
         assert draws.mean() == pytest.approx(lam, rel=1e-3)
         assert draws.var(ddof=1) == pytest.approx(lam, rel=0.1)
 
@@ -244,7 +277,7 @@ class TestSimulateCounts:
             simulate_counts(KET0, -1, rng=0)
 
     @pytest.mark.parametrize(
-        "rho, photons, eta, means",
+        "r, photons, eta, means",
         [
             (KET0, 1000, 0.0, [0, 0, 0, 0]),
             (MIXED, 20, 1.0, [5, 5, 5, 5]),
@@ -255,14 +288,14 @@ class TestSimulateCounts:
         ],
     )
     @pytest.mark.parametrize("seed", [0, 5, 99])
-    def test_scalar_draws_match_one_draw_on_the_vector_of_means(self, rho, photons, eta, means, seed):
+    def test_scalar_draws_match_one_draw_on_the_vector_of_means(self, r, photons, eta, means, seed):
         gen = np.random.default_rng(seed)
         ref = np.random.default_rng()
         ref.bit_generator.state = gen.bit_generator.state
         n_eff = round_half_away(eta * photons)
-        expected = expected_counts(rho, n_eff)
+        expected = expected_counts(r, n_eff)
         assert expected.tolist() == means
-        counts = simulate_counts(rho, n_eff, gen)
+        counts = simulate_counts(r, n_eff, gen)
         assert counts.dtype == np.int64
         np.testing.assert_array_equal(counts, ref.poisson(expected.astype(float)))
         # Both consumed the same draws from the stream.
@@ -273,20 +306,22 @@ class TestReconstruct:
     def test_noiseless_round_trip_is_nearly_exact(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
-            rho = haar_random_pure(rng)
-            counts = expected_counts(rho, 10**6)
-            rec = fit_state(counts, 10**6).rho
-            assert fidelity(rho, rec) >= 0.999
+            r = haar_random_pure(rng)
+            counts = expected_counts(r, 10**6)
+            rec = fit_state(counts, 10**6).r
+            assert fidelity(r, rec, True) >= 0.999
 
     def test_uniform_counts_give_maximally_mixed(self):
-        rec = fit_state(np.array([500, 500, 500, 500]), 2000).rho
-        trace_distance = 0.5 * np.abs(np.linalg.eigvalsh(rec - MIXED)).sum()
-        assert trace_distance < 0.01
+        fit = fit_state(np.array([500, 500, 500, 500]), 2000)
+        # The trace distance of two qubit states is half the distance of their Bloch vectors.
+        assert 0.5 * np.linalg.norm(fit.r - MIXED) < 0.01
+        assert not fit.pure
 
     def test_zero_counts_fall_back_to_mixed(self):
         fit = fit_state(np.zeros(4, dtype=int), 100)
         assert fit.degenerate
-        np.testing.assert_allclose(fit.rho, MIXED, atol=1e-12)
+        assert not fit.pure
+        assert fit.r.tolist() == [0.0, 0.0, 0.0]
 
     def test_output_is_physical(self):
         rng = np.random.default_rng(77)
@@ -294,10 +329,10 @@ class TestReconstruct:
             counts = rng.integers(0, 2000, size=4)
             if not counts.any():
                 continue
-            rec = fit_state(counts, int(counts.sum())).rho
-            assert np.abs(rec - rec.conj().T).max() < 1e-12
-            assert np.trace(rec).real == pytest.approx(1.0, abs=1e-12)
-            assert np.linalg.eigvalsh(rec).min() > -1e-10
+            fit = fit_state(counts, int(counts.sum()))
+            assert fit.r.shape == (3,)
+            assert np.linalg.norm(fit.r) <= 1.0 + 1e-15
+            assert np.linalg.eigvalsh(rho_of(fit.r)).min() > -1e-10
 
     def test_matches_brute_force_bloch_ball_search(self):
         # The closed form is the exact constrained minimizer, so no feasible
@@ -312,15 +347,15 @@ class TestReconstruct:
                 counts = rng.integers(0, n_eff + 3, size=4)
             else:
                 n_eff = int(rng.integers(10, 100_000))
-                mean = n_eff * rng.uniform(0.8, 1.2) * born_probabilities(random_mixed(rng))
+                mean = n_eff * rng.uniform(0.8, 1.2) * np.array(born_probabilities(random_mixed(rng)))
                 counts = rng.poisson(mean)
             if not counts.any():
                 continue
             fit = fit_state(counts, n_eff)
-            closed = fit_cost(fit.rho, counts, n_eff)
+            closed = fit_cost(fit.r, counts, n_eff)
             grid_min = float(np.min(np.sum((grid - counts / n_eff) ** 2, axis=1)))
             assert closed <= grid_min + 1e-12
-            assert np.linalg.eigvalsh(fit.rho).min() > -1e-12
+            assert np.linalg.norm(fit.r) <= 1.0 + 1e-15
             worst_gap = max(worst_gap, grid_min - closed)
             checked += 1
         assert checked >= 190
@@ -329,14 +364,16 @@ class TestReconstruct:
     def test_two_opposite_outcomes_cost_one_sixteenth(self):
         fit = fit_state([1, 0, 0, 1], 4)
         assert not fit.degenerate
-        assert fit_cost(fit.rho, [1, 0, 0, 1], 4) == pytest.approx(1.0 / 16.0, abs=1e-15)
+        assert fit_cost(fit.r, [1, 0, 0, 1], 4) == pytest.approx(1.0 / 16.0, abs=1e-15)
 
     @pytest.mark.parametrize("n", [1, 7, 1000])
     def test_single_outcome_projects_to_pure_state(self, n):
         # r = 3 s_1 lies outside the ball; its projection is the pure state
         # along s_1, whose density matrix is twice the first effect.
         fit = fit_state([n, 0, 0, 0], n)
-        np.testing.assert_allclose(fit.rho, 2.0 * POVM[0], atol=1e-12)
+        assert fit.pure and not fit.degenerate
+        np.testing.assert_allclose(fit.r, TETRAHEDRON[0], rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(rho_of(fit.r), 2.0 * POVM[0], atol=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -357,42 +394,45 @@ class TestStackedEstimator:
         counts.reshape(-1, 4)[:3] = [[0, 0, 0, 0], [7, 0, 0, 0], [1, 0, 0, 1]]
         n_eff = rng.integers(1, 40, size=shape) if per_row_n_eff else 17
         fit = fit_state(counts, n_eff)
-        assert fit.rho.shape == shape + (2, 2)
-        assert fit.degenerate.shape == shape
+        assert fit.r.shape == shape + (3,)
+        assert fit.pure.shape == fit.degenerate.shape == shape
         for idx in np.ndindex(shape):
             one = fit_state(counts[idx], int(np.broadcast_to(n_eff, shape)[idx]))
-            assert fit.rho[idx].tobytes() == one.rho.tobytes(), idx
+            assert fit.r[idx].tobytes() == one.r.tobytes(), idx
+            assert fit.pure[idx] == one.pure, idx
             assert fit.degenerate[idx] == one.degenerate == (not counts[idx].any()), idx
 
     def test_fidelity_stack_matches_pairwise_calls(self):
         rng = np.random.default_rng(17)
-        rho = np.array([random_mixed(rng) for _ in range(6)] + [KET0, KET0]).reshape(2, 4, 2, 2)
-        sigma = np.array([haar_random_pure(rng) for _ in range(6)] + [KET0, MIXED]).reshape(2, 4, 2, 2)
-        got = fidelity(rho, sigma)
-        assert got.shape == (2, 4)
-        for idx in np.ndindex(2, 4):
-            one = fidelity(rho[idx], sigma[idx])
-            assert isinstance(one, float)
-            assert got[idx].tobytes() == np.float64(one).tobytes(), idx
+        r = np.array([random_mixed(rng) for _ in range(6)] + [KET0, KET0]).reshape(2, 4, 3)
+        s = np.array([haar_random_pure(rng) for _ in range(6)] + [KET0, MIXED]).reshape(2, 4, 3)
+        pure = np.array([[True, False, True, False], [False, False, True, True]])
+        for flags in (False, pure):
+            got = fidelity(r, s, flags)
+            assert got.shape == (2, 4)
+            for idx in np.ndindex(2, 4):
+                one = fidelity(r[idx], s[idx], np.broadcast_to(flags, (2, 4))[idx])
+                assert isinstance(one, float)
+                assert got[idx].tobytes() == np.float64(one).tobytes(), idx
         # One state against a stack broadcasts like the pairwise calls.
-        against_mixed = fidelity(rho, MIXED)
+        against_mixed = fidelity(r, MIXED)
         for idx in np.ndindex(2, 4):
-            assert against_mixed[idx].tobytes() == np.float64(fidelity(rho[idx], MIXED)).tobytes(), idx
+            assert against_mixed[idx].tobytes() == np.float64(fidelity(r[idx], MIXED)).tobytes(), idx
 
     def test_bloch_vector_matches_pure_python_closed_form(self):
         rng = np.random.default_rng(2004)
         projected = interior = 0
         for i in range(400):
             n_eff = int(rng.integers(1, 20)) if i % 2 else int(rng.integers(20, 10**6))
-            mean = n_eff * born_probabilities(random_mixed(rng))
+            mean = n_eff * np.array(born_probabilities(random_mixed(rng)))
             counts = rng.poisson(mean) if i % 2 == 0 else rng.integers(0, n_eff + 3, size=4)
             if not counts.any():
                 continue
-            rho = fit_state(counts, n_eff).rho
-            got = [2.0 * rho[1, 0].real, 2.0 * rho[1, 0].imag, (rho[0, 0] - rho[1, 1]).real]
+            fit = fit_state(counts, n_eff)
             expected = bloch_fit_oracle(counts.tolist(), n_eff)
-            assert got == pytest.approx(expected, rel=0.0, abs=1e-15), (counts, n_eff)
+            assert fit.r.tolist() == pytest.approx(expected, rel=0.0, abs=1e-15), (counts, n_eff)
             if math.hypot(*expected) >= 1.0 - 1e-12:
+                assert fit.pure, (counts, n_eff)
                 projected += 1
             else:
                 interior += 1
@@ -403,12 +443,12 @@ class TestFidelity:
     def test_self_fidelity(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            rho = random_mixed(rng)
-            assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
+            r = random_mixed(rng)
+            assert fidelity(r, r) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_pure_states(self):
-        ket1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-        assert fidelity(KET0, ket1) == 0.0
+        assert fidelity(KET0, -KET0) == 0.0
+        assert fidelity(KET0, -KET0, True) == 0.0
 
     def test_pure_state_overlap(self):
         rng = np.random.default_rng(6)
@@ -418,46 +458,50 @@ class TestFidelity:
             psi /= np.linalg.norm(psi)
             phi /= np.linalg.norm(phi)
             expected = abs(np.vdot(psi, phi)) ** 2
-            got = fidelity(np.outer(psi, psi.conj()), np.outer(phi, phi.conj()))
-            assert got == pytest.approx(expected, abs=1e-10)
+            r, s = bloch_of(np.outer(psi, psi.conj())), bloch_of(np.outer(phi, phi.conj()))
+            assert fidelity(r, s, True) == pytest.approx(expected, abs=1e-15)
+            assert fidelity(r, s) == pytest.approx(expected, abs=1e-7)
 
     def test_matches_eigendecomposition_oracle(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
-            rho, sigma = random_mixed(rng), random_mixed(rng)
-            assert fidelity(rho, sigma) == pytest.approx(fidelity_eig_oracle(rho, sigma), abs=1e-10)
+            r, s = random_mixed(rng), random_mixed(rng)
+            assert fidelity(r, s) == pytest.approx(fidelity_eig_oracle(rho_of(r), rho_of(s)), abs=1e-10)
 
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(13)
         for _ in range(100):
-            rho, sigma = random_mixed(rng), random_mixed(rng)
-            f = fidelity(rho, sigma)
+            r, s = random_mixed(rng), random_mixed(rng)
+            f = fidelity(r, s)
             assert 0.0 <= f <= 1.0
-            assert f == pytest.approx(fidelity(sigma, rho), abs=1e-10)
+            assert f == pytest.approx(fidelity(s, r), abs=1e-10)
 
     def test_unity_only_for_identical_states(self):
         rng = np.random.default_rng(14)
         for _ in range(50):
-            rho, sigma = random_mixed(rng), random_mixed(rng)
-            trace_distance = 0.5 * np.abs(np.linalg.eigvalsh(rho - sigma)).sum()
-            if trace_distance > 1e-3:
-                assert fidelity(rho, sigma) < 1.0 - 1e-8
+            r, s = random_mixed(rng), random_mixed(rng)
+            # The trace distance of two qubit states is half the distance of their Bloch vectors.
+            if 0.5 * np.linalg.norm(r - s) > 1e-3:
+                assert fidelity(r, s) < 1.0 - 1e-8
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="det of a pure state is LAPACK round-off, often positive, so 2 sqrt(det rho det sigma) adds up to ~1e-8",
-    )
     def test_pure_input_gives_the_overlap(self):
-        # For a pure rho, F(rho, sigma) = tr(rho sigma) exactly.
+        # For a pure input F(r, s) = tr(rho sigma) = (1 + r . s)/2 exactly: the
+        # root term is exactly 0, whatever round-off leaves in 1 - |r|^2.
         rng = np.random.default_rng(17)
         sigma = np.array([[0.7, 0.1 - 0.2j], [0.1 + 0.2j, 0.3]])
-        rho = np.array([haar_random_pure(rng) for _ in range(2000)])
-        overlap = np.trace(rho @ sigma, axis1=-2, axis2=-1).real
-        np.testing.assert_allclose(fidelity(rho, sigma), overlap, rtol=0.0, atol=1e-12)
+        s = bloch_of(sigma)
+        r = np.array([haar_random_pure(rng) for _ in range(2000)])
+        expected = [(1.0 + (x * s[0] + y * s[1] + z * s[2])) / 2.0 for x, y, z in r.tolist()]
+        assert fidelity(r, s, True).tolist() == expected
+        overlap = np.trace(rho_of(r) @ sigma, axis1=-2, axis2=-1).real
+        np.testing.assert_allclose(expected, overlap, rtol=0.0, atol=1e-15)
 
-    def test_rejects_larger_systems(self):
-        with pytest.raises(ValueError):
-            fidelity(np.eye(3) / 3.0, np.eye(3) / 3.0)
+    @pytest.mark.parametrize("shape", [(2, 2), (4,), (3, 2)])
+    def test_rejects_anything_but_bloch_vectors(self, shape):
+        with pytest.raises(ValueError, match="Bloch"):
+            fidelity(np.zeros(shape), MIXED)
+        with pytest.raises(ValueError, match="Bloch"):
+            fidelity(MIXED, np.zeros(shape))
 
 
 class TestRunEnsemble:
@@ -492,6 +536,16 @@ class TestRunEnsemble:
         result = run_ensemble(TomographyConfig(photons=100, transmittance=1e-6, ensemble_size=5, seed=2))
         assert result.failures == 5
         assert np.all(result.fidelities <= 1.0)
+
+    @pytest.mark.parametrize("photons, transmittance", [(100, 1e-6), (1, 0.0)])
+    def test_all_failed_haar_ensemble_reads_exactly_one_half(self, photons, transmittance):
+        # Every member fits the maximally mixed state, and a pure input has
+        # F = (1 + r . 0)/2 = 0.5 exactly; no round-off may leave the SD above 0.
+        config = TomographyConfig(photons=photons, transmittance=transmittance, ensemble_size=300, seed=2)
+        result = run_ensemble(config)
+        assert result.failures == 300
+        assert result.fidelities.tolist() == [0.5] * 300
+        assert (result.mean_fidelity, result.sd_fidelity) == (0.5, 0.0)
 
     def test_bures_ensemble_runs(self):
         config = TomographyConfig(
@@ -533,10 +587,10 @@ class TestRunEnsemble:
             infids = []
             for i in range(50):
                 rng = np.random.default_rng(10_000 + i)
-                rho = haar_random_pure(rng)
-                counts = simulate_counts(rho, n, rng)
-                rec = fit_state(counts, n).rho
-                infids.append(1.0 - fidelity(rho, rec))
+                r = haar_random_pure(rng)
+                counts = simulate_counts(r, n, rng)
+                rec = fit_state(counts, n).r
+                infids.append(1.0 - fidelity(r, rec, True))
             medians.append(float(np.median(infids)))
         assert all(b < a for a, b in zip(medians, medians[1:]))
 
@@ -629,23 +683,58 @@ class TestFidelityVsZenith:
         leo = fidelity_vs_zenith(channel_grid(self._channel(1.0), 420e3, (1.0,), [0.0]), leo_config)
         assert meo.mean_fidelity[0, 0] + meo.sd_fidelity[0, 0] < leo.mean_fidelity[0, 0]
         assert meo.failures[0, 0] == 10
+        assert (meo.mean_fidelity[0, 0], meo.sd_fidelity[0, 0]) == (0.5, 0.0)
 
 
 class TestStateGenerators:
-    def test_haar_states_are_pure_and_valid(self):
+    def test_haar_states_are_pure(self):
         rng = np.random.default_rng(21)
-        for _ in range(200):
-            rho = haar_random_pure(rng)
-            assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
-            assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
+        for _ in range(2000):
+            r = haar_random_pure(rng)
+            assert r.shape == (3,)
+            assert abs(math.sqrt(r @ r) - 1.0) <= 1e-15
 
-    def test_bures_states_are_valid_density_matrices(self):
+    def test_haar_states_are_isotropic(self):
+        # Uniform on the sphere: E[r] = 0 and E[r r^T] = I/3. The standard
+        # errors over N draws follow from Var(x) = 1/3, Var(x^2) = 4/45 and
+        # Var(xy) = 1/15, and every estimate must lie within 5 of them.
+        n = 20_000
+        rng = np.random.default_rng(2026)
+        r = np.array([haar_random_pure(rng) for _ in range(n)])
+        assert np.all(np.abs(r.mean(axis=0)) <= 5.0 * math.sqrt(1.0 / 3.0 / n))
+        second = r.T @ r / n - np.eye(3) / 3.0
+        se = np.where(np.eye(3, dtype=bool), math.sqrt(4.0 / 45.0 / n), math.sqrt(1.0 / 15.0 / n))
+        assert np.all(np.abs(second) <= 5.0 * se), second / se
+
+    def test_bures_states_are_valid(self):
         rng = np.random.default_rng(22)
         for _ in range(200):
-            rho = bures_random_mixed(rng)
-            assert np.abs(rho - rho.conj().T).max() < 1e-12
-            assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
-            assert np.linalg.eigvalsh(rho).min() > -1e-12
+            r = bures_random_mixed(rng)
+            assert r.shape == (3,)
+            assert np.linalg.norm(r) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize(
+        "draw, draw_rho, members",
+        [(haar_random_pure, haar_rho_reference, 20_000), (bures_random_mixed, bures_rho_reference, 2_000)],
+    )
+    def test_counts_match_the_density_matrix_path(self, draw, draw_rho, members):
+        # Each member stream draws its state once as a Bloch vector and once
+        # through the density-matrix reference. The rounded Born means, and
+        # so the Poisson draws, agree exactly at the default photon number and
+        # at 1e11. At MAX_PHOTONS a mean near 1e14 is rounded from
+        # differently rounded probabilities and may move by one count.
+        gen, ref = np.random.default_rng(0), np.random.default_rng(0)
+        for state in stream_states(0, (0, 0), 0, members):
+            gen.bit_generator.state = ref.bit_generator.state = state
+            r, rho = draw(gen), draw_rho(ref)
+            assert gen.bit_generator.state == ref.bit_generator.state
+            p, p_ref = born_probabilities(r), reference_probabilities(rho)
+            for n in (200_000, 10**11):
+                assert [round_half_away(n * x) for x in p] == [round_half_away(n * x) for x in p_ref], n
+            means = [float(round_half_away(200_000 * x)) for x in p_ref]
+            assert simulate_counts(r, 200_000, gen).tolist() == ref.poisson(means).tolist()
+            diff = [round_half_away(MAX_PHOTONS * x) - round_half_away(MAX_PHOTONS * y) for x, y in zip(p, p_ref)]
+            assert max(map(abs, diff)) <= 1
 
     def test_tomography_config_validation(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,8 @@ explicit unit ("50 cm", "1.4 rad"). Internally everything is SI with radians.
 Every key, with its kind, default, bounds and ScenarioConfig field, is one
 entry of ``_TABLE``; parsing and the normalized echo both walk it.
 Identical config + seed reproduces byte-identical CSV output on one machine
-with one numpy version, at every x86 SIMD level numpy may dispatch to.
+with one numpy version; tests/test_golden.py checks each x86 SIMD level the
+CPU offers.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O error.
 

@@ -100,7 +100,10 @@ def sic_povm_qubit() -> np.ndarray:
     M_k = (I + s_k . sigma) / 4 with the tetrahedron Bloch vectors s_k; the
     effects sum to the identity and have pairwise overlaps tr(M_j M_k) = 1/12.
     """
-    return 0.25 * np.array([[[1.0 + z, x - 1.0j * y], [x + 1.0j * y, 1.0 - z]] for x, y, z in _TETRAHEDRON])
+    effects = np.empty((len(_TETRAHEDRON), 2, 2), dtype=complex)
+    for k, (x, y, z) in enumerate(_TETRAHEDRON):
+        effects[k] = 0.25 * np.array([[1.0 + z, x - 1.0j * y], [x + 1.0j * y, 1.0 - z]])
+    return effects
 
 
 def born_probabilities(r: np.ndarray) -> list[float]:
@@ -124,7 +127,10 @@ def simulate_counts(
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     # One scalar draw per effect: the same draws as one call on the vector of
     # means, without its per-call array checks.
-    return np.array([gen.poisson(round_half_away(n_eff * p)) for p in born_probabilities(r_in)], dtype=np.int64)
+    return np.array(
+        [gen.poisson(round_half_away(n_eff * p)) for p in born_probabilities(r_in)],
+        dtype=np.int64,
+    )
 
 
 def _dot(r: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -167,9 +173,10 @@ def fidelity(r: np.ndarray, s: np.ndarray, pure: bool | np.ndarray = False) -> f
 
     F = (1 + r . s + sqrt((1 - |r|^2)(1 - |s|^2))) / 2 (Jozsa, J. Mod. Opt.
     41, 2315, 1994). Where ``pure`` (broadcast over (...)) is set, either
-    state is known to be pure and the root is exactly 0; read off the
-    round-off in 1 - |r|^2 it would add about 1e-8. A pair of single states
-    gives a float, stacks give an array over (...).
+    state is known to be pure and the root is exactly 0; taken from 1 - |r|^2,
+    the root of a pure state paired with a mixed one is round-off of up to
+    about 1e-8. A pair of single states gives a float, stacks give an array
+    over (...).
     """
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)

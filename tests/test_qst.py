@@ -460,7 +460,7 @@ class TestFidelity:
             expected = abs(np.vdot(psi, phi)) ** 2
             r, s = bloch_of(np.outer(psi, psi.conj())), bloch_of(np.outer(phi, phi.conj()))
             assert fidelity(r, s, True) == pytest.approx(expected, abs=1e-15)
-            assert fidelity(r, s) == pytest.approx(expected, abs=1e-7)
+            assert fidelity(r, s) == pytest.approx(expected, abs=1e-10)
 
     def test_matches_eigendecomposition_oracle(self):
         rng = np.random.default_rng(12)

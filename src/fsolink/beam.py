@@ -36,11 +36,11 @@ def spot_size(params: BeamParams, z_m: float) -> float:
     return params.waist_m * math.sqrt(1.0 + (z_m / params.rayleigh_range_m) ** 2)
 
 
-def diffraction_transmittance(params: BeamParams, z_m: float) -> float:
-    """Fraction of beam power collected by the receiver at range ``z_m``.
+def encircled_energy(radius_m: float, spot_m: float) -> float:
+    """Power of a centered Gaussian spot of 1/e^2 radius w inside a disc of radius a: 1 - exp(-2 a^2 / w^2)."""
+    return 1.0 - math.exp(-2.0 * radius_m**2 / spot_m**2)
 
-    Encircled energy of a centered Gaussian over a disc of radius a_R:
-    1 - exp(-2 a_R^2 / w^2(z)).
-    """
-    w = spot_size(params, z_m)
-    return 1.0 - math.exp(-2.0 * params.receiver_radius_m**2 / w**2)
+
+def diffraction_transmittance(params: BeamParams, z_m: float) -> float:
+    """Fraction of beam power collected by the receiver at range ``z_m``."""
+    return encircled_energy(params.receiver_radius_m, spot_size(params, z_m))

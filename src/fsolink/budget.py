@@ -15,12 +15,12 @@ import enum
 import math
 import operator
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .beam import BeamParams, diffraction_transmittance
+from .beam import BeamParams, diffraction_transmittance, encircled_energy, spot_size
 from .extinction import ExtinctionParams, slant_transmittance
 from .geometry import EARTH_RADIUS_M, LinkGeometry, slant_range
 from .turbulence import (
@@ -31,6 +31,7 @@ from .turbulence import (
     av_andrews,
     av_giggenbach,
     av_yura,
+    giggenbach_layer_distance,
     psi,
     rytov_downlink,
     scintillation_index,
@@ -95,62 +96,58 @@ class SweepResult:
 class ChannelGrid:
     """The slant-path channel over a (diameter, zenith) grid; 2-D arrays are (nD, nZ).
 
-    ``beams`` holds the beam with each diameter's receiver and ``range_m`` the
-    slant range per zenith angle. ``eta_det`` is the transmittance at unit
-    intensity, eta_int * eta_atm * eta_d; ``av`` is the configured model's
-    aperture-averaging factor and ``sigma_j2`` the log-variance of the
-    intensity factor in the configured fluctuation mode. These three are
-    evaluated on first access, so a reduction computes only what it reads:
-    the aperture-averaging table never evaluates extinction or diffraction,
-    and a deterministic sweep no Cn^2 profile integral.
+    ``range_m`` is the slant range per zenith angle, ``eta_atm`` (nZ) the
+    extinction and ``eta_d`` the diffraction into receivers of radius D/2.
+    ``eta_det`` = eta_int * eta_atm * eta_d is the transmittance at unit
+    intensity, ``av`` the configured aperture-averaging factor and ``sigma_j2``
+    the log-variance of the intensity factor in the configured fluctuation
+    mode. All but ``range_m`` are evaluated on first access, so a reduction
+    computes only what it reads: the aperture-averaging table never evaluates
+    extinction or diffraction, and a deterministic sweep no Cn^2 integral.
     """
 
     params: ChannelParams
     altitude_m: float
     zenith_rad: np.ndarray
     diameters_m: np.ndarray
-    beams: tuple[BeamParams, ...]
     range_m: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.diameters_m), len(self.zenith_rad)
 
+    # compose's scalar arithmetic per factor; the products round exactly, so each cell has compose's bits.
+    @cached_property
+    def eta_atm(self) -> np.ndarray:
+        ext = self.params.extinction
+        return np.array([slant_transmittance(ext, self.altitude_m, zen) for zen in self.zenith_rad.tolist()])
+
+    @cached_property
+    def eta_d(self) -> np.ndarray:
+        spots = [spot_size(self.params.beam, path) for path in self.range_m.tolist()]
+        eta_d = [[encircled_energy(d / 2.0, w) for w in spots] for d in self.diameters_m.tolist()]
+        return np.array(eta_d, dtype=float).reshape(self.shape)
+
     @cached_property
     def eta_det(self) -> np.ndarray:
-        # Extinction once per zenith angle, diffraction once per cell, with the
-        # same scalar arithmetic as compose.
-        p = self.params
-        eta_det = np.empty(self.shape)
-        for zi, (zen, path) in enumerate(zip(self.zenith_rad.tolist(), self.range_m.tolist())):
-            eta_atm = slant_transmittance(p.extinction, self.altitude_m, zen)
-            for di, beam in enumerate(self.beams):
-                eta_det[di, zi] = p.eta_int * eta_atm * diffraction_transmittance(beam, path)
-        return eta_det
+        return self.params.eta_int * self.eta_atm * self.eta_d
 
     @cached_property
     def av(self) -> np.ndarray:
-        # The model's input once per zenith angle (slant range, elevation in
-        # degrees or zenith angle) and Yura's scale height once per grid.
+        # The model's input once per zenith angle (slant range, Giggenbach's
+        # layer distance or zenith angle) and Yura's scale height once per grid.
         p = self.params
         model, wavelength = p.aperture_model, p.beam.wavelength_m
+        diameters, zeniths = self.diameters_m.tolist(), self.zenith_rad.tolist()
         if model.kind is ApertureModelKind.ANDREWS:
-            per_zenith = self.range_m.tolist()
-
-            def cell(diameter: float, path: float) -> float:
-                return av_andrews(diameter, wavelength, path)
+            paths = self.range_m.tolist()
+            av = [[av_andrews(d, wavelength, path) for path in paths] for d in diameters]
         elif model.kind is ApertureModelKind.GIGGENBACH:
-            per_zenith = [90.0 - abs(math.degrees(zen)) for zen in self.zenith_rad.tolist()]
-
-            def cell(diameter: float, elevation: float) -> float:
-                return av_giggenbach(diameter, wavelength, elevation, model)
+            layers = [giggenbach_layer_distance(90.0 - abs(math.degrees(zen)), model) for zen in zeniths]
+            av = [[av_giggenbach(d, wavelength, layer) for layer in layers] for d in diameters]
         else:
-            per_zenith = self.zenith_rad.tolist()
             h_s = turbulence_scale_height(p.turbulence, self.altitude_m)
-
-            def cell(diameter: float, zen: float) -> float:
-                return av_yura(diameter, wavelength, h_s, zen)
-        av = [[cell(diameter, x) for x in per_zenith] for diameter in self.diameters_m.tolist()]
+            av = [[av_yura(d, wavelength, h_s, zen) for zen in zeniths] for d in diameters]
         return np.array(av, dtype=float).reshape(self.shape)
 
     @cached_property
@@ -178,23 +175,24 @@ def channel_grid(
 ) -> ChannelGrid:
     """The channel over a (diameter, zenith) grid for one pass.
 
-    The station sits at ``params.turbulence.h_ogs_m``. Only the beams and the
-    slant range per zenith angle are computed here, so a receiver radius that
-    is not positive is rejected whatever a reduction reads; ``eta_det``,
-    ``av`` and ``sigma_j2`` follow on first access. The Cn^2 profile moments
-    behind ``sigma_j2`` and ``av`` are memoized, so each is integrated once
-    however large the grid, and Yura's scale height is computed once per grid.
+    The station sits at ``params.turbulence.h_ogs_m``. Only the slant range
+    per zenith angle is computed here, and a receiver radius (D/2) that is not
+    positive is rejected whatever a reduction reads; the rest follows on first
+    access. The Cn^2 profile moments behind ``sigma_j2`` and ``av`` are
+    memoized, so each is integrated once however large the grid, and Yura's
+    scale height is computed once per grid.
     """
     diameters = np.asarray(list(diameters_m), dtype=float)
     zeniths = np.asarray(list(zenith_grid_rad), dtype=float)
     if np.any(np.abs(zeniths) > math.radians(80.0) + 1e-12):
         raise ValueError("zenith grid must lie within +/-80 degrees")
-    beams = tuple(replace(params.beam, receiver_radius_m=diam / 2.0) for diam in diameters.tolist())
+    if any(diam / 2.0 <= 0 for diam in diameters.tolist()):
+        raise ValueError("every receiver radius (half the diameter) must be > 0")
     ranges = np.array([
         slant_range(LinkGeometry(altitude_m, zen, params.turbulence.h_ogs_m, earth_radius_m))
         for zen in zeniths.tolist()
     ])
-    return ChannelGrid(params, altitude_m, zeniths, diameters, beams, ranges)
+    return ChannelGrid(params, altitude_m, zeniths, diameters, ranges)
 
 
 def compose(params: ChannelParams, geom: LinkGeometry, intensity: float = 1.0) -> TransmittanceBreakdown:
@@ -436,9 +434,10 @@ def sweep_pass(grid: ChannelGrid, draws_per_point: int = 10_000, seed: int = 0) 
     # loss -10 log10(eta_det I) is affine and falling in the standard normal
     # z: loss0 + c sigma^2/2 - c sigma z, with c = 10/ln 10. It is applied
     # once to the whole grid with + - * / and sqrt, which round exactly as
-    # the scalar arithmetic of one cell would.
+    # the scalar arithmetic of one cell would. loss0 takes math.log10 per cell,
+    # as compose does: numpy's AVX-512 log10 can differ in the last bit.
     c = 10.0 / math.log(10.0)
-    loss0 = -10.0 * np.log10(eta_det)
+    loss0 = np.array([-10.0 * math.log10(eta) for eta in eta_det.ravel().tolist()]).reshape(n_d, n_z)
     slope = c * np.sqrt(sigma_j2)
     mean = loss0 + c * sigma_j2 / 2.0 - slope * z_mean.reshape(n_d, n_z)
     sd = slope * np.sqrt(z_ss.reshape(n_d, n_z) / (n - 1)) if n > 1 else np.zeros_like(mean)

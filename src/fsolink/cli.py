@@ -333,7 +333,7 @@ def parse_config(document: str | dict) -> ScenarioConfig:
         problems.append("geometry.satellite_altitude must exceed geometry.ogs_altitude")
     if altitudes is not None and ogs is not None and any(a <= ogs for a in altitudes):
         problems.append("geometry.altitudes must all exceed geometry.ogs_altitude")
-    # The beams take half of each diameter as their receiver radius.
+    # The channel grid takes half of each diameter as a receiver radius.
     problems += [
         f"sweep.diameters[{i}]: the receiver radius {diameter!r} m / 2 underflows to 0"
         for i, diameter in enumerate(values.get("diameters_m", ())) if diameter / 2.0 == 0.0
@@ -356,7 +356,7 @@ def parse_config(document: str | dict) -> ScenarioConfig:
     fields.setdefault("altitudes_m", (fields["satellite_altitude_m"],))
     ch = fields["channel"]
     fields["channel"] = ChannelParams(
-        beam=BeamParams(receiver_radius_m=fields["diameters_m"][0] / 2.0, **ch.pop("beam")),
+        beam=BeamParams(**ch.pop("beam")),
         extinction=ExtinctionParams(**ch.pop("extinction")),
         turbulence=TurbulenceProfile(h_ogs_m=fields["ogs_altitude_m"], **ch.pop("turbulence")),
         aperture_model=ApertureModel(**ch.pop("aperture_model")),

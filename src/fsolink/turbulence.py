@@ -222,13 +222,12 @@ def giggenbach_layer_distance(elevation_deg: float, model: ApertureModel) -> flo
     return model.tropopause_m * t / (t * t + t_max * t_max)
 
 
-def av_giggenbach(diameter_m: float, wavelength_m: float, elevation_deg: float, model: ApertureModel) -> float:
-    """Giggenbach aperture-averaging factor [1 + 1.062 k D^2 / (9 L')]^(-7/6)."""
+def av_giggenbach(diameter_m: float, wavelength_m: float, layer_m: float) -> float:
+    """Giggenbach aperture-averaging factor [1 + 1.062 k D^2 / (9 L')]^(-7/6), L' from ``giggenbach_layer_distance``."""
     if diameter_m <= 0:
         raise ValueError("diameter_m must be > 0")
-    layer = giggenbach_layer_distance(elevation_deg, model)
     k = 2.0 * math.pi / wavelength_m
-    return (1.0 + 1.062 * k * diameter_m**2 / (9.0 * layer)) ** (-7.0 / 6.0)
+    return (1.0 + 1.062 * k * diameter_m**2 / (9.0 * layer_m)) ** (-7.0 / 6.0)
 
 
 def turbulence_scale_height(profile: TurbulenceProfile, altitude_m: float) -> float:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsolink import budget, turbulence
+from fsolink import beam, budget, turbulence
 from fsolink.beam import BeamParams
 from fsolink.budget import (
     LEO_ALTITUDE_M,
@@ -21,6 +21,7 @@ from fsolink.budget import (
     stream_states,
     sweep_pass,
 )
+from fsolink.cli import parse_config
 from fsolink.extinction import ExtinctionParams
 from fsolink.fading import FadingModel, sample
 from fsolink.geometry import LinkGeometry, slant_range
@@ -32,6 +33,7 @@ from fsolink.turbulence import (
     av_andrews,
     av_giggenbach,
     av_yura,
+    giggenbach_layer_distance,
     psi,
     rytov_downlink,
     scintillation_index,
@@ -167,9 +169,25 @@ class TestSweepPass:
         assert np.all(res.p05_db <= res.p50_db)
         assert np.all(res.p50_db <= res.p95_db)
 
+    def test_deterministic_loss_is_compose_loss_bit_for_bit(self):
+        # The CLI's default 4 x 161 grid. numpy's AVX-512 log10 differs from
+        # math.log10 by an ulp on some of its cells.
+        cfg = parse_config("{}")
+        grid = channel_grid(cfg.channel, cfg.satellite_altitude_m, cfg.diameters_m, cfg.zenith_grid_rad())
+        loss = sweep_pass(grid, draws_per_point=1).mean_loss_db
+        assert loss.shape == (4, 161)
+        for di, diameter in enumerate(cfg.diameters_m):
+            cell_params = replace(cfg.channel, beam=replace(cfg.channel.beam, receiver_radius_m=diameter / 2.0))
+            for zi, zenith in enumerate(grid.zenith_rad.tolist()):
+                geom = LinkGeometry(cfg.satellite_altitude_m, zenith, cfg.ogs_altitude_m, cfg.earth_radius_m)
+                assert loss[di, zi] == compose(cell_params, geom).loss_db
+
     def test_rejects_out_of_range_grid(self):
         with pytest.raises(ValueError):
             channel_grid(default_channel(), LEO_ALTITUDE_M, (0.5,), [math.radians(85.0)])
+        for diameter in (0.0, -1.0, 5e-324):
+            with pytest.raises(ValueError, match="receiver radius"):
+                channel_grid(default_channel(), LEO_ALTITUDE_M, (0.5, diameter), [0.0])
         with pytest.raises(ValueError):
             sweep_pass(channel_grid(default_channel(), LEO_ALTITUDE_M, (0.5,), [0.0]), 0, seed=0)
 
@@ -227,7 +245,8 @@ def _scalar_sigma_j2(params, altitude_m, zenith_rad, diameter_m):
         path = slant_range(LinkGeometry(altitude_m, zenith_rad, params.turbulence.h_ogs_m))
         av = av_andrews(diameter_m, wavelength, path)
     elif model.kind is ApertureModelKind.GIGGENBACH:
-        av = av_giggenbach(diameter_m, wavelength, 90.0 - abs(math.degrees(zenith_rad)), model)
+        layer = giggenbach_layer_distance(90.0 - abs(math.degrees(zenith_rad)), model)
+        av = av_giggenbach(diameter_m, wavelength, layer)
     else:
         h_s = turbulence_scale_height(params.turbulence, altitude_m)
         av = av_yura(diameter_m, wavelength, h_s, zenith_rad)
@@ -246,7 +265,10 @@ class TestChannelGrid:
             cell_params = replace(params, beam=replace(params.beam, receiver_radius_m=diameter / 2.0))
             for zi, zenith in enumerate(GRID_ZENITHS.tolist()):
                 geom = LinkGeometry(LEO_ALTITUDE_M, zenith, params.turbulence.h_ogs_m)
-                assert grid.eta_det[di, zi] == compose(cell_params, geom).eta_total
+                bd = compose(cell_params, geom)
+                assert grid.eta_atm[zi] == bd.eta_atm
+                assert grid.eta_d[di, zi] == bd.eta_d
+                assert grid.eta_det[di, zi] == bd.eta_total
                 assert grid.sigma_j2[di, zi] == _scalar_sigma_j2(params, LEO_ALTITUDE_M, zenith, diameter)
 
     def test_av_and_sigma_j2_evaluate_no_transmittance(self):
@@ -259,6 +281,23 @@ class TestChannelGrid:
         assert grid.av.tobytes() == reference.av.tobytes()
         with pytest.raises(ZeroDivisionError):
             grid.eta_det
+
+    def test_each_factor_runs_once_per_value_of_its_axis(self, monkeypatch):
+        calls = []
+
+        def counting(name, real):
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+
+        for module, name in ((beam, "spot_size"), (budget, "spot_size"), (budget, "slant_transmittance"),
+                             (budget, "giggenbach_layer_distance")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        params = _grid_params(FluctuationMode.PSI, ApertureModelKind.GIGGENBACH, ScintillationVariant.SEVEN_SIXTHS)
+        grid = channel_grid(params, LEO_ALTITUDE_M, GRID_DIAMETERS, GRID_ZENITHS)
+        assert grid.eta_det.shape == grid.sigma_j2.shape == (3, 5)
+        assert sorted(calls) == ["giggenbach_layer_distance"] * 5 + ["slant_transmittance"] * 5 + ["spot_size"] * 5
 
     @pytest.mark.parametrize(
         "mode, kind, integrals",

@@ -62,7 +62,6 @@ class TestParseConfig:
         assert cfg.satellite_altitude_m == pytest.approx(420e3)
         assert cfg.channel.beam.wavelength_m == pytest.approx(1.55e-6)
         assert cfg.diameters_m[0] == pytest.approx(0.5)
-        assert cfg.channel.beam.receiver_radius_m == pytest.approx(0.25)
         assert cfg.zenith_step_rad == pytest.approx(math.radians(2.0))
 
     def test_angles_accept_radians_suffix(self):

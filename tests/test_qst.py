@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import binom, norm
 
 from fsolink import qst
 from fsolink.beam import BeamParams
@@ -747,3 +748,51 @@ class TestStateGenerators:
         with pytest.raises(ValueError, match="1e\\+06"):
             TomographyConfig(ensemble_size=MAX_ENSEMBLE_SIZE + 1)
         assert TomographyConfig(ensemble_size=MAX_ENSEMBLE_SIZE).ensemble_size == MAX_ENSEMBLE_SIZE
+
+
+def _poisson_pmf(mean, top):
+    """P(c) of a Poisson count with the given mean, for c = 0..top."""
+    pmf = [math.exp(-mean)]
+    for c in range(top):
+        pmf.append(pmf[-1] * mean / (c + 1))
+    return np.array(pmf)
+
+
+class TestExactOracle:
+    """E[F] and the failure probability at small n_eff, summed exactly over the Poisson count lattice."""
+
+    TRIALS = 5000
+    # Fixed before the comparison was run; a miss is a finding, not a reason to retune.
+    MAX_STANDARD_ERRORS = 5.0
+
+    @staticmethod
+    def _lattice(r, n_eff, pure_input):
+        means = [round_half_away(n_eff * p) for p in born_probabilities(r)]
+        # Each axis ends where its Poisson tail is far below 1e-12.
+        pmfs = [_poisson_pmf(m, int(m + 12 + 8 * math.sqrt(m + 1))) for m in means]
+        weight = pmfs[0][:, None, None, None] * pmfs[1][:, None, None] * pmfs[2][:, None] * pmfs[3]
+        assert weight.sum() >= 1.0 - 1e-12
+        counts = np.stack(np.meshgrid(*[np.arange(len(p)) for p in pmfs], indexing="ij"), axis=-1)
+        fit = fit_state(counts, n_eff)
+        f = fidelity(r, fit.r, fit.pure | pure_input)
+        mean_f = float((weight * f).sum())
+        return means, mean_f, float((weight * (f - mean_f) ** 2).sum())
+
+    @pytest.mark.parametrize("n_eff", [2, 5, 10])
+    @pytest.mark.parametrize("r, pure_input", [((0.0, 0.0, 1.0), True), ((0.3, -0.2, 0.4), False)])
+    def test_monte_carlo_matches_the_lattice(self, r, pure_input, n_eff):
+        r = np.array(r)
+        means, mean_f, var_f = self._lattice(r, n_eff, pure_input)
+        p_fail = math.exp(-sum(means))
+
+        rng = np.random.default_rng(4711)
+        counts = np.array([simulate_counts(r, n_eff, rng) for _ in range(self.TRIALS)])
+        fit = fit_state(counts, n_eff)
+        f = fidelity(r, fit.r, fit.pure | pure_input)
+        z_f = (f.mean() - mean_f) / math.sqrt(var_f / self.TRIALS)
+        assert abs(z_f) <= self.MAX_STANDARD_ERRORS, (means, mean_f, f.mean())
+        # At n_eff = 10 fewer than one failure is expected in all trials, so the
+        # failure count is held to its exact binomial tail at the same level.
+        failed = int(fit.degenerate.sum())
+        tail = min(binom.cdf(failed, self.TRIALS, p_fail), binom.sf(failed - 1, self.TRIALS, p_fail))
+        assert tail >= norm.sf(self.MAX_STANDARD_ERRORS), (means, p_fail * self.TRIALS, failed)

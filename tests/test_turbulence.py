@@ -194,7 +194,7 @@ class TestApertureAveraging:
     def test_point_aperture_limits(self):
         model = ApertureModel()
         assert av_andrews(1e-9, WAVELENGTH, 420e3) == pytest.approx(1.0, abs=1e-6)
-        assert av_giggenbach(1e-9, WAVELENGTH, 45.0, model) == pytest.approx(1.0, abs=1e-6)
+        assert av_giggenbach(1e-9, WAVELENGTH, giggenbach_layer_distance(45.0, model)) == pytest.approx(1.0, abs=1e-6)
         h_s = turbulence_scale_height(DEFAULTS, 420e3)
         assert av_yura(1e-9, WAVELENGTH, h_s, 0.0) == pytest.approx(1.0, abs=1e-9)
 
@@ -242,7 +242,7 @@ class TestApertureAveraging:
         h_s = turbulence_scale_height(DEFAULTS, 420e3)
         formula = {
             ApertureModelKind.ANDREWS: lambda d: av_andrews(d, WAVELENGTH, 420e3),
-            ApertureModelKind.GIGGENBACH: lambda d: av_giggenbach(d, WAVELENGTH, 45.0, model),
+            ApertureModelKind.GIGGENBACH: lambda d: av_giggenbach(d, WAVELENGTH, giggenbach_layer_distance(45.0, model)),
             ApertureModelKind.YURA: lambda d: av_yura(d, WAVELENGTH, h_s, math.radians(45.0)),
         }[kind]
         values = [formula(d) for d in np.linspace(0.05, 2.0, 25).tolist()]
@@ -257,9 +257,11 @@ class TestApertureAveraging:
     def test_domain_errors(self):
         model = ApertureModel()
         with pytest.raises(ValueError):
-            av_giggenbach(0.5, WAVELENGTH, 0.0, model)
+            giggenbach_layer_distance(0.0, model)
         with pytest.raises(ValueError):
-            av_giggenbach(0.5, WAVELENGTH, -5.0, model)
+            giggenbach_layer_distance(-5.0, model)
+        with pytest.raises(ValueError):
+            av_giggenbach(0.0, WAVELENGTH, 12e3)
         with pytest.raises(ValueError):
             av_andrews(0.0, WAVELENGTH, 420e3)
 

@@ -12,7 +12,7 @@ import os
 # and an idle OpenBLAS pool spins its threads for CPU time. A caller's value is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .beam import BeamParams, diffraction_transmittance, spot_size
+from .beam import BeamParams, spot_size
 from .budget import (
     LEO_ALTITUDE_M,
     MEO_ALTITUDE_M,
@@ -32,7 +32,7 @@ from .extinction import (
     slant_transmittance,
     zenith_transmittance,
 )
-from .fading import FadingModel, pdf, sample
+from .fading import pdf, sample
 from .geometry import (
     EARTH_MU_M3_S2,
     EARTH_RADIUS_M,

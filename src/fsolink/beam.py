@@ -13,14 +13,13 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class BeamParams:
-    """Transmit beam and receiver aperture. ``waist_m`` is the 1/e^2 radius."""
+    """Transmit beam. ``waist_m`` is the 1/e^2 radius."""
 
     wavelength_m: float = 1550e-9
     waist_m: float = 0.01
-    receiver_radius_m: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("wavelength_m", "waist_m", "receiver_radius_m"):
+        for name in ("wavelength_m", "waist_m"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
 
@@ -40,7 +39,3 @@ def encircled_energy(radius_m: float, spot_m: float) -> float:
     """Power of a centered Gaussian spot of 1/e^2 radius w inside a disc of radius a: 1 - exp(-2 a^2 / w^2)."""
     return 1.0 - math.exp(-2.0 * radius_m**2 / spot_m**2)
 
-
-def diffraction_transmittance(params: BeamParams, z_m: float) -> float:
-    """Fraction of beam power collected by the receiver at range ``z_m``."""
-    return encircled_energy(params.receiver_radius_m, spot_size(params, z_m))

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .beam import BeamParams, diffraction_transmittance, encircled_energy, spot_size
+from .beam import BeamParams, encircled_energy, spot_size
 from .extinction import ExtinctionParams, slant_transmittance
 from .geometry import EARTH_RADIUS_M, LinkGeometry, slant_range
 from .turbulence import (
@@ -40,6 +40,9 @@ from .turbulence import (
 
 LEO_ALTITUDE_M = 420e3
 MEO_ALTITUDE_M = 20_200e3
+
+# A grid may reach +/-80 degrees; the slack admits "80 deg" after rounding.
+ZENITH_BOUND_RAD = math.radians(80.0) + 1e-12
 
 
 class FluctuationMode(enum.Enum):
@@ -176,17 +179,18 @@ def channel_grid(
     """The channel over a (diameter, zenith) grid for one pass.
 
     The station sits at ``params.turbulence.h_ogs_m``. Only the slant range
-    per zenith angle is computed here, and a receiver radius (D/2) that is not
-    positive is rejected whatever a reduction reads; the rest follows on first
-    access. The Cn^2 profile moments behind ``sigma_j2`` and ``av`` are
+    per zenith angle is computed here. A zenith angle beyond
+    ``ZENITH_BOUND_RAD`` and a receiver radius (D/2) that is not positive are
+    rejected, NaN included, whatever a reduction reads; the rest follows on
+    first access. The Cn^2 profile moments behind ``sigma_j2`` and ``av`` are
     memoized, so each is integrated once however large the grid, and Yura's
     scale height is computed once per grid.
     """
     diameters = np.asarray(list(diameters_m), dtype=float)
     zeniths = np.asarray(list(zenith_grid_rad), dtype=float)
-    if np.any(np.abs(zeniths) > math.radians(80.0) + 1e-12):
+    if not np.all(np.abs(zeniths) <= ZENITH_BOUND_RAD):
         raise ValueError("zenith grid must lie within +/-80 degrees")
-    if any(diam / 2.0 <= 0 for diam in diameters.tolist()):
+    if not all(diam / 2.0 > 0 for diam in diameters.tolist()):
         raise ValueError("every receiver radius (half the diameter) must be > 0")
     ranges = np.array([
         slant_range(LinkGeometry(altitude_m, zen, params.turbulence.h_ogs_m, earth_radius_m))
@@ -195,16 +199,21 @@ def channel_grid(
     return ChannelGrid(params, altitude_m, zeniths, diameters, ranges)
 
 
-def compose(params: ChannelParams, geom: LinkGeometry, intensity: float = 1.0) -> TransmittanceBreakdown:
-    """Evaluate the four-factor transmittance for one geometry and one fade.
+def compose(
+    params: ChannelParams, geom: LinkGeometry, diameter_m: float, intensity: float = 1.0
+) -> TransmittanceBreakdown:
+    """Evaluate the four-factor transmittance for one geometry, one receiver and one fade.
 
-    ``intensity`` is the relative intensity factor for this instant (1 for a
-    deterministic channel).
+    ``diameter_m`` is the receiver diameter and ``intensity`` the relative
+    intensity factor for this instant (1 for a deterministic channel). This is
+    the scalar reference for one cell of :func:`channel_grid`.
     """
-    if intensity <= 0:
+    if not diameter_m / 2.0 > 0:
+        raise ValueError("the receiver radius (half the diameter) must be > 0")
+    if not intensity > 0:
         raise ValueError("intensity must be > 0")
     eta_atm = slant_transmittance(params.extinction, geom.satellite_altitude_m, geom.zenith_angle_rad)
-    eta_d = diffraction_transmittance(params.beam, slant_range(geom))
+    eta_d = encircled_energy(diameter_m / 2.0, spot_size(params.beam, slant_range(geom)))
     eta_total = params.eta_int * eta_atm * eta_d * intensity
     return TransmittanceBreakdown(
         eta_int=params.eta_int,

@@ -34,7 +34,9 @@ import numpy as np
 
 from . import __version__
 from .beam import BeamParams
-from .budget import LEO_ALTITUDE_M, ChannelGrid, ChannelParams, FluctuationMode, channel_grid, sweep_pass
+from .budget import (
+    LEO_ALTITUDE_M, ZENITH_BOUND_RAD, ChannelGrid, ChannelParams, FluctuationMode, channel_grid, sweep_pass
+)
 from .extinction import ExtinctionParams
 from .geometry import EARTH_MU_M3_S2, EARTH_RADIUS_M, pass_times
 from .qst import (
@@ -74,9 +76,6 @@ _LENGTH_UNITS = {
 # Bare angles are degrees; math.radians(x) is exactly x * (pi / 180).
 _ANGLE_UNITS = {"deg": math.pi / 180.0, "rad": 1.0}
 
-# The sweep may reach +/-80 degrees; the slack admits "80 deg" after rounding.
-_ZENITH_BOUND = math.radians(80.0) + 1e-12
-
 
 class ConfigError(ValueError):
     """Configuration document is malformed or violates an invariant."""
@@ -113,7 +112,7 @@ _TABLE = (
     _Key("seed", "integer", 0, "seed", ge=0),
     _Key("output_dir", "string", ".", "output_dir"),
     _Key("geometry.satellite_altitude", "length", LEO_ALTITUDE_M, "satellite_altitude_m"),
-    _Key("geometry.ogs_altitude", "length", 65.0, "ogs_altitude_m", ge=0.0),
+    _Key("geometry.ogs_altitude", "length", 65.0, "channel.turbulence.h_ogs_m", ge=0.0),
     _Key("geometry.earth_radius", "length", EARTH_RADIUS_M, "earth_radius_m", gt=0.0),
     _Key("geometry.mu", "number", EARTH_MU_M3_S2, "mu_m3_s2", gt=0.0),
     _Key("geometry.zenith_limit", "angle", 80.0, "zenith_limit_rad", gt=0.0, lt=math.pi / 2),
@@ -134,13 +133,14 @@ _TABLE = (
     _Key("channel.scintillation_variant", "enum", "7/6", "channel.scintillation_variant",
          choices=_choices(ScintillationVariant)),
     _Key("sweep.diameters", "lengths", ["25 cm", "50 cm", "75 cm", "100 cm"], "diameters_m", gt=0.0),
-    _Key("sweep.zenith_min", "angle", -80.0, "zenith_min_rad", ge=-_ZENITH_BOUND, le=_ZENITH_BOUND),
-    _Key("sweep.zenith_max", "angle", 80.0, "zenith_max_rad", ge=-_ZENITH_BOUND, le=_ZENITH_BOUND),
+    _Key("sweep.zenith_min", "angle", -80.0, "zenith_min_rad", ge=-ZENITH_BOUND_RAD, le=ZENITH_BOUND_RAD),
+    _Key("sweep.zenith_max", "angle", 80.0, "zenith_max_rad", ge=-ZENITH_BOUND_RAD, le=ZENITH_BOUND_RAD),
     _Key("sweep.zenith_step", "angle", 1.0, "zenith_step_rad", gt=0.0),
     _Key("sweep.draws_per_point", "integer", 10_000, "draws_per_point", ge=1, le=MAX_DRAWS_PER_POINT),
-    _Key("tomography.photons", "integer", 200_000, "photons", ge=1, le=MAX_PHOTONS),
-    _Key("tomography.ensemble_size", "integer", 220, "ensemble_size", ge=1, le=MAX_ENSEMBLE_SIZE),
-    _Key("tomography.ensemble_kind", "enum", "haar_pure", "ensemble_kind", choices=_choices(EnsembleKind)),
+    _Key("tomography.photons", "integer", 200_000, "tomography.photons", ge=1, le=MAX_PHOTONS),
+    _Key("tomography.ensemble_size", "integer", 220, "tomography.ensemble_size", ge=1, le=MAX_ENSEMBLE_SIZE),
+    _Key("tomography.ensemble_kind", "enum", "haar_pure", "tomography.ensemble_kind",
+         choices=_choices(EnsembleKind)),
     _Key("tomography.fading_resample", "enum", "per_trial", "fading_resample", choices=_choices(FadingResample)),
 )
 
@@ -256,7 +256,6 @@ class ScenarioConfig:
     seed: int
     output_dir: str
     satellite_altitude_m: float
-    ogs_altitude_m: float
     earth_radius_m: float
     mu_m3_s2: float
     zenith_limit_rad: float
@@ -267,9 +266,7 @@ class ScenarioConfig:
     zenith_max_rad: float
     zenith_step_rad: float
     draws_per_point: int
-    photons: int
-    ensemble_size: int
-    ensemble_kind: EnsembleKind
+    tomography: TomographyConfig
     fading_resample: FadingResample
 
     def zenith_grid_rad(self) -> np.ndarray:
@@ -328,7 +325,9 @@ def parse_config(document: str | dict) -> ScenarioConfig:
         prefix = f"{section_name}." if section_name else ""
         problems += [f"unknown key {prefix}{name}" for name in section or ()]
 
-    altitude, ogs, altitudes = (values.get(f) for f in ("satellite_altitude_m", "ogs_altitude_m", "altitudes_m"))
+    altitude, ogs, altitudes = (
+        values.get(f) for f in ("satellite_altitude_m", "channel.turbulence.h_ogs_m", "altitudes_m")
+    )
     if altitude is not None and ogs is not None and altitude <= ogs:
         problems.append("geometry.satellite_altitude must exceed geometry.ogs_altitude")
     if altitudes is not None and ogs is not None and any(a <= ogs for a in altitudes):
@@ -358,10 +357,11 @@ def parse_config(document: str | dict) -> ScenarioConfig:
     fields["channel"] = ChannelParams(
         beam=BeamParams(**ch.pop("beam")),
         extinction=ExtinctionParams(**ch.pop("extinction")),
-        turbulence=TurbulenceProfile(h_ogs_m=fields["ogs_altitude_m"], **ch.pop("turbulence")),
+        turbulence=TurbulenceProfile(**ch.pop("turbulence")),
         aperture_model=ApertureModel(**ch.pop("aperture_model")),
         **ch,
     )
+    fields["tomography"] = TomographyConfig(**fields["tomography"])
     return ScenarioConfig(**fields)
 
 
@@ -451,10 +451,8 @@ def _grid_columns(cfg: ScenarioConfig, grid: ChannelGrid) -> dict[str, Any]:
         return {"av_factor": grid.av}
     if cfg.scenario == "link_budget":
         return vars(sweep_pass(grid, cfg.draws_per_point, cfg.seed))
-    tomography = TomographyConfig(
-        photons=cfg.photons, ensemble_size=cfg.ensemble_size, seed=cfg.seed, ensemble_kind=cfg.ensemble_kind
-    )
-    return {"photons": cfg.photons, **vars(fidelity_vs_zenith(grid, tomography, resample=cfg.fading_resample))}
+    table = fidelity_vs_zenith(grid, cfg.tomography, cfg.seed, resample=cfg.fading_resample)
+    return {"photons": cfg.tomography.photons, **vars(table)}
 
 
 _GRID_CSV = {"av_sweep": "av_sweep.csv", "link_budget": "link_budget.csv", "qst": "qst_fidelity.csv"}

@@ -11,31 +11,20 @@ parameterization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class FadingModel:
-    """Unit-mean log-normal intensity fluctuations with log-variance ``sigma_j2``."""
-
-    sigma_j2: float
-
-    def __post_init__(self) -> None:
-        if self.sigma_j2 < 0:
-            raise ValueError("sigma_j2 must be >= 0")
-
-
-def pdf(model: FadingModel, intensity) -> np.ndarray | float:
+def pdf(sigma_j2: float, intensity) -> np.ndarray | float:
     """Density of the relative intensity I at ``intensity`` (scalar or array).
 
-    p(I) = exp(-(ln I + s2/2)^2 / (2 s2)) / (I sqrt(2 pi s2)). Undefined for
-    s2 = 0, where the distribution degenerates to a point mass at 1.
+    p(I) = exp(-(ln I + s2/2)^2 / (2 s2)) / (I sqrt(2 pi s2)) with s2 the
+    log-variance ``sigma_j2``. Undefined for s2 = 0, where the distribution
+    degenerates to a point mass at 1.
     """
-    s2 = model.sigma_j2
-    if s2 == 0:
-        raise ValueError("pdf undefined for sigma_j2 = 0 (point mass at I = 1)")
+    s2 = sigma_j2
+    if not s2 > 0:
+        raise ValueError("pdf needs sigma_j2 > 0 (at sigma_j2 = 0, I = 1 is a point mass)")
     arr = np.asarray(intensity, dtype=float)
     if np.any(arr <= 0):
         raise ValueError("intensity must be > 0")
@@ -43,8 +32,8 @@ def pdf(model: FadingModel, intensity) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def sample(model: FadingModel, rng: np.random.Generator | int, n: int) -> np.ndarray:
-    """Draw ``n`` intensity factors; deterministic for a fixed seed.
+def sample(sigma_j2: float, rng: np.random.Generator | int, n: int) -> np.ndarray:
+    """Draw ``n`` intensity factors of log-variance ``sigma_j2``; deterministic for a fixed seed.
 
     Standard-normal variates are scaled and shifted so matched seeds with
     different sigma_j2 produce comonotone draws, the basis for comparing
@@ -52,11 +41,13 @@ def sample(model: FadingModel, rng: np.random.Generator | int, n: int) -> np.nda
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not sigma_j2 >= 0:
+        raise ValueError("sigma_j2 must be >= 0")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    if model.sigma_j2 == 0:
+    if sigma_j2 == 0:
         return np.ones(n)
     # In place, one buffer: exp(sigma * z - sigma_j2 / 2)
     z = gen.standard_normal(n)
-    z *= math.sqrt(model.sigma_j2)
-    z -= model.sigma_j2 / 2.0
+    z *= math.sqrt(sigma_j2)
+    z -= sigma_j2 / 2.0
     return np.exp(z, out=z)

@@ -30,13 +30,14 @@ class LinkGeometry:
     earth_radius_m: float = EARTH_RADIUS_M
 
     def __post_init__(self) -> None:
-        if self.ogs_altitude_m < 0:
+        # Each check is written so that NaN fails it.
+        if not self.ogs_altitude_m >= 0:
             raise ValueError("ogs_altitude_m must be >= 0")
-        if self.satellite_altitude_m <= self.ogs_altitude_m:
+        if not self.satellite_altitude_m > self.ogs_altitude_m:
             raise ValueError("satellite_altitude_m must exceed ogs_altitude_m")
-        if abs(self.zenith_angle_rad) >= math.pi / 2:
+        if not abs(self.zenith_angle_rad) < math.pi / 2:
             raise ValueError("|zenith_angle_rad| must be < pi/2")
-        if self.earth_radius_m <= 0:
+        if not self.earth_radius_m > 0:
             raise ValueError("earth_radius_m must be > 0")
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import ChannelGrid, stream_states
-from .fading import FadingModel, sample
+from .fading import sample
 
 # Bloch vectors of a regular tetrahedron; pairwise dot products are -1/3.
 _TETRAHEDRON = tuple(
@@ -48,17 +48,15 @@ class FadingResample(enum.Enum):
 
 @dataclass(frozen=True)
 class TomographyConfig:
+    """The experiment each cell runs: photons sent per trial and the ensemble of input states."""
+
     photons: int = 200_000
-    transmittance: float = 1.0
     ensemble_size: int = 220
-    seed: int = 0
     ensemble_kind: EnsembleKind = EnsembleKind.HAAR_PURE
 
     def __post_init__(self) -> None:
         if not 1 <= self.photons <= MAX_PHOTONS:
             raise ValueError(f"photons must lie in [1, {MAX_PHOTONS:.0e}]")
-        if not 0.0 <= self.transmittance <= 1.0:
-            raise ValueError("transmittance must lie in [0, 1]")
         if not 1 <= self.ensemble_size <= MAX_ENSEMBLE_SIZE:
             raise ValueError(f"ensemble_size must lie in [1, {MAX_ENSEMBLE_SIZE:.0e}]")
 
@@ -209,13 +207,14 @@ def bures_random_mixed(rng: np.random.Generator) -> np.ndarray:
 
 
 def _member_fidelities(
-    config: TomographyConfig, key: tuple[int, ...], eta: float, fading: FadingModel | None
+    config: TomographyConfig, seed: int, key: tuple[int, ...], eta: float, sigma_j2: float
 ) -> tuple[np.ndarray, int]:
     """Fidelity of every ensemble member (seed, *key, i), and how many failed.
 
-    Member i is one scalar trial on its own stream: its fade (when ``fading``
-    is given), its state, and its counts from ``simulate_counts`` at n_eff,
-    the photons times ``eta`` times its fade (capped at 1), rounded once.
+    Member i is one scalar trial on its own stream: its fade (where the
+    log-variance ``sigma_j2`` is > 0), its state, and its counts from
+    ``simulate_counts`` at n_eff, the photons times ``eta`` times its fade
+    (capped at 1), rounded once.
     ``fit_state`` and ``fidelity`` then run once on each block's
     (members, ...) stacks. A member fails when it detects nothing, including
     when n_eff is zero.
@@ -232,9 +231,9 @@ def _member_fidelities(
         n_eff = np.empty(stop - start, dtype=np.int64)
         r_in = np.empty((stop - start, 3))
         counts = np.empty((stop - start, len(_TETRAHEDRON)), dtype=np.int64)
-        for j, state in enumerate(stream_states(config.seed, key, start, stop)):
+        for j, state in enumerate(stream_states(seed, key, start, stop)):
             bit_generator.state = state
-            fade = sample(fading, rng, 1)[0] if fading is not None else 1.0
+            fade = sample(sigma_j2, rng, 1)[0] if sigma_j2 > 0 else 1.0
             member_n_eff = round_half_away(min(eta * fade, 1.0) * config.photons)
             n_eff[j] = member_n_eff
             r_in[j] = draw_state(rng)
@@ -246,13 +245,15 @@ def _member_fidelities(
     return fids, failures
 
 
-def run_ensemble(config: TomographyConfig) -> TomographyResult:
-    """Tomography over an ensemble of random input states at fixed transmittance.
+def run_ensemble(config: TomographyConfig, transmittance: float = 1.0, seed: int = 0) -> TomographyResult:
+    """Tomography over an ensemble of random input states at a fixed transmittance in [0, 1].
 
     Every member draws its own state and counts from a sub-seed of
     (seed, member index), so results do not depend on scheduling.
     """
-    fidelities, failures = _member_fidelities(config, (), config.transmittance, None)
+    if not 0.0 <= transmittance <= 1.0:
+        raise ValueError("transmittance must lie in [0, 1]")
+    fidelities, failures = _member_fidelities(config, seed, (), transmittance, 0.0)
     return TomographyResult(
         fidelities=fidelities,
         mean_fidelity=float(fidelities.mean()),
@@ -264,6 +265,7 @@ def run_ensemble(config: TomographyConfig) -> TomographyResult:
 def fidelity_vs_zenith(
     grid: ChannelGrid,
     config: TomographyConfig,
+    seed: int = 0,
     *,
     resample: FadingResample = FadingResample.PER_TRIAL,
 ) -> FidelityTable:
@@ -272,7 +274,8 @@ def fidelity_vs_zenith(
     The channel transmittance at each cell combines the deterministic factors
     with a log-normal fade; by default each tomography trial sees a fresh
     fade, alternatively one draw is shared per grid point. Every cell sends
-    ``config.photons`` photons per trial.
+    ``config.photons`` photons per trial, and member i of cell (di, zi) draws
+    from the sub-seed (seed, di, zi, i).
     """
     # eta_det before sigma_j2, so a failing transmittance is reported before
     # a failing profile integral.
@@ -283,13 +286,12 @@ def fidelity_vs_zenith(
     # A per-point fade comes from the cell's stream (seed, di, zi), as in sweep_pass.
     point_rng = np.random.default_rng(0)
     for (di, zi), sigma_j2 in np.ndenumerate(grid.sigma_j2):
-        fading = FadingModel(float(sigma_j2)) if sigma_j2 > 0 else None
-        eta = float(eta_det[di, zi])
-        if fading is not None and resample is FadingResample.PER_POINT:
-            point_rng.bit_generator.state = stream_states(config.seed, (di,), zi, zi + 1)[0]
-            eta *= float(sample(fading, point_rng, 1)[0])
-            fading = None
-        fids, failures[di, zi] = _member_fidelities(config, (di, zi), eta, fading)
+        sigma_j2, eta = float(sigma_j2), float(eta_det[di, zi])
+        if sigma_j2 > 0 and resample is FadingResample.PER_POINT:
+            point_rng.bit_generator.state = stream_states(seed, (di,), zi, zi + 1)[0]
+            eta *= float(sample(sigma_j2, point_rng, 1)[0])
+            sigma_j2 = 0.0
+        fids, failures[di, zi] = _member_fidelities(config, seed, (di, zi), eta, sigma_j2)
         mean[di, zi] = fids.mean()
         if config.ensemble_size > 1:
             sd[di, zi] = fids.std(ddof=1)

@@ -31,18 +31,15 @@ def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def _channel(mode=fl.FluctuationMode.DETERMINISTIC, diameter_m=1.0):
-    return fl.ChannelParams(
-        beam=fl.BeamParams(receiver_radius_m=diameter_m / 2.0),
-        fluctuation_mode=mode,
-    )
+def _channel(mode=fl.FluctuationMode.DETERMINISTIC):
+    return fl.ChannelParams(fluctuation_mode=mode)
 
 
 def _zenith_losses(altitude_m):
     losses = {}
     geom = fl.LinkGeometry(satellite_altitude_m=altitude_m, zenith_angle_rad=0.0, ogs_altitude_m=65.0)
     for diameter in DIAMETERS_M:
-        bd = fl.compose(_channel(diameter_m=diameter), geom, 1.0)
+        bd = fl.compose(_channel(), geom, diameter, 1.0)
         losses[diameter] = bd.loss_db
     return losses
 
@@ -124,7 +121,7 @@ def test_criterion_6_fading_moments():
     details = []
     n = 1_000_000
     for sigma_j2 in (0.04, 0.25, 1.0):
-        draws = fl.sample(fl.FadingModel(sigma_j2), 4242, n)
+        draws = fl.sample(sigma_j2, 4242, n)
         var = math.expm1(sigma_j2)
         mean_band = 3.0 * math.sqrt(var / n)
         moments = [math.exp(k * (k - 1) * sigma_j2 / 2.0) for k in range(5)]
@@ -168,9 +165,7 @@ def test_criterion_7_aperture_averaging_ordering():
 
 
 def test_criterion_8_qst_round_trip():
-    noisy = fl.run_ensemble(
-        fl.TomographyConfig(photons=10**6, transmittance=1.0, ensemble_size=50, seed=8)
-    )
+    noisy = fl.run_ensemble(fl.TomographyConfig(photons=10**6, ensemble_size=50), transmittance=1.0, seed=8)
     noiseless_fidelities = []
     rng = np.random.default_rng(88)
     for _ in range(50):
@@ -191,12 +186,13 @@ def test_criterion_8_qst_round_trip():
 def test_criterion_9_fidelity_vs_zenith_trend():
     table = fl.fidelity_vs_zenith(
         fl.channel_grid(
-            _channel(mode=fl.FluctuationMode.ISI, diameter_m=1.0),
+            _channel(mode=fl.FluctuationMode.ISI),
             fl.LEO_ALTITUDE_M,
             (1.0,),
             [0.0, math.radians(80.0)],
         ),
-        config=fl.TomographyConfig(photons=200_000, ensemble_size=50, seed=9),
+        config=fl.TomographyConfig(photons=200_000, ensemble_size=50),
+        seed=9,
     )
     mean0, mean80 = table.mean_fidelity[0]
     sd0, sd80 = table.sd_fidelity[0]
@@ -244,8 +240,7 @@ def test_criterion_10_invariant_suites():
 
     pdf_ok = True
     for sigma_j2 in (0.04, 0.25, 1.0):
-        model = fl.FadingModel(sigma_j2)
-        total, _ = quad(lambda x: fl.pdf(model, x), 1e-12, np.inf, limit=200)
+        total, _ = quad(lambda x: fl.pdf(sigma_j2, x), 1e-12, np.inf, limit=200)
         pdf_ok = pdf_ok and abs(total - 1.0) <= 1e-6
 
     ok = completeness and sic_symmetry and fidelity_ok and pdf_ok

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from fsolink.beam import BeamParams, diffraction_transmittance, spot_size
+from fsolink.beam import BeamParams, encircled_energy, spot_size
 
 
 class TestSpotSize:
@@ -28,11 +28,10 @@ class TestSpotSize:
             spot_size(BeamParams(), -1.0)
 
 
-def disc_integration_oracle(params: BeamParams, z_m: float) -> float:
+def disc_integration_oracle(params: BeamParams, a: float, z_m: float) -> float:
     """2-D numerical integration of the normalized Gaussian irradiance over
-    the aperture disc (Cartesian, y-limits tracing the circle)."""
+    the aperture disc of radius ``a`` (Cartesian, y-limits tracing the circle)."""
     w = spot_size(params, z_m)
-    a = params.receiver_radius_m
 
     def irradiance(y, x):
         return (2.0 / (math.pi * w * w)) * math.exp(-2.0 * (x * x + y * y) / (w * w))
@@ -49,18 +48,21 @@ def disc_integration_oracle(params: BeamParams, z_m: float) -> float:
     return val
 
 
+def collected(params: BeamParams, a: float, z_m: float) -> float:
+    """Fraction of the beam's power that a centered disc of radius ``a`` collects at range ``z_m``."""
+    return encircled_energy(a, spot_size(params, z_m))
+
+
 class TestDiffractionTransmittance:
     def test_full_capture_near_waist(self):
-        params = BeamParams(waist_m=0.001, receiver_radius_m=1.0)
-        assert diffraction_transmittance(params, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert collected(BeamParams(waist_m=0.001), 1.0, 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_vanishing_aperture(self):
-        params = BeamParams(receiver_radius_m=1e-12)
-        assert diffraction_transmittance(params, 420e3) < 1e-20
+        assert collected(BeamParams(), 1e-12, 420e3) < 1e-20
 
     def test_leo_one_meter_telescope_frozen(self):
-        params = BeamParams(wavelength_m=1550e-9, waist_m=0.01, receiver_radius_m=0.5)
-        eta = diffraction_transmittance(params, 420e3)
+        params = BeamParams(wavelength_m=1550e-9, waist_m=0.01)
+        eta = collected(params, 0.5, 420e3)
         assert eta == pytest.approx(1.1637370107079595e-3, rel=1e-12)
         assert -10.0 * math.log10(eta) == pytest.approx(29.3, abs=0.1)
 
@@ -70,22 +72,18 @@ class TestDiffractionTransmittance:
             params = BeamParams(
                 wavelength_m=float(rng.uniform(500e-9, 2000e-9)),
                 waist_m=float(rng.uniform(0.002, 0.1)),
-                receiver_radius_m=float(rng.uniform(0.05, 1.0)),
             )
+            a = float(rng.uniform(0.05, 1.0))
             z = float(rng.uniform(1e3, 2e6))
-            closed = diffraction_transmittance(params, z)
-            numeric = disc_integration_oracle(params, z)
+            closed = collected(params, a, z)
+            numeric = disc_integration_oracle(params, a, z)
             assert abs(closed - numeric) / numeric < 1e-6
 
     def test_monotone_in_aperture_and_range(self):
         z = 420e3
-        etas = [
-            diffraction_transmittance(BeamParams(receiver_radius_m=a), z)
-            for a in np.linspace(0.05, 2.0, 30)
-        ]
+        etas = [collected(BeamParams(), a, z) for a in np.linspace(0.05, 2.0, 30)]
         assert all(b > a for a, b in zip(etas, etas[1:]))
-        params = BeamParams(receiver_radius_m=0.5)
-        far = [diffraction_transmittance(params, z) for z in np.linspace(1e4, 2e7, 30)]
+        far = [collected(BeamParams(), 0.5, z) for z in np.linspace(1e4, 2e7, 30)]
         assert all(b < a for a, b in zip(far, far[1:]))
 
     def test_bounded_in_unit_interval(self):
@@ -94,7 +92,7 @@ class TestDiffractionTransmittance:
             params = BeamParams(
                 wavelength_m=float(rng.uniform(400e-9, 2000e-9)),
                 waist_m=float(rng.uniform(1e-3, 0.5)),
-                receiver_radius_m=float(rng.uniform(1e-3, 5.0)),
             )
-            eta = diffraction_transmittance(params, float(rng.uniform(0.0, 3e7)))
+            a = float(rng.uniform(1e-3, 5.0))
+            eta = collected(params, a, float(rng.uniform(0.0, 3e7)))
             assert 0.0 < eta < 1.0

@@ -23,7 +23,7 @@ from fsolink.budget import (
 )
 from fsolink.cli import parse_config
 from fsolink.extinction import ExtinctionParams
-from fsolink.fading import FadingModel, sample
+from fsolink.fading import sample
 from fsolink.geometry import LinkGeometry, slant_range
 from fsolink.turbulence import (
     ApertureModel,
@@ -43,11 +43,8 @@ from fsolink.turbulence import (
 DIAMETERS = (0.25, 0.50, 0.75, 1.00)
 
 
-def default_channel(mode=FluctuationMode.DETERMINISTIC, diameter_m=1.0):
-    return ChannelParams(
-        beam=BeamParams(receiver_radius_m=diameter_m / 2.0),
-        fluctuation_mode=mode,
-    )
+def default_channel(mode=FluctuationMode.DETERMINISTIC):
+    return ChannelParams(fluctuation_mode=mode)
 
 
 def default_geometry(altitude_m, zenith_rad=0.0):
@@ -56,43 +53,41 @@ def default_geometry(altitude_m, zenith_rad=0.0):
 
 class TestCompose:
     def test_transparent_channel(self):
-        params = ChannelParams(
-            beam=BeamParams(receiver_radius_m=1e6),
-            extinction=ExtinctionParams(alpha0_per_m=1e-30),
-            eta_int=1.0,
-        )
-        bd = compose(params, default_geometry(420e3), 1.0)
+        params = ChannelParams(extinction=ExtinctionParams(alpha0_per_m=1e-30), eta_int=1.0)
+        bd = compose(params, default_geometry(420e3), 2e6, 1.0)
         assert bd.eta_total == pytest.approx(1.0, abs=1e-12)
         assert bd.loss_db == pytest.approx(0.0, abs=1e-11)
 
     def test_decibel_identity_at_half(self):
-        params = ChannelParams(
-            beam=BeamParams(receiver_radius_m=1e6),
-            extinction=ExtinctionParams(alpha0_per_m=1e-30),
-            eta_int=0.5,
-        )
-        bd = compose(params, default_geometry(420e3), 1.0)
+        params = ChannelParams(extinction=ExtinctionParams(alpha0_per_m=1e-30), eta_int=0.5)
+        bd = compose(params, default_geometry(420e3), 2e6, 1.0)
         assert bd.loss_db == pytest.approx(3.0103, abs=1e-4)
 
     def test_product_is_bit_exact(self):
-        bd = compose(default_channel(), default_geometry(LEO_ALTITUDE_M, 0.3), 0.87)
+        bd = compose(default_channel(), default_geometry(LEO_ALTITUDE_M, 0.3), 1.0, 0.87)
         assert bd.eta_total == bd.eta_int * bd.eta_atm * bd.eta_d * bd.intensity_factor
 
     def test_leo_zenith_frozen_losses(self):
         expected = {0.25: 45.5017, 0.50: 39.4815, 0.75: 35.9605, 1.00: 33.4628}
         for diameter, loss in expected.items():
-            bd = compose(default_channel(diameter_m=diameter), default_geometry(LEO_ALTITUDE_M), 1.0)
+            bd = compose(default_channel(), default_geometry(LEO_ALTITUDE_M), diameter, 1.0)
             assert bd.loss_db == pytest.approx(loss, abs=1e-4)
 
     def test_meo_zenith_frozen_losses(self):
         expected = {0.25: 79.1449, 0.50: 73.1243, 0.75: 69.6024, 1.00: 67.1037}
         for diameter, loss in expected.items():
-            bd = compose(default_channel(diameter_m=diameter), default_geometry(MEO_ALTITUDE_M), 1.0)
+            bd = compose(default_channel(), default_geometry(MEO_ALTITUDE_M), diameter, 1.0)
             assert bd.loss_db == pytest.approx(loss, abs=1e-4)
 
     def test_rejects_nonpositive_intensity(self):
-        with pytest.raises(ValueError):
-            compose(default_channel(), default_geometry(420e3), 0.0)
+        for intensity in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="intensity must be > 0"):
+                compose(default_channel(), default_geometry(420e3), 1.0, intensity)
+
+    @pytest.mark.parametrize("diameter", [0.0, -1.0, 5e-324, math.nan])
+    def test_rejects_a_receiver_radius_that_is_not_positive(self, diameter):
+        with pytest.raises(ValueError, match="receiver radius"):
+            compose(default_channel(), default_geometry(420e3), diameter)
 
 
 class TestFadingVariance:
@@ -177,15 +172,15 @@ class TestSweepPass:
         loss = sweep_pass(grid, draws_per_point=1).mean_loss_db
         assert loss.shape == (4, 161)
         for di, diameter in enumerate(cfg.diameters_m):
-            cell_params = replace(cfg.channel, beam=replace(cfg.channel.beam, receiver_radius_m=diameter / 2.0))
             for zi, zenith in enumerate(grid.zenith_rad.tolist()):
-                geom = LinkGeometry(cfg.satellite_altitude_m, zenith, cfg.ogs_altitude_m, cfg.earth_radius_m)
-                assert loss[di, zi] == compose(cell_params, geom).loss_db
+                geom = LinkGeometry(cfg.satellite_altitude_m, zenith, cfg.channel.turbulence.h_ogs_m, cfg.earth_radius_m)
+                assert loss[di, zi] == compose(cfg.channel, geom, diameter).loss_db
 
     def test_rejects_out_of_range_grid(self):
-        with pytest.raises(ValueError):
-            channel_grid(default_channel(), LEO_ALTITUDE_M, (0.5,), [math.radians(85.0)])
-        for diameter in (0.0, -1.0, 5e-324):
+        for zenith in (math.radians(85.0), math.nan):
+            with pytest.raises(ValueError, match=r"within \+/-80 degrees"):
+                channel_grid(default_channel(), LEO_ALTITUDE_M, (0.5,), [0.0, zenith])
+        for diameter in (0.0, -1.0, 5e-324, math.nan):
             with pytest.raises(ValueError, match="receiver radius"):
                 channel_grid(default_channel(), LEO_ALTITUDE_M, (0.5, diameter), [0.0])
         with pytest.raises(ValueError):
@@ -262,10 +257,9 @@ class TestChannelGrid:
         grid = channel_grid(params, LEO_ALTITUDE_M, GRID_DIAMETERS, GRID_ZENITHS)
         assert grid.eta_det.shape == grid.sigma_j2.shape == grid.av.shape == (3, 5)
         for di, diameter in enumerate(GRID_DIAMETERS):
-            cell_params = replace(params, beam=replace(params.beam, receiver_radius_m=diameter / 2.0))
             for zi, zenith in enumerate(GRID_ZENITHS.tolist()):
                 geom = LinkGeometry(LEO_ALTITUDE_M, zenith, params.turbulence.h_ogs_m)
-                bd = compose(cell_params, geom)
+                bd = compose(params, geom, diameter)
                 assert grid.eta_atm[zi] == bd.eta_atm
                 assert grid.eta_d[di, zi] == bd.eta_d
                 assert grid.eta_det[di, zi] == bd.eta_total
@@ -423,7 +417,7 @@ def _old_path_sweep(params, diameters, zeniths, draws, seed):
     for di, zi in np.ndindex(grid.eta_det.shape):
         s2 = float(grid.sigma_j2[di, zi])
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(di, zi)))
-        fades = sample(FadingModel(s2), rng, draws) if s2 > 0 else np.ones(draws)
+        fades = sample(s2, rng, draws) if s2 > 0 else np.ones(draws)
         loss = -10.0 * np.log10(float(grid.eta_det[di, zi]) * fades)
         sd = loss.std(ddof=1) if draws > 1 else 0.0
         stats[:, di, zi] = [loss.mean(), sd, *np.percentile(loss, [5.0, 50.0, 95.0])]

@@ -1,5 +1,6 @@
 import csv
 import gc
+import inspect
 import io
 import json
 import math
@@ -14,7 +15,7 @@ import pytest
 
 import fsolink
 from fsolink import cli
-from fsolink.budget import FluctuationMode, channel_grid
+from fsolink.budget import ChannelParams, FluctuationMode, channel_grid, sweep_pass
 from fsolink.cli import (
     _TABLE,
     MAX_DRAWS_PER_POINT,
@@ -29,7 +30,8 @@ from fsolink.cli import (
     parse_config,
     run,
 )
-from fsolink.qst import TomographyConfig
+from fsolink.geometry import pass_times
+from fsolink.qst import TomographyConfig, fidelity_vs_zenith
 
 
 class TestParseConfig:
@@ -37,17 +39,20 @@ class TestParseConfig:
         cfg = parse_config("")
         assert cfg.channel.beam.wavelength_m == pytest.approx(1550e-9)
         assert cfg.channel.beam.waist_m == pytest.approx(0.01)
-        assert cfg.ogs_altitude_m == pytest.approx(65.0)
+        assert cfg.channel.turbulence.h_ogs_m == pytest.approx(65.0)
         assert cfg.channel.turbulence.c0 == pytest.approx(1.7e-14)
         assert cfg.channel.turbulence.v_rms == pytest.approx(26.25)
         assert cfg.channel.eta_int == pytest.approx(0.4)
         assert cfg.satellite_altitude_m == pytest.approx(420e3)
         assert cfg.channel.fluctuation_mode is FluctuationMode.DETERMINISTIC
 
-    def test_tomography_defaults_match_the_library(self):
+    def test_defaults_match_the_library(self):
         cfg = parse_config("{}")
-        library = TomographyConfig()
-        assert (cfg.photons, cfg.ensemble_size) == (library.photons, library.ensemble_size)
+        assert cfg.channel == ChannelParams()
+        assert cfg.tomography == TomographyConfig()
+        assert cfg.draws_per_point == inspect.signature(sweep_pass).parameters["draws_per_point"].default
+        assert cfg.fading_resample == inspect.signature(fidelity_vs_zenith).parameters["resample"].default
+        assert cfg.zenith_limit_rad == inspect.signature(pass_times).parameters["zenith_limit_rad"].default
 
     def test_unit_strings_normalize_to_si(self):
         cfg = parse_config(
@@ -116,9 +121,9 @@ class TestParseConfig:
             "sweep": {"zenith_min": "-80 deg", "zenith_max": "80 deg", "draws_per_point": 1},
             "tomography": {"photons": 1, "ensemble_size": 1},
         })
-        assert (cfg.seed, cfg.ogs_altitude_m, cfg.channel.eta_int) == (0, 0.0, 1)
+        assert (cfg.seed, cfg.channel.turbulence.h_ogs_m, cfg.channel.eta_int) == (0, 0.0, 1)
         assert (cfg.zenith_min_rad, cfg.zenith_max_rad) == (-math.radians(80), math.radians(80))
-        assert (cfg.draws_per_point, cfg.photons, cfg.ensemble_size) == (1, 1, 1)
+        assert (cfg.draws_per_point, cfg.tomography.photons, cfg.tomography.ensemble_size) == (1, 1, 1)
 
     def test_malformed_json_reports_position(self):
         with pytest.raises(ConfigError, match="line"):
@@ -400,12 +405,13 @@ class TestMain:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_photons_are_capped(self):
-        assert parse_config({"tomography": {"photons": MAX_PHOTONS}}).photons == MAX_PHOTONS
+        assert parse_config({"tomography": {"photons": MAX_PHOTONS}}).tomography.photons == MAX_PHOTONS
         with pytest.raises(ConfigError, match="tomography.photons must be at most"):
             parse_config({"tomography": {"photons": MAX_PHOTONS + 1}})
 
     def test_ensemble_size_is_capped(self, tmp_path, capsys):
-        assert parse_config({"tomography": {"ensemble_size": MAX_ENSEMBLE_SIZE}}).ensemble_size == MAX_ENSEMBLE_SIZE
+        cfg = parse_config({"tomography": {"ensemble_size": MAX_ENSEMBLE_SIZE}})
+        assert cfg.tomography.ensemble_size == MAX_ENSEMBLE_SIZE
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"scenario": "qst", "tomography": {"ensemble_size": 10**12}}))
         assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2

@@ -90,6 +90,20 @@ class TestSlantRange:
         with pytest.raises(ValueError):
             LinkGeometry(satellite_altitude_m=420e3, earth_radius_m=0.0)
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("satellite_altitude_m", "must exceed ogs_altitude_m"),
+            ("zenith_angle_rad", "must be < pi/2"),
+            ("ogs_altitude_m", "must be >= 0"),
+            ("earth_radius_m", "must be > 0"),
+        ],
+    )
+    def test_rejects_nan_in_each_field(self, field, message):
+        values = {"satellite_altitude_m": 420e3, "zenith_angle_rad": 0.3, "ogs_altitude_m": 65.0, field: math.nan}
+        with pytest.raises(ValueError, match=f"{field}.*{message}"):
+            LinkGeometry(**values)
+
 
 def propagate_pass_oracle(altitude_m, zenith_limit_rad):
     """Time-step the circular orbit and timestamp the zenith-angle crossings.

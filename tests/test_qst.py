@@ -5,10 +5,9 @@ import pytest
 from scipy.stats import binom, norm
 
 from fsolink import qst
-from fsolink.beam import BeamParams
 from fsolink.budget import ChannelParams, FluctuationMode, channel_grid, stream_states
 from fsolink.extinction import ExtinctionParams
-from fsolink.fading import FadingModel, sample
+from fsolink.fading import sample
 from fsolink.qst import (
     MAX_ENSEMBLE_SIZE,
     MAX_PHOTONS,
@@ -123,9 +122,10 @@ def bloch_ball_probabilities():
     return np.einsum("kij,gji->gk", POVM, rho_of(bloch)).real
 
 
-def scalar_trials(config, key, eta_det, fading=None, point_fade=1.0):
+def scalar_trials(config, seed, key, eta_det, sigma_j2=0.0, point_fade=1.0):
     """Per-member scalar reference for one ensemble: member i of sub-seed
-    (seed, *key, i) runs through simulate_counts, fit_state and fidelity.
+    (seed, *key, i) draws a fade where ``sigma_j2`` > 0 (else it takes
+    ``point_fade``) and runs through simulate_counts, fit_state and fidelity.
 
     Returns the fidelities, the failures, and how many members had
     n_eff < 1 and how many drew all-zero counts.
@@ -135,8 +135,8 @@ def scalar_trials(config, key, eta_det, fading=None, point_fade=1.0):
     fids = np.empty(config.ensemble_size)
     dead = zero = 0
     for i in range(config.ensemble_size):
-        rng = _member_rng(config.seed, *key, i)
-        fade = float(sample(fading, rng, 1)[0]) if fading is not None else point_fade
+        rng = _member_rng(seed, *key, i)
+        fade = float(sample(sigma_j2, rng, 1)[0]) if sigma_j2 > 0 else point_fade
         eta = min(eta_det * fade, 1.0)
         r_in = draw_state(rng)
         n_eff = round_half_away(eta * config.photons)
@@ -507,34 +507,39 @@ class TestFidelity:
 
 class TestRunEnsemble:
     def test_deterministic_for_seed(self):
-        config = TomographyConfig(photons=10_000, transmittance=0.5, ensemble_size=1, seed=99)
-        a = run_ensemble(config)
-        b = run_ensemble(config)
+        config = TomographyConfig(photons=10_000, ensemble_size=1)
+        a = run_ensemble(config, 0.5, 99)
+        b = run_ensemble(config, 0.5, 99)
         np.testing.assert_array_equal(a.fidelities, b.fidelities)
 
     def test_members_are_independent_of_ensemble_size(self):
-        small = run_ensemble(TomographyConfig(photons=10_000, ensemble_size=3, seed=7))
-        large = run_ensemble(TomographyConfig(photons=10_000, ensemble_size=6, seed=7))
+        small = run_ensemble(TomographyConfig(photons=10_000, ensemble_size=3), seed=7)
+        large = run_ensemble(TomographyConfig(photons=10_000, ensemble_size=6), seed=7)
         np.testing.assert_array_equal(small.fidelities, large.fidelities[:3])
 
     def test_near_noiseless_regime(self):
-        result = run_ensemble(TomographyConfig(photons=10**6, transmittance=1.0, ensemble_size=10, seed=1))
+        result = run_ensemble(TomographyConfig(photons=10**6, ensemble_size=10), 1.0, 1)
         assert result.mean_fidelity >= 0.99
         assert result.failures == 0
 
     def test_fidelity_decays_with_transmittance(self):
         means, sds = [], []
         for eta in (1.0, 1e-1, 1e-2, 1e-3, 1e-4):
-            r = run_ensemble(TomographyConfig(photons=10**5, transmittance=eta, ensemble_size=16, seed=5))
+            r = run_ensemble(TomographyConfig(photons=10**5, ensemble_size=16), eta, 5)
             means.append(r.mean_fidelity)
             sds.append(r.sd_fidelity)
         for i in range(len(means) - 1):
             pooled = math.sqrt(0.5 * (sds[i] ** 2 + sds[i + 1] ** 2))
             assert means[i + 1] <= means[i] + max(pooled, 1e-4)
 
+    @pytest.mark.parametrize("transmittance", [1.5, -0.1, math.nan])
+    def test_rejects_a_transmittance_outside_the_unit_interval(self, transmittance):
+        with pytest.raises(ValueError, match=r"transmittance must lie in \[0, 1\]"):
+            run_ensemble(TomographyConfig(ensemble_size=1), transmittance)
+
     def test_dead_channel_flags_every_member(self):
         # eta N rounds to zero: reconstruction degenerates to the mixed state
-        result = run_ensemble(TomographyConfig(photons=100, transmittance=1e-6, ensemble_size=5, seed=2))
+        result = run_ensemble(TomographyConfig(photons=100, ensemble_size=5), 1e-6, 2)
         assert result.failures == 5
         assert np.all(result.fidelities <= 1.0)
 
@@ -542,28 +547,23 @@ class TestRunEnsemble:
     def test_all_failed_haar_ensemble_reads_exactly_one_half(self, photons, transmittance):
         # Every member fits the maximally mixed state, and a pure input has
         # F = (1 + r . 0)/2 = 0.5 exactly; no round-off may leave the SD above 0.
-        config = TomographyConfig(photons=photons, transmittance=transmittance, ensemble_size=300, seed=2)
-        result = run_ensemble(config)
+        result = run_ensemble(TomographyConfig(photons=photons, ensemble_size=300), transmittance, 2)
         assert result.failures == 300
         assert result.fidelities.tolist() == [0.5] * 300
         assert (result.mean_fidelity, result.sd_fidelity) == (0.5, 0.0)
 
     def test_bures_ensemble_runs(self):
-        config = TomographyConfig(
-            photons=10**5, ensemble_size=4, seed=3, ensemble_kind=EnsembleKind.BURES_MIXED
-        )
-        result = run_ensemble(config)
+        config = TomographyConfig(photons=10**5, ensemble_size=4, ensemble_kind=EnsembleKind.BURES_MIXED)
+        result = run_ensemble(config, seed=3)
         assert result.mean_fidelity > 0.9
 
     @pytest.mark.parametrize("size", [1, 2, 17])
     @pytest.mark.parametrize("kind", list(EnsembleKind))
     def test_matches_scalar_reference_bit_for_bit(self, kind, size):
         for photons, transmittance in ((10**6, 1.0), (10**5, 1e-2), (30, 0.05), (100, 1e-6)):
-            config = TomographyConfig(
-                photons=photons, transmittance=transmittance, ensemble_size=size, seed=31, ensemble_kind=kind
-            )
-            result = run_ensemble(config)
-            fids, failures, _, _ = scalar_trials(config, (), transmittance)
+            config = TomographyConfig(photons=photons, ensemble_size=size, ensemble_kind=kind)
+            result = run_ensemble(config, transmittance, 31)
+            fids, failures, _, _ = scalar_trials(config, 31, (), transmittance)
             mean, sd = scalar_stats(fids)
             assert result.fidelities.tobytes() == fids.tobytes()
             assert (result.mean_fidelity, result.sd_fidelity, result.failures) == (mean, sd, failures)
@@ -571,14 +571,13 @@ class TestRunEnsemble:
     def test_member_blocks_and_clamped_eta_match_scalar_reference(self, monkeypatch):
         # Blocks of 5 split 17 members 5 + 5 + 5 + 2; fades above 1/0.9 clamp eta at 1.
         monkeypatch.setattr(qst, "_MEMBER_BLOCK", 5)
-        fading = FadingModel(0.5)
         for kind in EnsembleKind:
-            config = TomographyConfig(photons=1000, ensemble_size=17, seed=4, ensemble_kind=kind)
-            fids, failures = qst._member_fidelities(config, (2, 3), 0.9, fading)
-            ref, ref_failures, _, _ = scalar_trials(config, (2, 3), 0.9, fading)
+            config = TomographyConfig(photons=1000, ensemble_size=17, ensemble_kind=kind)
+            fids, failures = qst._member_fidelities(config, 4, (2, 3), 0.9, 0.5)
+            ref, ref_failures, _, _ = scalar_trials(config, 4, (2, 3), 0.9, 0.5)
             assert fids.tobytes() == ref.tobytes()
             assert failures == ref_failures
-        fades = [float(sample(fading, _member_rng(4, 2, 3, i), 1)[0]) for i in range(17)]
+        fades = [float(sample(0.5, _member_rng(4, 2, 3, i), 1)[0]) for i in range(17)]
         assert max(fades) * 0.9 > 1.0
 
     def test_reconstruction_consistency_in_photon_number(self):
@@ -597,21 +596,13 @@ class TestRunEnsemble:
 
 
 class TestFidelityVsZenith:
-    @staticmethod
-    def _channel(diameter_m):
-        from fsolink.beam import BeamParams
-        from fsolink.budget import ChannelParams, FluctuationMode
-
-        return ChannelParams(
-            beam=BeamParams(receiver_radius_m=diameter_m / 2.0),
-            fluctuation_mode=FluctuationMode.ISI,
-        )
+    CHANNEL = ChannelParams(fluctuation_mode=FluctuationMode.ISI)
 
     def test_identical_seed_gives_identical_table(self):
-        config = TomographyConfig(photons=50_000, ensemble_size=3, seed=17)
-        grid = channel_grid(self._channel(1.0), 420e3, (1.0,), [0.0, math.radians(40.0)])
-        a = fidelity_vs_zenith(grid, config)
-        b = fidelity_vs_zenith(grid, config)
+        config = TomographyConfig(photons=50_000, ensemble_size=3)
+        grid = channel_grid(self.CHANNEL, 420e3, (1.0,), [0.0, math.radians(40.0)])
+        a = fidelity_vs_zenith(grid, config, 17)
+        b = fidelity_vs_zenith(grid, config, 17)
         np.testing.assert_array_equal(a.mean_fidelity, b.mean_fidelity)
         np.testing.assert_array_equal(a.failures, b.failures)
 
@@ -624,22 +615,21 @@ class TestFidelityVsZenith:
         for kind in EnsembleKind:
             for resample in FadingResample:
                 for mode in FluctuationMode:
-                    channel = ChannelParams(beam=BeamParams(), fluctuation_mode=mode)
+                    channel = ChannelParams(fluctuation_mode=mode)
                     grid = channel_grid(channel, 420e3, diameters, zeniths)
                     for photons in (1, 30, 1000, 10**6):
                         case = (kind, resample, mode, photons, size)
-                        config = TomographyConfig(photons=photons, ensemble_size=size, seed=12, ensemble_kind=kind)
-                        table = fidelity_vs_zenith(grid, config, resample=resample)
+                        config = TomographyConfig(photons=photons, ensemble_size=size, ensemble_kind=kind)
+                        table = fidelity_vs_zenith(grid, config, 12, resample=resample)
                         mean, sd = np.empty((2, 2)), np.empty((2, 2))
                         failures = np.empty((2, 2), dtype=np.int64)
                         for (di, zi), sigma_j2 in np.ndenumerate(grid.sigma_j2):
-                            fading = FadingModel(float(sigma_j2)) if sigma_j2 > 0 else None
-                            point_fade = 1.0
-                            if fading is not None and resample is FadingResample.PER_POINT:
-                                point_fade = float(sample(fading, _member_rng(12, di, zi), 1)[0])
-                                fading = None
+                            sigma_j2, point_fade = float(sigma_j2), 1.0
+                            if sigma_j2 > 0 and resample is FadingResample.PER_POINT:
+                                point_fade = float(sample(sigma_j2, _member_rng(12, di, zi), 1)[0])
+                                sigma_j2 = 0.0
                             fids, failures[di, zi], d, z = scalar_trials(
-                                config, (di, zi), float(grid.eta_det[di, zi]), fading, point_fade
+                                config, 12, (di, zi), float(grid.eta_det[di, zi]), sigma_j2, point_fade
                             )
                             mean[di, zi], sd[di, zi] = scalar_stats(fids)
                             dead, zero = dead + d, zero + z
@@ -655,19 +645,18 @@ class TestFidelityVsZenith:
         # within 1e-7 of 1; the 80 degree cell's point fade of seed 0 is
         # about 1.36, so eta_det times it exceeds 1 and must be capped there.
         channel = ChannelParams(
-            beam=BeamParams(receiver_radius_m=500.0),
             extinction=ExtinctionParams(alpha0_per_m=1e-12),
             eta_int=1.0,
             fluctuation_mode=FluctuationMode.ISI,
         )
         grid = channel_grid(channel, 420e3, (1000.0,), [math.radians(80.0)])
         eta_det = float(grid.eta_det[0, 0])
-        point_fade = float(sample(FadingModel(float(grid.sigma_j2[0, 0])), _member_rng(0, 0, 0), 1)[0])
+        point_fade = float(sample(float(grid.sigma_j2[0, 0]), _member_rng(0, 0, 0), 1)[0])
         assert eta_det * point_fade > 1.0
-        config = TomographyConfig(photons=1000, ensemble_size=17, seed=0)
-        table = fidelity_vs_zenith(grid, config, resample=FadingResample.PER_POINT)
-        fids, failures, _, _ = scalar_trials(config, (0, 0), eta_det, None, point_fade)
-        capped, _, _, _ = scalar_trials(config, (0, 0), 1.0)
+        config = TomographyConfig(photons=1000, ensemble_size=17)
+        table = fidelity_vs_zenith(grid, config, 0, resample=FadingResample.PER_POINT)
+        fids, failures, _, _ = scalar_trials(config, 0, (0, 0), eta_det, 0.0, point_fade)
+        capped, _, _, _ = scalar_trials(config, 0, (0, 0), 1.0)
         assert fids.tobytes() == capped.tobytes()
         mean, sd = scalar_stats(fids)
         assert table.mean_fidelity.tobytes() == np.array([[mean]]).tobytes()
@@ -678,10 +667,10 @@ class TestFidelityVsZenith:
         # 25 cm aperture at MEO altitude: ~79 dB of loss starves even 1e7
         # photons down to zero effective detections, so reconstruction
         # degenerates; a 1 m LEO receiver at 2e5 photons stays informative.
-        config = TomographyConfig(photons=10**7, ensemble_size=10, seed=23)
-        meo = fidelity_vs_zenith(channel_grid(self._channel(0.25), 20_200e3, (0.25,), [0.0]), config)
-        leo_config = TomographyConfig(photons=200_000, ensemble_size=10, seed=23)
-        leo = fidelity_vs_zenith(channel_grid(self._channel(1.0), 420e3, (1.0,), [0.0]), leo_config)
+        config = TomographyConfig(photons=10**7, ensemble_size=10)
+        meo = fidelity_vs_zenith(channel_grid(self.CHANNEL, 20_200e3, (0.25,), [0.0]), config, 23)
+        leo_config = TomographyConfig(photons=200_000, ensemble_size=10)
+        leo = fidelity_vs_zenith(channel_grid(self.CHANNEL, 420e3, (1.0,), [0.0]), leo_config, 23)
         assert meo.mean_fidelity[0, 0] + meo.sd_fidelity[0, 0] < leo.mean_fidelity[0, 0]
         assert meo.failures[0, 0] == 10
         assert (meo.mean_fidelity[0, 0], meo.sd_fidelity[0, 0]) == (0.5, 0.0)
@@ -743,8 +732,6 @@ class TestStateGenerators:
         with pytest.raises(ValueError, match="1e\\+15"):
             TomographyConfig(photons=MAX_PHOTONS + 1)
         assert TomographyConfig(photons=MAX_PHOTONS).photons == MAX_PHOTONS
-        with pytest.raises(ValueError):
-            TomographyConfig(transmittance=1.5)
         with pytest.raises(ValueError, match="1e\\+06"):
             TomographyConfig(ensemble_size=MAX_ENSEMBLE_SIZE + 1)
         assert TomographyConfig(ensemble_size=MAX_ENSEMBLE_SIZE).ensemble_size == MAX_ENSEMBLE_SIZE
@@ -770,15 +757,23 @@ class TestExactOracle:
         means = [round_half_away(n_eff * p) for p in born_probabilities(r)]
         # Each axis ends where its Poisson tail is far below 1e-12.
         pmfs = [_poisson_pmf(m, int(m + 12 + 8 * math.sqrt(m + 1))) for m in means]
-        weight = pmfs[0][:, None, None, None] * pmfs[1][:, None, None] * pmfs[2][:, None] * pmfs[3]
-        assert weight.sum() >= 1.0 - 1e-12
-        counts = np.stack(np.meshgrid(*[np.arange(len(p)) for p in pmfs], indexing="ij"), axis=-1)
-        fit = fit_state(counts, n_eff)
-        f = fidelity(r, fit.r, fit.pure | pure_input)
-        mean_f = float((weight * f).sum())
-        return means, mean_f, float((weight * (f - mean_f) ** 2).sum())
+        # One slice of the first count axis at a time: the whole lattice has
+        # about 3e6 points at n_eff = 30.
+        rest = np.stack(np.meshgrid(*[np.arange(len(p)) for p in pmfs[1:]], indexing="ij"), axis=-1)
+        rest_weight = pmfs[1][:, None, None] * pmfs[2][:, None] * pmfs[3]
+        mass = mean_f = mean_f2 = 0.0
+        for c0, p0 in enumerate(pmfs[0].tolist()):
+            counts = np.concatenate([np.full(rest.shape[:-1] + (1,), c0), rest], axis=-1)
+            fit = fit_state(counts, n_eff)
+            f = fidelity(r, fit.r, fit.pure | pure_input)
+            weight = p0 * rest_weight
+            mass += float(weight.sum())
+            mean_f += float((weight * f).sum())
+            mean_f2 += float((weight * f * f).sum())
+        assert mass >= 1.0 - 1e-12
+        return means, mean_f, mean_f2 - mean_f**2
 
-    @pytest.mark.parametrize("n_eff", [2, 5, 10])
+    @pytest.mark.parametrize("n_eff", [2, 5, 10, 30])
     @pytest.mark.parametrize("r, pure_input", [((0.0, 0.0, 1.0), True), ((0.3, -0.2, 0.4), False)])
     def test_monte_carlo_matches_the_lattice(self, r, pure_input, n_eff):
         r = np.array(r)

@@ -8,8 +8,8 @@ qubit tomography experiment through the resulting channel.
 
 import os
 
-# Set before numpy loads: only the Bures state draw reaches BLAS and LAPACK (2x2),
-# and an idle OpenBLAS pool spins its threads for CPU time. A caller's value is kept.
+# Set before numpy loads; a caller's value is kept. Only the Bures draw reaches BLAS, but an idle
+# pool spins: a Haar qst run took 446 ms of CPU with 2 threads and 311 ms with 1 (12 runs each).
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .beam import BeamParams, spot_size

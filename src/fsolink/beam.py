@@ -8,20 +8,19 @@ aperture disc; pointing jitter and beam wander are out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+from ._bounds import check_fields
 
 
 @dataclass(frozen=True)
 class BeamParams:
     """Transmit beam. ``waist_m`` is the 1/e^2 radius."""
 
-    wavelength_m: float = 1550e-9
-    waist_m: float = 0.01
+    wavelength_m: float = field(default=1550e-9, metadata={"gt": 0.0})
+    waist_m: float = field(default=0.01, metadata={"gt": 0.0})
 
-    def __post_init__(self) -> None:
-        for name in ("wavelength_m", "waist_m"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+    __post_init__ = check_fields
 
     @property
     def rayleigh_range_m(self) -> float:

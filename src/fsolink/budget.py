@@ -20,6 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._bounds import check_fields
 from .beam import BeamParams, encircled_energy, spot_size
 from .extinction import ExtinctionParams, slant_transmittance
 from .geometry import EARTH_RADIUS_M, LinkGeometry, slant_range
@@ -59,17 +60,15 @@ class FluctuationMode(enum.Enum):
 
 @dataclass(frozen=True)
 class ChannelParams:
-    beam: BeamParams = field(default_factory=BeamParams)
-    extinction: ExtinctionParams = field(default_factory=ExtinctionParams)
-    turbulence: TurbulenceProfile = field(default_factory=TurbulenceProfile)
-    eta_int: float = 0.4
-    aperture_model: ApertureModel = field(default_factory=ApertureModel)
+    beam: BeamParams = BeamParams()
+    extinction: ExtinctionParams = ExtinctionParams()
+    turbulence: TurbulenceProfile = TurbulenceProfile()
+    eta_int: float = field(default=0.4, metadata={"gt": 0.0, "le": 1.0})
+    aperture_model: ApertureModel = ApertureModel()
     fluctuation_mode: FluctuationMode = FluctuationMode.DETERMINISTIC
     scintillation_variant: ScintillationVariant = ScintillationVariant.SEVEN_SIXTHS
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eta_int <= 1.0:
-            raise ValueError("eta_int must lie in (0, 1]")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 Configs are nested key-value documents; lengths and angles may be given
 either as SI numbers (meters; degrees for angles) or as strings with an
 explicit unit ("50 cm", "1.4 rad"). Internally everything is SI with radians.
-Every key, with its kind, default, bounds and ScenarioConfig field, is one
-entry of ``_TABLE``; parsing and the normalized echo both walk it.
+Every key, with its kind and the ScenarioConfig field it fills, is one entry
+of ``_TABLE``; parsing and the normalized echo both walk it. The default and
+the bounds of a key are declared once, on that field.
 Identical config + seed reproduces byte-identical CSV output on one machine
 with one numpy version; tests/test_golden.py checks each x86 SIMD level the
 CPU offers.
@@ -26,29 +27,21 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import Field, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, NoReturn
 
 import numpy as np
 
 from . import __version__
-from .beam import BeamParams
+from ._bounds import violated
 from .budget import (
     LEO_ALTITUDE_M, ZENITH_BOUND_RAD, ChannelGrid, ChannelParams, FluctuationMode, channel_grid, sweep_pass
 )
-from .extinction import ExtinctionParams
 from .geometry import EARTH_MU_M3_S2, EARTH_RADIUS_M, pass_times
-from .qst import (
-    MAX_ENSEMBLE_SIZE,
-    MAX_PHOTONS,
-    EnsembleKind,
-    FadingResample,
-    TomographyConfig,
-    fidelity_vs_zenith,
-)
+from .qst import EnsembleKind, FadingResample, TomographyConfig, fidelity_vs_zenith
 from .quadrature import QuadratureError
-from .turbulence import ApertureModel, ApertureModelKind, ScintillationVariant, TurbulenceProfile
+from .turbulence import ApertureModelKind, ScintillationVariant
 
 SCENARIOS = ("pass_time", "av_sweep", "link_budget", "qst")
 
@@ -83,23 +76,17 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class _Key:
-    """One config key: dotted name, kind, JSON default, bounds and ScenarioConfig field.
+    """One config key: dotted name, kind and ScenarioConfig field path.
 
     Kinds: "integer" (booleans excluded), "number" (finite), "length" (meters
     or a unit string), "angle" (degrees or a 'deg'/'rad' string, radians
     inside), "lengths" (a non-empty list of lengths, bounds per item), "enum"
-    (a string among ``choices``, mapped to its value) and "string". Bounds are
-    in SI units; a None default makes the key optional.
+    (a string among ``choices``, mapped to its value) and "string".
     """
 
     key: str
     kind: str
-    default: Any
     field: str
-    gt: float | None = None
-    ge: float | None = None
-    lt: float | None = None
-    le: float | None = None
     choices: dict | None = None
 
 
@@ -108,47 +95,37 @@ def _choices(options) -> dict:
 
 
 _TABLE = (
-    _Key("scenario", "enum", "link_budget", "scenario", choices=_choices(SCENARIOS)),
-    _Key("seed", "integer", 0, "seed", ge=0),
-    _Key("output_dir", "string", ".", "output_dir"),
-    _Key("geometry.satellite_altitude", "length", LEO_ALTITUDE_M, "satellite_altitude_m"),
-    _Key("geometry.ogs_altitude", "length", 65.0, "channel.turbulence.h_ogs_m", ge=0.0),
-    _Key("geometry.earth_radius", "length", EARTH_RADIUS_M, "earth_radius_m", gt=0.0),
-    _Key("geometry.mu", "number", EARTH_MU_M3_S2, "mu_m3_s2", gt=0.0),
-    _Key("geometry.zenith_limit", "angle", 80.0, "zenith_limit_rad", gt=0.0, lt=math.pi / 2),
-    _Key("geometry.altitudes", "lengths", None, "altitudes_m"),
-    _Key("channel.wavelength", "length", 1550e-9, "channel.beam.wavelength_m", gt=0.0),
-    _Key("channel.beam_waist", "length", 0.01, "channel.beam.waist_m", gt=0.0),
-    _Key("channel.eta_int", "number", 0.4, "channel.eta_int", gt=0.0, le=1.0),
-    _Key("channel.alpha0", "number", 5e-6, "channel.extinction.alpha0_per_m", gt=0.0),
-    _Key("channel.h0", "length", 6600.0, "channel.extinction.h0_m", gt=0.0),
-    _Key("channel.c0", "number", 1.7e-14, "channel.turbulence.c0", gt=0.0),
-    _Key("channel.v_rms", "number", 26.25, "channel.turbulence.v_rms", gt=0.0),
-    _Key("channel.fluctuation_mode", "enum", "deterministic", "channel.fluctuation_mode",
-         choices=_choices(FluctuationMode)),
-    _Key("channel.aperture_model", "enum", "andrews", "channel.aperture_model.kind",
-         choices=_choices(ApertureModelKind)),
-    _Key("channel.tropopause_height", "length", 12_000.0, "channel.aperture_model.tropopause_m", gt=0.0),
-    _Key("channel.theta_max_deg", "number", 10.0, "channel.aperture_model.theta_max_deg", gt=0.0, lt=90.0),
-    _Key("channel.scintillation_variant", "enum", "7/6", "channel.scintillation_variant",
+    _Key("scenario", "enum", "scenario", choices=_choices(SCENARIOS)),
+    _Key("seed", "integer", "seed"),
+    _Key("output_dir", "string", "output_dir"),
+    _Key("geometry.satellite_altitude", "length", "satellite_altitude_m"),
+    _Key("geometry.ogs_altitude", "length", "channel.turbulence.h_ogs_m"),
+    _Key("geometry.earth_radius", "length", "earth_radius_m"),
+    _Key("geometry.mu", "number", "mu_m3_s2"),
+    _Key("geometry.zenith_limit", "angle", "zenith_limit_rad"),
+    _Key("geometry.altitudes", "lengths", "altitudes_m"),
+    _Key("channel.wavelength", "length", "channel.beam.wavelength_m"),
+    _Key("channel.beam_waist", "length", "channel.beam.waist_m"),
+    _Key("channel.eta_int", "number", "channel.eta_int"),
+    _Key("channel.alpha0", "number", "channel.extinction.alpha0_per_m"),
+    _Key("channel.h0", "length", "channel.extinction.h0_m"),
+    _Key("channel.c0", "number", "channel.turbulence.c0"),
+    _Key("channel.v_rms", "number", "channel.turbulence.v_rms"),
+    _Key("channel.fluctuation_mode", "enum", "channel.fluctuation_mode", choices=_choices(FluctuationMode)),
+    _Key("channel.aperture_model", "enum", "channel.aperture_model.kind", choices=_choices(ApertureModelKind)),
+    _Key("channel.tropopause_height", "length", "channel.aperture_model.tropopause_m"),
+    _Key("channel.theta_max_deg", "number", "channel.aperture_model.theta_max_deg"),
+    _Key("channel.scintillation_variant", "enum", "channel.scintillation_variant",
          choices=_choices(ScintillationVariant)),
-    _Key("sweep.diameters", "lengths", ["25 cm", "50 cm", "75 cm", "100 cm"], "diameters_m", gt=0.0),
-    _Key("sweep.zenith_min", "angle", -80.0, "zenith_min_rad", ge=-ZENITH_BOUND_RAD, le=ZENITH_BOUND_RAD),
-    _Key("sweep.zenith_max", "angle", 80.0, "zenith_max_rad", ge=-ZENITH_BOUND_RAD, le=ZENITH_BOUND_RAD),
-    _Key("sweep.zenith_step", "angle", 1.0, "zenith_step_rad", gt=0.0),
-    _Key("sweep.draws_per_point", "integer", 10_000, "draws_per_point", ge=1, le=MAX_DRAWS_PER_POINT),
-    _Key("tomography.photons", "integer", 200_000, "tomography.photons", ge=1, le=MAX_PHOTONS),
-    _Key("tomography.ensemble_size", "integer", 220, "tomography.ensemble_size", ge=1, le=MAX_ENSEMBLE_SIZE),
-    _Key("tomography.ensemble_kind", "enum", "haar_pure", "tomography.ensemble_kind",
-         choices=_choices(EnsembleKind)),
-    _Key("tomography.fading_resample", "enum", "per_trial", "fading_resample", choices=_choices(FadingResample)),
-)
-
-_BOUND_TESTS = (
-    ("gt", "greater than", lambda value, bound: value > bound),
-    ("ge", "at least", lambda value, bound: value >= bound),
-    ("lt", "less than", lambda value, bound: value < bound),
-    ("le", "at most", lambda value, bound: value <= bound),
+    _Key("sweep.diameters", "lengths", "diameters_m"),
+    _Key("sweep.zenith_min", "angle", "zenith_min_rad"),
+    _Key("sweep.zenith_max", "angle", "zenith_max_rad"),
+    _Key("sweep.zenith_step", "angle", "zenith_step_rad"),
+    _Key("sweep.draws_per_point", "integer", "draws_per_point"),
+    _Key("tomography.photons", "integer", "tomography.photons"),
+    _Key("tomography.ensemble_size", "integer", "tomography.ensemble_size"),
+    _Key("tomography.ensemble_kind", "enum", "tomography.ensemble_kind", choices=_choices(EnsembleKind)),
+    _Key("tomography.fading_resample", "enum", "fading_resample", choices=_choices(FadingResample)),
 )
 
 
@@ -189,13 +166,13 @@ def _quantity(value: Any, key: str, units: dict[str, float], bare_scale: float, 
     return si
 
 
-def _convert(spec: _Key, kind: str, value: Any, key: str, problems: list[str]) -> Any:
-    """The ScenarioConfig value of one JSON value, or None after recording each problem."""
+def _convert(spec: _Key, kind: str, value: Any, key: str, bounds, problems: list[str]) -> Any:
+    """The ScenarioConfig value of one JSON value within ``bounds``, or None after recording each problem."""
     if kind == "lengths":
         if not isinstance(value, list) or not value:
             problems.append(f"{key} must be a non-empty list")
             return None
-        items = [_convert(spec, "length", item, f"{key}[{i}]", problems) for i, item in enumerate(value)]
+        items = [_convert(spec, "length", item, f"{key}[{i}]", bounds, problems) for i, item in enumerate(value)]
         return None if None in items else tuple(items)
     if kind == "enum":
         if isinstance(value, str) and value in spec.choices:
@@ -229,12 +206,11 @@ def _convert(spec: _Key, kind: str, value: Any, key: str, problems: list[str]) -
         value = _quantity(value, key, _ANGLE_UNITS, _ANGLE_UNITS["deg"], problems)
         if value is None:
             return None
-    for name, words, within in _BOUND_TESTS:
-        bound = getattr(spec, name)
-        if bound is not None and not within(value, bound):
-            shown = {"length": f"{bound:g} m", "angle": f"{math.degrees(bound):g} deg"}.get(kind, bound)
-            problems.append(f"{key} must be {words} {shown}")
-            return None
+    if broken := violated(value, bounds):
+        words, bound = broken
+        shown = {"length": f"{bound:g} m", "angle": f"{math.degrees(bound):g} deg"}.get(kind, bound)
+        problems.append(f"{key} must be {words} {shown}")
+        return None
     return value
 
 
@@ -252,22 +228,31 @@ def _nest(pairs) -> dict:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    scenario: str
-    seed: int
-    output_dir: str
-    satellite_altitude_m: float
-    earth_radius_m: float
-    mu_m3_s2: float
-    zenith_limit_rad: float
-    altitudes_m: tuple[float, ...]
-    channel: ChannelParams
-    diameters_m: tuple[float, ...]
-    zenith_min_rad: float
-    zenith_max_rad: float
-    zenith_step_rad: float
-    draws_per_point: int
-    tomography: TomographyConfig
-    fading_resample: FadingResample
+    """A run's settings in SI units; each field declares its config key's default and bounds.
+
+    So does each field of ``channel`` and ``tomography``; a list's bounds hold for each item.
+    """
+
+    scenario: str = "link_budget"
+    seed: int = field(default=0, metadata={"ge": 0})
+    output_dir: str = "."
+    satellite_altitude_m: float = LEO_ALTITUDE_M
+    earth_radius_m: float = field(default=EARTH_RADIUS_M, metadata={"gt": 0.0})
+    mu_m3_s2: float = field(default=EARTH_MU_M3_S2, metadata={"gt": 0.0})
+    zenith_limit_rad: float = field(default=math.radians(80.0), metadata={"gt": 0.0, "lt": math.pi / 2})
+    altitudes_m: tuple[float, ...] | None = None
+    channel: ChannelParams = ChannelParams()
+    diameters_m: tuple[float, ...] = field(default=(0.25, 0.5, 0.75, 1.0), metadata={"gt": 0.0})
+    zenith_min_rad: float = field(
+        default=-math.radians(80.0), metadata={"ge": -ZENITH_BOUND_RAD, "le": ZENITH_BOUND_RAD}
+    )
+    zenith_max_rad: float = field(
+        default=math.radians(80.0), metadata={"ge": -ZENITH_BOUND_RAD, "le": ZENITH_BOUND_RAD}
+    )
+    zenith_step_rad: float = field(default=math.radians(1.0), metadata={"gt": 0.0})
+    draws_per_point: int = field(default=10_000, metadata={"ge": 1, "le": MAX_DRAWS_PER_POINT})
+    tomography: TomographyConfig = TomographyConfig()
+    fading_resample: FadingResample = FadingResample.PER_TRIAL
 
     def zenith_grid_rad(self) -> np.ndarray:
         # Floor, not round, so a step that does not divide the span stops short
@@ -292,8 +277,25 @@ def _decode(document: str | dict) -> dict:
     return raw
 
 
+def _declared(path: str) -> Field:
+    """The field that a ScenarioConfig field path names: "channel.beam.waist_m" is BeamParams.waist_m."""
+    owner = ScenarioConfig
+    for name in path.split("."):
+        declared = next(f for f in fields(owner) if f.name == name)
+        owner = type(declared.default)
+    return declared
+
+
+def _filled(instance, tree: dict):
+    """``instance`` with the values in ``tree`` in place of its fields; a nested dict fills a nested dataclass."""
+    return replace(instance, **{
+        name: _filled(getattr(instance, name), value) if isinstance(value, dict) else value
+        for name, value in tree.items()
+    })
+
+
 def parse_config(document: str | dict) -> ScenarioConfig:
-    """Validate a config document against the key table and apply defaults.
+    """Validate a config document against the key table and the fields' bounds, and apply their defaults.
 
     Accepts raw JSON text or an already-decoded mapping. Every problem is
     collected (unknown keys by name, values of the wrong kind or out of
@@ -315,12 +317,14 @@ def parse_config(document: str | dict) -> ScenarioConfig:
         section = sections[section_name]
         if section is None:
             continue
-        value = section.pop(name, spec.default)
-        if value is None and spec.default is None:
-            continue
-        converted = _convert(spec, spec.kind, value, spec.key, problems)
-        if converted is not None:
-            values[spec.field] = converted
+        declared = _declared(spec.field)
+        value = declared.default
+        if name in section:
+            value = section.pop(name)
+            if value is not None or declared.default is not None:
+                value = _convert(spec, spec.kind, value, spec.key, declared.metadata, problems)
+        if value is not None:
+            values[spec.field] = value
     for section_name, section in sections.items():
         prefix = f"{section_name}." if section_name else ""
         problems += [f"unknown key {prefix}{name}" for name in section or ()]
@@ -351,18 +355,8 @@ def parse_config(document: str | dict) -> ScenarioConfig:
     if problems:
         raise ConfigError("invalid configuration:\n  - " + "\n  - ".join(problems))
 
-    fields = _nest(values.items())
-    fields.setdefault("altitudes_m", (fields["satellite_altitude_m"],))
-    ch = fields["channel"]
-    fields["channel"] = ChannelParams(
-        beam=BeamParams(**ch.pop("beam")),
-        extinction=ExtinctionParams(**ch.pop("extinction")),
-        turbulence=TurbulenceProfile(**ch.pop("turbulence")),
-        aperture_model=ApertureModel(**ch.pop("aperture_model")),
-        **ch,
-    )
-    fields["tomography"] = TomographyConfig(**fields["tomography"])
-    return ScenarioConfig(**fields)
+    values.setdefault("altitudes_m", (values["satellite_altitude_m"],))
+    return _filled(ScenarioConfig(), _nest(values.items()))
 
 
 def effective_config(cfg: ScenarioConfig) -> dict:

@@ -12,8 +12,9 @@ alpha0 * h0 = 0.033 this reproduces the canonical zenith transmittance
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
+from ._bounds import check_fields
 from .geometry import LinkGeometry, slant_range
 from .quadrature import adaptive_simpson
 
@@ -23,14 +24,10 @@ ATMOSPHERE_TOP_M = 100_000.0
 
 @dataclass(frozen=True)
 class ExtinctionParams:
-    alpha0_per_m: float = 5e-6
-    h0_m: float = 6_600.0
+    alpha0_per_m: float = field(default=5e-6, metadata={"gt": 0.0})
+    h0_m: float = field(default=6_600.0, metadata={"gt": 0.0})
 
-    def __post_init__(self) -> None:
-        if self.alpha0_per_m <= 0:
-            raise ValueError("alpha0_per_m must be > 0")
-        if self.h0_m <= 0:
-            raise ValueError("h0_m must be > 0")
+    __post_init__ = check_fields
 
 
 def beer_lambert(gamma_per_m: float, distance_m: float) -> float:
@@ -72,28 +69,18 @@ def exact_slant_transmittance(params: ExtinctionParams, geom: LinkGeometry) -> f
     Integrates gamma(h(s)) along the actual line of sight, where h(s) is the
     altitude of the signal at distance s from the station. Provided for
     validating the secant model; agreement is ~1% out to 70 deg at LEO.
-    The path is truncated where it leaves the sensible atmosphere.
+    The path is truncated where it leaves the sensible atmosphere, at the
+    slant range to ``ATMOSPHERE_TOP_M``; a station at or above it sees 1.0.
     """
+    if geom.satellite_altitude_m > ATMOSPHERE_TOP_M:
+        if geom.ogs_altitude_m >= ATMOSPHERE_TOP_M:
+            return 1.0
+        geom = replace(geom, satellite_altitude_m=ATMOSPHERE_TOP_M)
     r0 = geom.earth_radius_m + geom.ogs_altitude_m
     cos_z = math.cos(geom.zenith_angle_rad)
 
-    def altitude_at(s: float) -> float:
-        return math.sqrt(r0 * r0 + s * s + 2.0 * r0 * s * cos_z) - geom.earth_radius_m
-
-    total_path = slant_range(geom)
-    # Find where the ray crosses ATMOSPHERE_TOP_M; beyond it gamma is dust.
-    if altitude_at(total_path) > ATMOSPHERE_TOP_M:
-        lo, hi = 0.0, total_path
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if altitude_at(mid) > ATMOSPHERE_TOP_M:
-                hi = mid
-            else:
-                lo = mid
-        total_path = hi
-
     def gamma_along(s: float) -> float:
-        return params.alpha0_per_m * math.exp(-altitude_at(s) / params.h0_m)
+        altitude = math.sqrt(r0 * r0 + s * s + 2.0 * r0 * s * cos_z) - geom.earth_radius_m
+        return params.alpha0_per_m * math.exp(-altitude / params.h0_m)
 
-    optical_depth = adaptive_simpson(gamma_along, 0.0, total_path)
-    return math.exp(-optical_depth)
+    return math.exp(-adaptive_simpson(gamma_along, 0.0, slant_range(geom)))

@@ -94,7 +94,7 @@ def pass_times(
     rate sqrt(mu/(R+H)^3); timing follows from the ground half-angle at the
     horizon (total) and at ``zenith_limit_rad`` (effective).
     """
-    if altitude_m <= 0:
+    if not altitude_m > 0:
         raise ValueError("altitude_m must be > 0")
     if not 0.0 < zenith_limit_rad < math.pi / 2:
         raise ValueError("zenith_limit_rad must lie in (0, pi/2)")

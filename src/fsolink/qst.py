@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._bounds import check_fields
 from .budget import ChannelGrid, stream_states
 from .fading import sample
 
@@ -50,15 +51,11 @@ class FadingResample(enum.Enum):
 class TomographyConfig:
     """The experiment each cell runs: photons sent per trial and the ensemble of input states."""
 
-    photons: int = 200_000
-    ensemble_size: int = 220
+    photons: int = field(default=200_000, metadata={"ge": 1, "le": MAX_PHOTONS})
+    ensemble_size: int = field(default=220, metadata={"ge": 1, "le": MAX_ENSEMBLE_SIZE})
     ensemble_kind: EnsembleKind = EnsembleKind.HAAR_PURE
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.photons <= MAX_PHOTONS:
-            raise ValueError(f"photons must lie in [1, {MAX_PHOTONS:.0e}]")
-        if not 1 <= self.ensemble_size <= MAX_ENSEMBLE_SIZE:
-            raise ValueError(f"ensemble_size must lie in [1, {MAX_ENSEMBLE_SIZE:.0e}]")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
+from ._bounds import check_fields
 from .quadrature import adaptive_simpson
 
 # Altitude above which Cn^2 is negligible (< 1e-20 m^-2/3 for any sane profile);
@@ -33,17 +34,11 @@ class TurbulenceProfile:
     altitude above sea level (the profile's ground-term reference).
     """
 
-    c0: float = 1.7e-14
-    v_rms: float = 26.25
-    h_ogs_m: float = 65.0
+    c0: float = field(default=1.7e-14, metadata={"gt": 0.0})
+    v_rms: float = field(default=26.25, metadata={"gt": 0.0})
+    h_ogs_m: float = field(default=65.0, metadata={"ge": 0.0})
 
-    def __post_init__(self) -> None:
-        if self.c0 <= 0:
-            raise ValueError("c0 must be > 0")
-        if self.v_rms <= 0:
-            raise ValueError("v_rms must be > 0")
-        if self.h_ogs_m < 0:
-            raise ValueError("h_ogs_m must be >= 0")
+    __post_init__ = check_fields
 
 
 class Regime(enum.Enum):
@@ -90,14 +85,10 @@ class ApertureModel:
     """
 
     kind: ApertureModelKind = ApertureModelKind.ANDREWS
-    tropopause_m: float = 12_000.0
-    theta_max_deg: float = 10.0
+    tropopause_m: float = field(default=12_000.0, metadata={"gt": 0.0})
+    theta_max_deg: float = field(default=10.0, metadata={"gt": 0.0, "lt": 90.0})
 
-    def __post_init__(self) -> None:
-        if self.tropopause_m <= 0:
-            raise ValueError("tropopause_m must be > 0")
-        if not 0.0 < self.theta_max_deg < 90.0:
-            raise ValueError("theta_max_deg must lie in (0, 90)")
+    __post_init__ = check_fields
 
 
 def cn2(profile: TurbulenceProfile, h_m: float) -> float:
@@ -157,9 +148,10 @@ def rytov_downlink(
     from the station altitude up to the satellite. The integrand dies off
     above ~40 km, so the integral is truncated at ``TURBULENCE_TOP_M``.
     """
-    if abs(zenith_rad) >= math.pi / 2:
+    # Each check is written so that NaN fails it.
+    if not abs(zenith_rad) < math.pi / 2:
         raise ValueError("|zenith_rad| must be < pi/2")
-    if altitude_m <= profile.h_ogs_m:
+    if not altitude_m > profile.h_ogs_m:
         raise ValueError("altitude_m must exceed the station altitude")
     k = 2.0 * math.pi / wavelength_m
     moment = _profile_moment(profile, altitude_m, 5.0 / 6.0)
@@ -179,7 +171,7 @@ def scintillation_index(
     with e2 = 7/6 or 5/6 per ``variant``. Reduces to sigma_I^2 ~ sigma_R^2
     for small s.
     """
-    if sigma_R2 < 0:
+    if not sigma_R2 >= 0:
         raise ValueError("sigma_R2 must be >= 0")
     s = sigma_R2
     e2 = 7.0 / 6.0 if variant is ScintillationVariant.SEVEN_SIXTHS else 5.0 / 6.0
@@ -238,6 +230,8 @@ def turbulence_scale_height(profile: TurbulenceProfile, altitude_m: float) -> fl
     or above ``TURBULENCE_TOP_M`` has no profile weight above it, so h_s is
     undefined there.
     """
+    if not altitude_m > profile.h_ogs_m:
+        raise ValueError("altitude_m must exceed the station altitude")
     num = _profile_moment(profile, altitude_m, 2.0)
     den = _profile_moment(profile, altitude_m, 5.0 / 6.0)
     if den == 0.0:

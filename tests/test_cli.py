@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pstats
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,13 +16,12 @@ import pytest
 
 import fsolink
 from fsolink import cli
+from fsolink.beam import BeamParams
 from fsolink.budget import ChannelParams, FluctuationMode, channel_grid, sweep_pass
 from fsolink.cli import (
     _TABLE,
     MAX_DRAWS_PER_POINT,
-    MAX_ENSEMBLE_SIZE,
     MAX_LENGTH_M,
-    MAX_PHOTONS,
     MAX_ZENITH_POINTS,
     ConfigError,
     effective_config,
@@ -30,8 +30,10 @@ from fsolink.cli import (
     parse_config,
     run,
 )
+from fsolink.extinction import ExtinctionParams
 from fsolink.geometry import pass_times
-from fsolink.qst import TomographyConfig, fidelity_vs_zenith
+from fsolink.qst import MAX_ENSEMBLE_SIZE, MAX_PHOTONS, TomographyConfig, fidelity_vs_zenith
+from fsolink.turbulence import ApertureModel, TurbulenceProfile
 
 
 class TestParseConfig:
@@ -145,6 +147,42 @@ class TestParseConfig:
         again = parse_config(effective_config(cfg))
         assert again == cfg
         assert effective_config(again) == effective_config(cfg)
+
+
+TINY = math.ulp(0.0)
+
+# Each bounded library field with its config key, the values just past its
+# bounds, and its inclusive edges (or, past an exclusive bound, the nearest
+# value inside it).
+LIBRARY_BOUNDS = [
+    (BeamParams, "wavelength_m", "channel.wavelength", [0.0], [TINY]),
+    (BeamParams, "waist_m", "channel.beam_waist", [0.0], [TINY]),
+    (ExtinctionParams, "alpha0_per_m", "channel.alpha0", [0.0], [TINY]),
+    (ExtinctionParams, "h0_m", "channel.h0", [0.0], [TINY]),
+    (TurbulenceProfile, "c0", "channel.c0", [0.0], [TINY]),
+    (TurbulenceProfile, "v_rms", "channel.v_rms", [0.0], [TINY]),
+    (TurbulenceProfile, "h_ogs_m", "geometry.ogs_altitude", [-TINY], [0.0]),
+    (ApertureModel, "tropopause_m", "channel.tropopause_height", [0.0], [TINY]),
+    (ApertureModel, "theta_max_deg", "channel.theta_max_deg", [0.0, 90.0], [TINY, math.nextafter(90.0, 0.0)]),
+    (ChannelParams, "eta_int", "channel.eta_int", [0.0, math.nextafter(1.0, 2.0)], [TINY, 1.0]),
+    (TomographyConfig, "photons", "tomography.photons", [0, MAX_PHOTONS + 1], [1, MAX_PHOTONS]),
+    (TomographyConfig, "ensemble_size", "tomography.ensemble_size", [0, MAX_ENSEMBLE_SIZE + 1], [1, MAX_ENSEMBLE_SIZE]),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, name, key, rejected, accepted", LIBRARY_BOUNDS, ids=[f"{c.__name__}.{n}" for c, n, *_ in LIBRARY_BOUNDS]
+)
+def test_library_fields_reject_nan_and_values_past_their_bounds(cls, name, key, rejected, accepted):
+    section, leaf = key.split(".")
+    for value in [math.nan, *rejected]:
+        with pytest.raises(ValueError, match=rf"^{name} must be (greater than|at least|less than|at most) \S+$"):
+            cls(**{name: value})
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}\b"):
+            parse_config(json.dumps({section: {leaf: value}}))
+    for value in accepted:
+        assert getattr(cls(**{name: value}), name) == value
+        parse_config(json.dumps({section: {leaf: value}}))
 
 
 class TestEmitCsv:

@@ -1,5 +1,7 @@
 """Property tests of the config key table behind parse_config and effective_config.
 
+Each key's default and bounds are read from the dataclass field it fills.
+
 Documents set a random subset of the table's keys, some to valid values and
 some corrupted (wrong type, NaN, +/-Infinity, a boolean, an out-of-range
 value), and may add unknown keys or replace whole sections by non-objects.
@@ -25,7 +27,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsolink.cli import _TABLE, MAX_LENGTH_M, SCENARIOS, ConfigError, effective_config, main, parse_config
+from fsolink.cli import _TABLE, MAX_LENGTH_M, SCENARIOS, ConfigError, _declared, effective_config, main, parse_config
 
 SECTIONS = sorted({spec.key.rpartition(".")[0] for spec in _TABLE})  # "" is the root
 
@@ -41,12 +43,18 @@ _WRONG_TYPE = {
 }
 
 
+def _bounds(spec):
+    return _declared(spec.field).metadata
+
+
 def _lower(spec):
-    return spec.gt if spec.gt is not None else spec.ge
+    bounds = _bounds(spec)
+    return bounds.get("gt", bounds.get("ge"))
 
 
 def _upper(spec):
-    return spec.lt if spec.lt is not None else spec.le
+    bounds = _bounds(spec)
+    return bounds.get("lt", bounds.get("le"))
 
 
 def valid(spec, kind=None):
@@ -68,7 +76,7 @@ def valid(spec, kind=None):
         lo = None if lo is None else math.degrees(lo)
         hi = None if hi is None else math.degrees(hi)
     numbers = st.floats(
-        lo, hi, exclude_min=spec.gt is not None, exclude_max=spec.lt is not None,
+        lo, hi, exclude_min="gt" in _bounds(spec), exclude_max="lt" in _bounds(spec),
         allow_nan=False, allow_infinity=False, allow_subnormal=False,
     )
     if kind == "length":
@@ -83,12 +91,12 @@ def corrupted(spec, kind=None):
     kind = kind or spec.kind
     if kind == "lengths":
         item = st.tuples(valid(spec, "length"), corrupted(spec, "length")).map(list)
-        whole = [5, "1 m", {}, []] + ([] if spec.default is None else [None])
+        whole = [5, "1 m", {}, []] + ([] if _declared(spec.field).default is None else [None])
         return st.one_of(st.sampled_from(whole), item)
     bad = [math.nan, math.inf, -math.inf, True, False, None, [1], {}] + _WRONG_TYPE[kind]
     to_json = math.degrees if kind == "angle" else (lambda bound: bound)
-    bad += [to_json(bound) - 1 for bound in (spec.gt, spec.ge) if bound is not None]
-    bad += [to_json(bound) + 1 for bound in (spec.lt, spec.le) if bound is not None]
+    bad += [to_json(bound) - 1 for name, bound in _bounds(spec).items() if name in ("gt", "ge")]
+    bad += [to_json(bound) + 1 for name, bound in _bounds(spec).items() if name in ("lt", "le")]
     if kind == "length":
         bad += [2 * MAX_LENGTH_M, -2 * MAX_LENGTH_M]
     return st.sampled_from(bad)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fsolink.extinction import (
+    ATMOSPHERE_TOP_M,
     ExtinctionParams,
     beer_lambert,
     exact_slant_transmittance,
@@ -129,6 +130,11 @@ class TestExactSlantTransmittance:
             exact = exact_slant_transmittance(params, geom)
             secant = slant_transmittance(params, altitude, math.radians(80.0))
             assert abs(exact - secant) / secant < 0.05
+
+    @pytest.mark.parametrize("ogs_m", [ATMOSPHERE_TOP_M, 150e3])
+    def test_station_above_the_atmosphere_sees_no_extinction(self, ogs_m):
+        geom = LinkGeometry(satellite_altitude_m=420e3, zenith_angle_rad=0.5, ogs_altitude_m=ogs_m)
+        assert exact_slant_transmittance(ExtinctionParams(), geom) == 1.0
 
     def test_degenerate_altitude_limit(self):
         geom = LinkGeometry(satellite_altitude_m=0.5, zenith_angle_rad=0.7)

@@ -176,6 +176,8 @@ class TestPassTimes:
     def test_validation(self):
         with pytest.raises(ValueError):
             pass_times(-1.0)
+        with pytest.raises(ValueError, match="altitude_m must be > 0"):
+            pass_times(math.nan)
         with pytest.raises(ValueError):
             pass_times(500e3, zenith_limit_rad=math.pi / 2)
         with pytest.raises(ValueError):

@@ -144,6 +144,11 @@ class TestRytovDownlink:
             rytov_downlink(DEFAULTS, WAVELENGTH, 420e3, math.pi / 2)
         with pytest.raises(ValueError):
             rytov_downlink(DEFAULTS, WAVELENGTH, 10.0, 0.0)
+        # NaN fails each check; past them, a NaN altitude would clamp the integral to the station and give 0.
+        with pytest.raises(ValueError, match="altitude_m must exceed the station altitude"):
+            rytov_downlink(DEFAULTS, WAVELENGTH, math.nan, 0.0)
+        with pytest.raises(ValueError, match="zenith_rad"):
+            rytov_downlink(DEFAULTS, WAVELENGTH, 420e3, math.nan)
 
 
 class TestScintillationIndex:
@@ -186,8 +191,9 @@ class TestScintillationIndex:
                 assert scintillation_index(float(s), variant).sigma_I2 >= 0.0
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            scintillation_index(-0.1)
+        for sigma_R2 in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="sigma_R2 must be >= 0"):
+                scintillation_index(sigma_R2)
 
 
 class TestApertureAveraging:
@@ -264,6 +270,12 @@ class TestApertureAveraging:
             av_giggenbach(0.0, WAVELENGTH, 12e3)
         with pytest.raises(ValueError):
             av_andrews(0.0, WAVELENGTH, 420e3)
+
+    @pytest.mark.parametrize("altitude_m", [math.nan, DEFAULTS.h_ogs_m, 10.0])
+    def test_yura_scale_height_needs_a_satellite_above_the_station(self, altitude_m):
+        # The profile is not at fault, so the error names the altitude.
+        with pytest.raises(ValueError, match="altitude_m must exceed the station altitude"):
+            turbulence_scale_height(DEFAULTS, altitude_m)
 
     @pytest.mark.parametrize("h_ogs_m", [100e3, 150e3])
     def test_yura_scale_height_of_a_station_above_the_profile(self, h_ogs_m):

@@ -8,7 +8,7 @@ qubit tomography experiment through the resulting channel.
 
 import os
 
-# Set before numpy loads; a caller's value is kept. Only the Bures draw reaches BLAS, but an idle
+# Set before numpy loads; a caller's value is kept. Nothing here reaches BLAS or LAPACK, but an idle
 # pool spins: a Haar qst run took 446 ms of CPU with 2 threads and 311 ms with 1 (12 runs each).
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -62,8 +62,6 @@ from .quadrature import QuadratureError, adaptive_simpson
 from .turbulence import (
     ApertureModel,
     ApertureModelKind,
-    Regime,
-    ScintillationResult,
     ScintillationVariant,
     TurbulenceProfile,
     av_andrews,

@@ -29,7 +29,7 @@ class BeamParams:
 
 def spot_size(params: BeamParams, z_m: float) -> float:
     """1/e^2 beam radius after propagating ``z_m`` from the waist."""
-    if z_m < 0:
+    if not z_m >= 0:
         raise ValueError("z_m must be >= 0")
     return params.waist_m * math.sqrt(1.0 + (z_m / params.rayleigh_range_m) ** 2)
 

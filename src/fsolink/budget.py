@@ -159,7 +159,7 @@ class ChannelGrid:
             return np.zeros(self.shape)
         sigma_i2 = np.array([
             scintillation_index(rytov_downlink(p.turbulence, p.beam.wavelength_m, self.altitude_m, zen),
-                                p.scintillation_variant).sigma_I2
+                                p.scintillation_variant)
             for zen in self.zenith_rad.tolist()
         ])
         if p.fluctuation_mode is FluctuationMode.ISI:

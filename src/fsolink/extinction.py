@@ -32,9 +32,10 @@ class ExtinctionParams:
 
 def beer_lambert(gamma_per_m: float, distance_m: float) -> float:
     """Transmittance exp(-gamma * d) through a uniform medium."""
-    if gamma_per_m < 0:
+    # Each check is written so that NaN fails it.
+    if not gamma_per_m >= 0:
         raise ValueError("gamma_per_m must be >= 0")
-    if distance_m < 0:
+    if not distance_m >= 0:
         raise ValueError("distance_m must be >= 0")
     return math.exp(-gamma_per_m * distance_m)
 
@@ -45,7 +46,7 @@ def zenith_transmittance(params: ExtinctionParams, altitude_m: float) -> float:
     Closed form of integrating gamma(h): exp(-alpha0 h0 (1 - exp(-H/h0))).
     For H >= 30 km this saturates at exp(-alpha0 h0) ~ 0.9675.
     """
-    if altitude_m <= 0:
+    if not altitude_m > 0:
         raise ValueError("altitude_m must be > 0")
     a, h0 = params.alpha0_per_m, params.h0_m
     return math.exp(-a * h0 * (1.0 - math.exp(-altitude_m / h0)))
@@ -57,7 +58,7 @@ def slant_transmittance(params: ExtinctionParams, altitude_m: float, zenith_rad:
     Raises the zenith transmittance to sec(zenith); diverges toward the
     horizon, so |zenith| must stay below pi/2.
     """
-    if abs(zenith_rad) >= math.pi / 2:
+    if not abs(zenith_rad) < math.pi / 2:
         raise ValueError("|zenith_rad| must be < pi/2 (secant model diverges)")
     eta_zen = zenith_transmittance(params, altitude_m)
     return eta_zen ** (1.0 / math.cos(zenith_rad))

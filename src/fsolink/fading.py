@@ -26,7 +26,7 @@ def pdf(sigma_j2: float, intensity) -> np.ndarray | float:
     if not s2 > 0:
         raise ValueError("pdf needs sigma_j2 > 0 (at sigma_j2 = 0, I = 1 is a point mass)")
     arr = np.asarray(intensity, dtype=float)
-    if np.any(arr <= 0):
+    if not np.all(arr > 0):
         raise ValueError("intensity must be > 0")
     out = np.exp(-((np.log(arr) + s2 / 2.0) ** 2) / (2.0 * s2)) / (arr * math.sqrt(2.0 * math.pi * s2))
     return out if out.ndim else float(out)

@@ -185,22 +185,23 @@ def fidelity(r: np.ndarray, s: np.ndarray, pure: bool | np.ndarray = False) -> f
 
 def haar_random_pure(rng: np.random.Generator) -> np.ndarray:
     """Bloch vector, shape (3,), of the Haar-random pure qubit state (a + ic, b + id)
-    from two normal(size=2) draws (a, b) and (c, d)."""
-    a, b = rng.normal(size=2).tolist()
-    c, d = rng.normal(size=2).tolist()
+    from four standard normals (a, b, c, d): the Hopf map of a uniform point on S^3."""
+    a, b, c, d = rng.standard_normal(4).tolist()
     s = a * a + b * b + c * c + d * d
     return np.array([2.0 * (a * b + c * d) / s, 2.0 * (a * d - c * b) / s, (a * a + c * c - b * b - d * d) / s])
 
 
 def bures_random_mixed(rng: np.random.Generator) -> np.ndarray:
-    """Bloch vector, shape (3,), of a Bures-distributed mixed qubit state."""
-    g = (rng.normal(size=(2, 2)) + 1.0j * rng.normal(size=(2, 2))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1.0j * rng.normal(size=(2, 2)))
-    u = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-    a = (np.eye(2) + u) @ g
-    rho = a @ a.conj().T
-    rho /= np.trace(rho).real
-    return np.array([2.0 * rho[0, 1].real, -2.0 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real])
+    """Bloch vector, shape (3,), of a Bures-distributed mixed qubit state from four
+    standard normals (a, b, c, d): (a, b, c) / |(a, b, c, d)|.
+
+    The first three coordinates of a uniform point on S^3 have the density
+    1/sqrt(1 - |r|^2) on the Bloch ball, which is the Bures law of the qubit
+    (Hall, Phys. Lett. A 242, 123, 1998).
+    """
+    a, b, c, d = rng.standard_normal(4).tolist()
+    norm = math.sqrt(a * a + b * b + c * c + d * d)
+    return np.array([a / norm, b / norm, c / norm])
 
 
 def _member_fidelities(

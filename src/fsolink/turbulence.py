@@ -41,23 +41,6 @@ class TurbulenceProfile:
     __post_init__ = check_fields
 
 
-class Regime(enum.Enum):
-    WEAK = "weak"
-    MODERATE = "moderate"
-    STRONG = "strong"
-
-
-# sigma_I^2 band classified as "moderate" (around 1).
-MODERATE_BAND = (0.9, 1.1)
-
-
-@dataclass(frozen=True)
-class ScintillationResult:
-    sigma_R2: float
-    sigma_I2: float
-    regime: Regime
-
-
 class ScintillationVariant(enum.Enum):
     """Outer exponent of the second term in the strong-fluctuation formula.
 
@@ -97,7 +80,7 @@ def cn2(profile: TurbulenceProfile, h_m: float) -> float:
     Three summands: high-altitude wind-driven term, mid-altitude background,
     and the ground layer referenced to the station altitude.
     """
-    if h_m < profile.h_ogs_m:
+    if not h_m >= profile.h_ogs_m:
         raise ValueError("h_m must be >= the station altitude")
     wind = 8.148e-56 * profile.v_rms**2 * h_m**10 * math.exp(-h_m / 1000.0)
     background = 2.7e-16 * math.exp(-h_m / 1500.0)
@@ -107,9 +90,9 @@ def cn2(profile: TurbulenceProfile, h_m: float) -> float:
 
 def rytov_horizontal(cn2_const: float, wavelength_m: float, path_m: float) -> float:
     """Plane-wave Rytov variance 1.23 Cn^2 k^(7/6) L^(11/6) for a uniform path."""
-    if cn2_const < 0:
+    if not cn2_const >= 0:
         raise ValueError("cn2_const must be >= 0")
-    if wavelength_m <= 0 or path_m <= 0:
+    if not (wavelength_m > 0 and path_m > 0):
         raise ValueError("wavelength_m and path_m must be > 0")
     k = 2.0 * math.pi / wavelength_m
     return 1.23 * cn2_const * k ** (7.0 / 6.0) * path_m ** (11.0 / 6.0)
@@ -162,8 +145,8 @@ def rytov_downlink(
 def scintillation_index(
     sigma_R2: float,
     variant: ScintillationVariant = ScintillationVariant.SEVEN_SIXTHS,
-) -> ScintillationResult:
-    """Intensity scintillation index from the Rytov index.
+) -> float:
+    """Intensity scintillation index sigma_I^2 from the Rytov index.
 
     Empirical formula valid beyond the weak-fluctuation limit:
     sigma_I^2 = exp[0.49 s / (1 + 1.11 s^(6/5))^(7/6)
@@ -177,14 +160,7 @@ def scintillation_index(
     e2 = 7.0 / 6.0 if variant is ScintillationVariant.SEVEN_SIXTHS else 5.0 / 6.0
     first = 0.49 * s / (1.0 + 1.11 * s ** (6.0 / 5.0)) ** (7.0 / 6.0)
     second = 0.51 * s / (1.0 + 0.69 * s ** (6.0 / 5.0)) ** e2
-    sigma_I2 = math.expm1(first + second)
-    if sigma_I2 < MODERATE_BAND[0]:
-        regime = Regime.WEAK
-    elif sigma_I2 <= MODERATE_BAND[1]:
-        regime = Regime.MODERATE
-    else:
-        regime = Regime.STRONG
-    return ScintillationResult(sigma_R2=sigma_R2, sigma_I2=sigma_I2, regime=regime)
+    return math.expm1(first + second)
 
 
 def av_andrews(diameter_m: float, wavelength_m: float, path_m: float) -> float:
@@ -192,9 +168,9 @@ def av_andrews(diameter_m: float, wavelength_m: float, path_m: float) -> float:
 
     [1 + 1.062 k D^2 / (4 L)]^(-7/6), L being the total propagation distance.
     """
-    if diameter_m <= 0:
+    if not diameter_m > 0:
         raise ValueError("diameter_m must be > 0")
-    if path_m <= 0:
+    if not path_m > 0:
         raise ValueError("path_m must be > 0")
     k = 2.0 * math.pi / wavelength_m
     return (1.0 + 1.062 * k * diameter_m**2 / (4.0 * path_m)) ** (-7.0 / 6.0)
@@ -207,7 +183,7 @@ def giggenbach_layer_distance(elevation_deg: float, model: ApertureModel) -> flo
     tropopause height near zenith and grows toward low elevations until the
     theta_max knee takes over.
     """
-    if elevation_deg <= 0:
+    if not elevation_deg > 0:
         raise ValueError("elevation_deg must be > 0")
     t = elevation_deg / 90.0
     t_max = model.theta_max_deg / 90.0
@@ -216,8 +192,10 @@ def giggenbach_layer_distance(elevation_deg: float, model: ApertureModel) -> flo
 
 def av_giggenbach(diameter_m: float, wavelength_m: float, layer_m: float) -> float:
     """Giggenbach aperture-averaging factor [1 + 1.062 k D^2 / (9 L')]^(-7/6), L' from ``giggenbach_layer_distance``."""
-    if diameter_m <= 0:
+    if not diameter_m > 0:
         raise ValueError("diameter_m must be > 0")
+    if not layer_m > 0:
+        raise ValueError("layer_m must be > 0")
     k = 2.0 * math.pi / wavelength_m
     return (1.0 + 1.062 * k * diameter_m**2 / (9.0 * layer_m)) ** (-7.0 / 6.0)
 
@@ -248,9 +226,9 @@ def av_yura(diameter_m: float, wavelength_m: float, scale_height_m: float, zenit
     ``scale_height_m`` is h_s from :func:`turbulence_scale_height`, which
     depends on the profile and the satellite altitude but not on D or z.
     """
-    if diameter_m <= 0:
+    if not diameter_m > 0:
         raise ValueError("diameter_m must be > 0")
-    if abs(zenith_rad) >= math.pi / 2:
+    if not abs(zenith_rad) < math.pi / 2:
         raise ValueError("|zenith_rad| must be < pi/2")
     sec_z = 1.0 / math.cos(zenith_rad)
     x = diameter_m**2 / (wavelength_m * scale_height_m * sec_z)

@@ -100,7 +100,7 @@ class TestFadingVariance:
         params = default_channel(mode=FluctuationMode.ISI)
         got = channel_grid(params, LEO_ALTITUDE_M, [1.0], [0.4]).sigma_j2[0, 0]
         sigma_r2 = rytov_downlink(params.turbulence, params.beam.wavelength_m, LEO_ALTITUDE_M, 0.4)
-        assert got == scintillation_index(sigma_r2).sigma_I2
+        assert got == scintillation_index(sigma_r2)
 
     def test_psi_below_isi(self):
         isi = channel_grid(default_channel(mode=FluctuationMode.ISI), LEO_ALTITUDE_M, [1.0], [0.4]).sigma_j2[0, 0]
@@ -232,7 +232,7 @@ def _scalar_sigma_j2(params, altitude_m, zenith_rad, diameter_m):
         return 0.0
     wavelength = params.beam.wavelength_m
     sigma_r2 = rytov_downlink(params.turbulence, wavelength, altitude_m, zenith_rad)
-    sigma_i2 = scintillation_index(sigma_r2, params.scintillation_variant).sigma_I2
+    sigma_i2 = scintillation_index(sigma_r2, params.scintillation_variant)
     if params.fluctuation_mode is FluctuationMode.ISI:
         return sigma_i2
     model = params.aperture_model

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import binom, norm
+from scipy.stats import binom, ks_2samp, kstest, norm
 
 from fsolink import qst
 from fsolink.budget import ChannelParams, FluctuationMode, channel_grid, stream_states
@@ -89,13 +89,28 @@ def haar_rho_reference(rng):
 
 
 def bures_rho_reference(rng):
-    """The density-matrix path: the Bures state from the same draws and QR."""
+    """The Bures state from a complex Ginibre matrix and a Haar unitary by QR
+    (Osipov, Sommers & Zyczkowski, J. Phys. A 43, 055302, 2010): the
+    reference sampler for the law of ``bures_random_mixed``."""
     g = (rng.normal(size=(2, 2)) + 1.0j * rng.normal(size=(2, 2))) / math.sqrt(2.0)
     q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1.0j * rng.normal(size=(2, 2)))
     u = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
     a = (np.eye(2) + u) @ g
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def bures_rho_projection(rng):
+    """The density-matrix path: the state of r = (a, b, c)/|(a, b, c, d)| from
+    the same standard_normal(4) draw as ``bures_random_mixed``."""
+    a, b, c, d = rng.standard_normal(4)
+    return rho_of(np.array([a, b, c]) / math.sqrt(a * a + b * b + c * c + d * d))
+
+
+def bures_radius_cdf(r):
+    """P(|r| <= r) = (asin r - r sqrt(1 - r^2)) / (pi/2) for the Bures qubit,
+    whose radial density is proportional to r^2 / sqrt(1 - r^2)."""
+    return (np.arcsin(r) - r * np.sqrt(1.0 - r * r)) / (math.pi / 2.0)
 
 
 def reference_probabilities(rho):
@@ -703,9 +718,32 @@ class TestStateGenerators:
             assert r.shape == (3,)
             assert np.linalg.norm(r) <= 1.0 + 1e-12
 
+    def test_bures_radii_follow_the_analytic_law(self):
+        rng = np.random.default_rng(2027)
+        radii = np.array([np.linalg.norm(bures_random_mixed(rng)) for _ in range(40_000)])
+        assert kstest(radii, bures_radius_cdf).pvalue > 0.01
+
+    def test_bures_radii_match_the_qr_construction(self):
+        rng = np.random.default_rng(2028)
+        radii = [np.linalg.norm(bures_random_mixed(rng)) for _ in range(20_000)]
+        reference = [np.linalg.norm(bloch_of(bures_rho_reference(rng))) for _ in range(20_000)]
+        assert ks_2samp(radii, reference).pvalue > 0.01
+
+    def test_bures_states_are_isotropic(self):
+        # (a, b, c, d)/|(a, b, c, d)| is uniform on S^3, so E[r] = 0 and
+        # E[r r^T] = (E|r|^2 / 3) I. On S^3 Var(x) = 1/4, Var(xy) = 1/24 and
+        # Var(x^2 - |r|^2/3) = 1/18; every estimate must lie within 5 standard errors.
+        n = 20_000
+        rng = np.random.default_rng(2029)
+        r = np.array([bures_random_mixed(rng) for _ in range(n)])
+        assert np.all(np.abs(r.mean(axis=0)) <= 5.0 * math.sqrt(1.0 / 4.0 / n))
+        second = r.T @ r / n - np.eye(3) * np.mean(np.sum(r * r, axis=1)) / 3.0
+        se = np.where(np.eye(3, dtype=bool), math.sqrt(1.0 / 18.0 / n), math.sqrt(1.0 / 24.0 / n))
+        assert np.all(np.abs(second) <= 5.0 * se), second / se
+
     @pytest.mark.parametrize(
         "draw, draw_rho, members",
-        [(haar_random_pure, haar_rho_reference, 20_000), (bures_random_mixed, bures_rho_reference, 2_000)],
+        [(haar_random_pure, haar_rho_reference, 20_000), (bures_random_mixed, bures_rho_projection, 2_000)],
     )
     def test_counts_match_the_density_matrix_path(self, draw, draw_rho, members):
         # Each member stream draws its state once as a Bloch vector and once

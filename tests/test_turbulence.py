@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from fsolink.beam import BeamParams, spot_size
+from fsolink.extinction import ExtinctionParams, beer_lambert, slant_transmittance, zenith_transmittance
+from fsolink.fading import pdf
 from fsolink.turbulence import (
     ApertureModel,
     ApertureModelKind,
-    Regime,
     ScintillationVariant,
     TurbulenceProfile,
     av_andrews,
@@ -153,42 +155,30 @@ class TestRytovDownlink:
 
 class TestScintillationIndex:
     def test_zero_rytov(self):
-        result = scintillation_index(0.0)
-        assert result.sigma_I2 == 0.0
-        assert result.regime is Regime.WEAK
+        assert scintillation_index(0.0) == 0.0
 
     @pytest.mark.parametrize("variant", list(ScintillationVariant))
     def test_weak_limit_linearizes(self, variant):
         s = 1e-3
-        result = scintillation_index(s, variant)
-        assert result.sigma_I2 == pytest.approx(s, rel=1e-2)
+        assert scintillation_index(s, variant) == pytest.approx(s, rel=1e-2)
 
     def test_variants_agree_in_weak_regime(self):
         for s in (0.001, 0.01, 0.1):
-            a = scintillation_index(s, ScintillationVariant.SEVEN_SIXTHS).sigma_I2
-            b = scintillation_index(s, ScintillationVariant.FIVE_SIXTHS).sigma_I2
+            a = scintillation_index(s, ScintillationVariant.SEVEN_SIXTHS)
+            b = scintillation_index(s, ScintillationVariant.FIVE_SIXTHS)
             assert abs(a - b) / b < 0.01
 
     def test_five_sixths_saturates_near_one(self):
         limit = math.exp(0.51 / 0.69 ** (5.0 / 6.0)) - 1.0
-        value = scintillation_index(1e6, ScintillationVariant.FIVE_SIXTHS).sigma_I2
+        value = scintillation_index(1e6, ScintillationVariant.FIVE_SIXTHS)
         assert limit == pytest.approx(1.0033173163699299, rel=1e-12)
         assert value == pytest.approx(limit, abs=5e-3)
         assert value == pytest.approx(1.0, abs=1e-2)
 
-    def test_regime_classification(self):
-        assert scintillation_index(0.1).regime is Regime.WEAK
-        moderate = scintillation_index(2.0, ScintillationVariant.FIVE_SIXTHS)
-        assert 0.9 <= moderate.sigma_I2 <= 1.1
-        assert moderate.regime is Regime.MODERATE
-        strong = scintillation_index(5.0, ScintillationVariant.FIVE_SIXTHS)
-        assert strong.sigma_I2 > 1.1
-        assert strong.regime is Regime.STRONG
-
     def test_non_negative_everywhere(self):
         for s in np.geomspace(1e-6, 1e5, 45):
             for variant in ScintillationVariant:
-                assert scintillation_index(float(s), variant).sigma_I2 >= 0.0
+                assert scintillation_index(float(s), variant) >= 0.0
 
     def test_rejects_negative(self):
         for sigma_R2 in (-0.1, math.nan):
@@ -334,3 +324,37 @@ class TestPsi:
         assert math.isnan(psi(math.nan, 0.5))
         got = psi(np.array([0.2, math.nan]), np.array([0.5, 0.5]))
         assert got[0] == 0.1 and math.isnan(got[1])
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "func, args, name",
+    [
+        (zenith_transmittance, (ExtinctionParams(), NAN), "altitude_m"),
+        (slant_transmittance, (ExtinctionParams(), NAN, 0.3), "altitude_m"),
+        (slant_transmittance, (ExtinctionParams(), 420e3, NAN), "zenith_rad"),
+        (spot_size, (BeamParams(), NAN), "z_m"),
+        (av_andrews, (NAN, WAVELENGTH, 420e3), "diameter_m"),
+        (av_andrews, (0.5, WAVELENGTH, NAN), "path_m"),
+        (av_giggenbach, (NAN, WAVELENGTH, 12e3), "diameter_m"),
+        (av_giggenbach, (0.5, WAVELENGTH, 0.0), "layer_m"),
+        (av_giggenbach, (0.5, WAVELENGTH, NAN), "layer_m"),
+        (av_yura, (NAN, WAVELENGTH, 5e3, 0.3), "diameter_m"),
+        (av_yura, (0.5, WAVELENGTH, 5e3, NAN), "zenith_rad"),
+        (giggenbach_layer_distance, (NAN, ApertureModel()), "elevation_deg"),
+        (beer_lambert, (NAN, 1.0), "gamma_per_m"),
+        (beer_lambert, (1e-5, NAN), "distance_m"),
+        (rytov_horizontal, (NAN, WAVELENGTH, 1e3), "cn2_const"),
+        (rytov_horizontal, (1e-14, NAN, 1e3), "wavelength_m"),
+        (rytov_horizontal, (1e-14, WAVELENGTH, NAN), "path_m"),
+        (cn2, (DEFAULTS, NAN), "h_m"),
+        (pdf, (0.1, NAN), "intensity"),
+        (pdf, (0.1, [1.0, NAN]), "intensity"),
+    ],
+    ids=lambda value: value.__name__ if callable(value) else value if isinstance(value, str) else "",
+)
+def test_scalar_functions_reject_nan_and_a_zero_layer_distance(func, args, name):
+    with pytest.raises(ValueError, match=name):
+        func(*args)

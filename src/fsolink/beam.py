@@ -36,5 +36,9 @@ def spot_size(params: BeamParams, z_m: float) -> float:
 
 def encircled_energy(radius_m: float, spot_m: float) -> float:
     """Power of a centered Gaussian spot of 1/e^2 radius w inside a disc of radius a: 1 - exp(-2 a^2 / w^2)."""
+    if not radius_m >= 0:
+        raise ValueError("radius_m must be >= 0")
+    if not spot_m > 0:
+        raise ValueError("spot_m must be > 0")
     return 1.0 - math.exp(-2.0 * radius_m**2 / spot_m**2)
 

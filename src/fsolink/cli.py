@@ -12,16 +12,14 @@ CPU offers.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O error.
 
-The ``fsolink`` command and ``python -m fsolink.cli`` run :func:`entry`: it
-freezes the import-time heap out of the garbage collector and, once the
-outputs are in place, exits without interpreter teardown. :func:`main` does
-neither, so in-process callers are unaffected.
+The ``fsolink`` command and ``python -m fsolink.cli`` run :func:`entry`: once
+the outputs are in place, it exits without interpreter teardown. :func:`main`
+does not, so in-process callers are unaffected.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import math
 import os
@@ -240,7 +238,7 @@ class ScenarioConfig:
     earth_radius_m: float = field(default=EARTH_RADIUS_M, metadata={"gt": 0.0})
     mu_m3_s2: float = field(default=EARTH_MU_M3_S2, metadata={"gt": 0.0})
     zenith_limit_rad: float = field(default=math.radians(80.0), metadata={"gt": 0.0, "lt": math.pi / 2})
-    altitudes_m: tuple[float, ...] | None = None
+    altitudes_m: tuple[float, ...] | None = None  # None: pass_time runs at satellite_altitude_m
     channel: ChannelParams = ChannelParams()
     diameters_m: tuple[float, ...] = field(default=(0.25, 0.5, 0.75, 1.0), metadata={"gt": 0.0})
     zenith_min_rad: float = field(
@@ -355,7 +353,6 @@ def parse_config(document: str | dict) -> ScenarioConfig:
     if problems:
         raise ConfigError("invalid configuration:\n  - " + "\n  - ".join(problems))
 
-    values.setdefault("altitudes_m", (values["satellite_altitude_m"],))
     return _filled(ScenarioConfig(), _nest(values.items()))
 
 
@@ -372,7 +369,7 @@ def effective_config(cfg: ScenarioConfig) -> dict:
             value = getattr(value, name)
         if spec.kind == "angle":
             value = f"{value!r} rad"
-        elif spec.kind == "lengths":
+        elif spec.kind == "lengths" and value is not None:
             value = list(value)
         elif spec.kind == "enum":
             value = next(name for name, option in spec.choices.items() if option == value)
@@ -419,11 +416,12 @@ def emit_csv(header: list[str], columns: list, path: Path) -> None:
 
 
 def _run_pass_time(cfg: ScenarioConfig, outdir: Path) -> Path:
-    times = [pass_times(alt, cfg.zenith_limit_rad, cfg.earth_radius_m, cfg.mu_m3_s2) for alt in cfg.altitudes_m]
+    altitudes = cfg.altitudes_m or (cfg.satellite_altitude_m,)
+    times = [pass_times(alt, cfg.zenith_limit_rad, cfg.earth_radius_m, cfg.mu_m3_s2) for alt in altitudes]
     limit_deg = [math.degrees(cfg.zenith_limit_rad)] * len(times)
     path = outdir / "pass_time.csv"
     header = ["altitude_m", "zenith_limit_deg", "total_s", "effective_s"]
-    emit_csv(header, [cfg.altitudes_m, limit_deg, [t.total_s for t in times], [t.effective_s for t in times]], path)
+    emit_csv(header, [altitudes, limit_deg, [t.total_s for t in times], [t.effective_s for t in times]], path)
     return path
 
 
@@ -486,18 +484,22 @@ def run(cfg: ScenarioConfig) -> list[Path]:
     return written + [manifest_path]
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(message)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="fsolink",
-        description="Optical satellite downlink budget and tomography experiments.",
-    )
+    parser = _Parser(prog="fsolink", description="Optical satellite downlink budget and tomography experiments.")
     parser.add_argument("--config", type=str, default=None, help="path to a JSON scenario config")
-    parser.add_argument("--scenario", type=str, choices=SCENARIOS, default=None, help="override the config's scenario")
-    parser.add_argument("--seed", type=int, default=None, help="override the config's seed")
-    parser.add_argument("--out", type=str, default=None, help="override the output directory")
-    args = parser.parse_args(argv)
+    parser.add_argument(
+        "--scenario", type=str, default=None, help=f"replace the config's scenario: {', '.join(SCENARIOS)}"
+    )
+    parser.add_argument("--seed", type=int, default=None, help="replace the config's seed")
+    parser.add_argument("--out", type=str, default=None, help="replace the config's output_dir")
 
     try:
+        args = parser.parse_args(argv)
         if args.config is not None:
             try:
                 text = Path(args.config).read_text(encoding="utf-8")
@@ -508,16 +510,10 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"{args.config} is not valid UTF-8: {exc.reason} at byte offset {exc.start}") from exc
         else:
             text = "{}"
-        cfg = parse_config(text)
-        if args.scenario is not None:
-            cfg = replace(cfg, scenario=args.scenario)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed must be a non-negative integer")
-            cfg = replace(cfg, seed=args.seed)
-        if args.out is not None:
-            cfg = replace(cfg, output_dir=args.out)
-        written = run(cfg)
+        document = _decode(text)
+        flags = {"scenario": args.scenario, "seed": args.seed, "output_dir": args.out}
+        document.update((key, value) for key, value in flags.items() if value is not None)
+        written = run(parse_config(document))
     except ConfigError as exc:
         _report("config", str(exc))
         return 2
@@ -552,14 +548,12 @@ def _observed() -> bool:
 def entry() -> NoReturn:
     """Run :func:`main` as a process: the console script and ``python -m fsolink.cli``.
 
-    The objects alive after the imports live until exit, so they are frozen
-    out of every garbage collection, and the process ends with ``os._exit``
-    once stdout and stderr are flushed, skipping the teardown's collections
-    and module clearing. Under a tracer or profiler it exits through
-    ``sys.exit`` instead, so their exit hooks still run. SystemExit from
-    argument parsing and uncaught exceptions propagate as usual.
+    The process ends with ``os._exit`` once stdout and stderr are flushed,
+    skipping the teardown's collections and module clearing. Under a tracer
+    or profiler it exits through ``sys.exit`` instead, so their exit hooks
+    still run. SystemExit from ``--help`` and uncaught exceptions propagate
+    as usual.
     """
-    gc.freeze()
     code = main()
     try:
         sys.stdout.flush()

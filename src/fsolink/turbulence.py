@@ -134,6 +134,8 @@ def rytov_downlink(
     # Each check is written so that NaN fails it.
     if not abs(zenith_rad) < math.pi / 2:
         raise ValueError("|zenith_rad| must be < pi/2")
+    if not wavelength_m > 0:
+        raise ValueError("wavelength_m must be > 0")
     if not altitude_m > profile.h_ogs_m:
         raise ValueError("altitude_m must exceed the station altitude")
     k = 2.0 * math.pi / wavelength_m
@@ -172,6 +174,8 @@ def av_andrews(diameter_m: float, wavelength_m: float, path_m: float) -> float:
         raise ValueError("diameter_m must be > 0")
     if not path_m > 0:
         raise ValueError("path_m must be > 0")
+    if not wavelength_m > 0:
+        raise ValueError("wavelength_m must be > 0")
     k = 2.0 * math.pi / wavelength_m
     return (1.0 + 1.062 * k * diameter_m**2 / (4.0 * path_m)) ** (-7.0 / 6.0)
 
@@ -196,6 +200,8 @@ def av_giggenbach(diameter_m: float, wavelength_m: float, layer_m: float) -> flo
         raise ValueError("diameter_m must be > 0")
     if not layer_m > 0:
         raise ValueError("layer_m must be > 0")
+    if not wavelength_m > 0:
+        raise ValueError("wavelength_m must be > 0")
     k = 2.0 * math.pi / wavelength_m
     return (1.0 + 1.062 * k * diameter_m**2 / (9.0 * layer_m)) ** (-7.0 / 6.0)
 
@@ -230,6 +236,10 @@ def av_yura(diameter_m: float, wavelength_m: float, scale_height_m: float, zenit
         raise ValueError("diameter_m must be > 0")
     if not abs(zenith_rad) < math.pi / 2:
         raise ValueError("|zenith_rad| must be < pi/2")
+    if not wavelength_m > 0:
+        raise ValueError("wavelength_m must be > 0")
+    if not scale_height_m > 0:
+        raise ValueError("scale_height_m must be > 0")
     sec_z = 1.0 / math.cos(zenith_rad)
     x = diameter_m**2 / (wavelength_m * scale_height_m * sec_z)
     return 1.0 / (1.0 + 1.1 * x ** (7.0 / 6.0))

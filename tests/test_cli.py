@@ -20,10 +20,12 @@ from fsolink.beam import BeamParams
 from fsolink.budget import ChannelParams, FluctuationMode, channel_grid, sweep_pass
 from fsolink.cli import (
     _TABLE,
+    SCENARIOS,
     MAX_DRAWS_PER_POINT,
     MAX_LENGTH_M,
     MAX_ZENITH_POINTS,
     ConfigError,
+    ScenarioConfig,
     effective_config,
     emit_csv,
     main,
@@ -324,6 +326,25 @@ class TestRun:
             row = next(csv.DictReader(fh))
         assert float(row["av_factor"]) == pytest.approx(0.561249544, abs=1e-8)
 
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_declared_defaults_run_and_echo_unset_altitudes_as_null(self, tmp_path, scenario):
+        # A coarse grid and a small ensemble keep qst quick; altitudes_m keeps its declared default.
+        cfg = ScenarioConfig(
+            scenario=scenario,
+            output_dir=str(tmp_path),
+            zenith_step_rad=math.radians(40.0),
+            tomography=TomographyConfig(ensemble_size=5),
+        )
+        assert cfg.altitudes_m is None
+        written = run(cfg)
+        assert [p.name for p in written][-1] == "manifest.json"
+        echo = json.loads(written[-1].read_text())["config"]
+        assert echo["geometry"]["altitudes"] is None
+        assert parse_config(echo) == cfg
+        if scenario == "pass_time":
+            with open(written[0], encoding="utf-8") as fh:
+                assert [float(row["altitude_m"]) for row in csv.DictReader(fh)] == [cfg.satellite_altitude_m]
+
     def test_manifest_records_config_seed_and_version(self, tmp_path):
         cfg, written = _run_scenario(tmp_path, {"scenario": "pass_time", "seed": 5})
         manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -376,6 +397,59 @@ class TestMain:
         assert code == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config"]["scenario"] == "pass_time"
+
+    def test_flag_problems_are_listed_with_the_file_problems(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"channel": {"c0": -1}}))
+        assert main(["--config", str(cfg_path), "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        detail = json.loads(lines[0])["detail"]
+        assert "seed must be at least 0" in detail and "channel.c0" in detail
+        assert not (tmp_path / "out").exists()
+
+    def test_a_bad_seed_flag_reads_as_the_seed_key(self, tmp_path, capsys):
+        assert main(["--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "config", "detail": "seed must be at least 0"}
+
+    def test_flags_replace_bad_file_values_before_they_are_checked(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scenario": "warp_drive", "seed": -3, "output_dir": 5}))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--scenario", "pass_time", "--seed", "2", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == 2
+        assert (manifest["config"]["scenario"], manifest["config"]["output_dir"]) == ("pass_time", str(out))
+
+    def test_unknown_scenario_flag_is_one_config_line_naming_the_scenarios(self, tmp_path, capsys):
+        assert main(["--scenario", "bogus", "--out", str(tmp_path / "out")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "config"
+        assert all(name in record["detail"] for name in SCENARIOS)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        ("args", "words"),
+        [(["--seed", "abc"], "--seed"), (["--bogus", "1"], "unrecognized arguments: --bogus")],
+        ids=["non_integer_seed", "unknown_flag"],
+    )
+    def test_usage_errors_are_one_config_line(self, tmp_path, capsys, args, words):
+        assert main([*args, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "config" and words in record["detail"]
+        assert not (tmp_path / "out").exists()
+
+    def test_help_prints_usage_and_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["--help"])
+        assert exited.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: fsolink")
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -697,7 +771,7 @@ def _cli_process(args, **kwargs):
 
 
 class TestProcessEntry:
-    """``python -m fsolink.cli`` runs cli.entry: frozen heap, exit without teardown."""
+    """``python -m fsolink.cli`` runs cli.entry: exit without teardown."""
 
     @pytest.mark.parametrize(
         ("doc", "code", "kind"),

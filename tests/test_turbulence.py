@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fsolink.beam import BeamParams, spot_size
+from fsolink.beam import BeamParams, encircled_energy, spot_size
 from fsolink.extinction import ExtinctionParams, beer_lambert, slant_transmittance, zenith_transmittance
 from fsolink.fading import pdf
 from fsolink.turbulence import (
@@ -356,5 +356,23 @@ NAN = math.nan
     ids=lambda value: value.__name__ if callable(value) else value if isinstance(value, str) else "",
 )
 def test_scalar_functions_reject_nan_and_a_zero_layer_distance(func, args, name):
+    with pytest.raises(ValueError, match=name):
+        func(*args)
+
+
+@pytest.mark.parametrize(
+    "func, args, name",
+    [
+        *[(av_andrews, (0.5, bad, 420e3), "wavelength_m") for bad in (NAN, 0.0)],
+        *[(av_giggenbach, (0.5, bad, 12e3), "wavelength_m") for bad in (NAN, 0.0)],
+        *[(av_yura, (0.5, bad, 5e3, 0.3), "wavelength_m") for bad in (NAN, 0.0)],
+        *[(av_yura, (0.5, WAVELENGTH, bad, 0.3), "scale_height_m") for bad in (NAN, 0.0)],
+        *[(rytov_downlink, (DEFAULTS, bad, 420e3, 0.3), "wavelength_m") for bad in (NAN, 0.0)],
+        *[(encircled_energy, (0.25, bad), "spot_m") for bad in (NAN, 0.0)],
+        *[(encircled_energy, (bad, 1.0), "radius_m") for bad in (NAN, -0.1)],
+    ],
+    ids=lambda value: value.__name__ if callable(value) else value if isinstance(value, str) else "",
+)
+def test_wavelength_scale_height_spot_and_radius_reject_nan_and_out_of_range_values(func, args, name):
     with pytest.raises(ValueError, match=name):
         func(*args)

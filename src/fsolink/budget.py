@@ -306,59 +306,39 @@ def stream_states(seed: int, key: tuple[int, ...], start: int, stop: int) -> lis
 BATCH_DOUBLES = 2**17
 
 
-def _linear_points(n: int) -> list[tuple[int, bool, float]]:
-    """numpy's "linear" percentile rule at 5, 50 and 95 on n losses that fall as z rises.
+def _loss_percentiles(rows: np.ndarray, mean, slope) -> np.ndarray:
+    """The 5th, 50th and 95th percentiles of the loss ``mean - slope * z`` of each row of z.
 
-    Per percentile: the z rank whose loss is the upper neighbour, whether the
-    lower neighbour is another draw (the next z rank up) or the same one, and
-    the interpolation weight t.
+    ``rows`` is (rows, n) and is partitioned in place along its rows;
+    ``mean`` and ``slope > 0`` broadcast against its rows. Returns (3, rows),
+    bit for bit what ``np.percentile(mean - slope * z, [5, 50, 95])`` returns
+    for each row (its default "linear" method), without building the loss
+    array or sorting: the loss falls as z rises, so its rank-k order
+    statistic is the image of z's rank n-1-k, and the affine map keeps ties
+    and order.
     """
-    out = []
+    n = rows.shape[1]
+    # Per percentile: the z rank whose loss is the upper neighbour, whether the
+    # lower neighbour is another draw (the min of the z ranked above it) or the
+    # same one, and the interpolation weight t.
+    points = []
     for q in (0.05, 0.5, 0.95):
         v = (n - 1) * q
         # numpy pins both loss indices to the top (z rank 0) when v >= n - 1.
         lo = math.floor(v) if v < n - 1 else -1
-        out.append((n - 2 - lo if lo >= 0 else 0, lo >= 0, v - lo))
-    return out
-
-
-def _percentile_neighbours(z: np.ndarray) -> np.ndarray:
-    """The z behind the loss neighbours of the 5/50/95 percentiles of each row of z.
-
-    ``z`` is (rows, n) and is partitioned in place along its rows: each
-    percentile's upper loss neighbour is a z order statistic, and its lower
-    one the min of the z ranked above it. Returns (3, 2, rows): per
-    percentile, the z of the lower and of the upper loss neighbour.
-    """
-    points = _linear_points(z.shape[1])
+        points.append((n - 2 - lo if lo >= 0 else 0, lo >= 0, v - lo))
     (r05, _, _), (r50, _, _), (r95, _, _) = points
     # z ranks r95 <= r50 <= r05. The median first, so that the other two
     # partitions each take about half a row.
-    z.partition(r50, axis=1)
+    rows.partition(r50, axis=1)
     if r95 < r50:
-        z[:, :r50].partition(r95, axis=1)
+        rows[:, :r50].partition(r95, axis=1)
     if r05 > r50:
-        z[:, r50 + 1:].partition(r05 - r50 - 1, axis=1)
-    out = np.empty((3, 2, len(z)))
-    for k, (rank, split, _) in enumerate(points):
-        out[k, 1] = z[:, rank]
-        out[k, 0] = z[:, rank + 1:].min(axis=1) if split else z[:, rank]
-    return out
-
-
-def _loss_percentiles(neighbours: np.ndarray, n: int, offset, slope) -> np.ndarray:
-    """The 5th, 50th and 95th percentiles of the loss ``offset - slope * z``.
-
-    ``neighbours`` comes from :func:`_percentile_neighbours` on n draws per
-    row; ``offset`` and ``slope > 0`` broadcast against its rows. Bit for bit
-    what ``np.percentile(offset - slope * z, [5, 50, 95])`` returns for each
-    row (its default "linear" method), without building the loss array or
-    sorting: the loss falls as z rises, so its rank-k order statistic is the
-    image of z's rank n-1-k, and the affine map keeps ties and order.
-    """
+        rows[:, r50 + 1:].partition(r05 - r50 - 1, axis=1)
     out = []
-    for (a_z, b_z), (_, _, t) in zip(neighbours, _linear_points(n)):
-        a, b = offset - slope * a_z, offset - slope * b_z
+    for rank, split, t in points:
+        b = mean - slope * rows[:, rank]
+        a = mean - slope * rows[:, rank + 1:].min(axis=1) if split else b
         out.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
     return np.array(out)
 
@@ -375,10 +355,12 @@ def sweep_pass(grid: ChannelGrid, draws_per_point: int = 10_000, seed: int = 0) 
     Each cell draws ``draws_per_point`` unit-mean log-normal intensity fades
     around its deterministic transmittance and records mean/SD and the
     5/50/95 percentiles of the dB loss, reduced from the standard normal
-    draws behind the fades; a cell without fading draws nothing. Cells are
-    reduced concurrently on the CPUs the process may use, in batches of
-    ``BATCH_DOUBLES // draws_per_point`` cells (at least one); each has its
-    own sub-seed, so the result does not depend on the number of workers.
+    draws behind the fades; a cell without fading draws nothing and keeps its
+    deterministic loss. Cells are reduced concurrently on the CPUs the process
+    may use, in batches of ``BATCH_DOUBLES // draws_per_point`` cells (at
+    least one), in one pass: a worker maps each batch's draws straight to the
+    five dB statistics and writes them into the result table. Each cell has
+    its own sub-seed, so the result does not depend on the number of workers.
     """
     # Imported here: at module level it would add to every CLI start-up.
     from concurrent.futures import ThreadPoolExecutor
@@ -399,11 +381,19 @@ def sweep_pass(grid: ChannelGrid, draws_per_point: int = 10_000, seed: int = 0) 
     states = []
     for di in range(n_d):
         states += stream_states(seed, (di,), 0, n_z) if fading[di].any() else [None] * n_z
-    # Per fading cell, the workers keep only summaries of its draws z: their
-    # mean, the sum of squares of z - mean and the percentile neighbours of
-    # z - mean.
-    z_mean, z_ss = np.zeros(n_d * n_z), np.zeros(n_d * n_z)
-    z_pct = np.zeros((3, 2, n_d * n_z))
+
+    # With unit-mean log-normal fading I = exp(sigma z - sigma^2/2), the dB
+    # loss -10 log10(eta_det I) is affine and falling in the standard normal
+    # z: loss0 + c sigma^2/2 - c sigma z, with c = 10/ln 10. The workers map
+    # their draws' mean, SD and order statistics through it with + - * / and
+    # sqrt. loss0 takes math.log10 per cell, as compose does: numpy's AVX-512
+    # log10 can differ in the last bit.
+    c = 10.0 / math.log(10.0)
+    loss0 = np.array([-10.0 * math.log10(eta) for eta in eta_det.ravel().tolist()])
+    s2 = sigma_j2.ravel()
+    # Mean, SD and the 5/50/95 percentiles per cell. The workers overwrite
+    # the fading cells; the others keep the deterministic loss and an SD of 0.
+    stats = np.stack([loss0, np.zeros_like(loss0), loss0, loss0, loss0])
 
     def reduce_cells(cells: np.ndarray) -> None:
         # One batch buffer and one generator per worker, reused by every batch
@@ -418,7 +408,9 @@ def sweep_pass(grid: ChannelGrid, draws_per_point: int = 10_000, seed: int = 0) 
                 rng.bit_generator.state = states[i]
                 rng.standard_normal(n, out=row)
             m = rows.mean(axis=1)
-            z_mean[batch] = m
+            slope = c * np.sqrt(s2[batch])
+            mean = loss0[batch] + c * s2[batch] / 2.0 - slope * m
+            stats[0, batch] = mean
             # In place, so the rows hold the deviations z - m from here on.
             rows -= m[:, None]
             if n > 1:
@@ -426,8 +418,9 @@ def sweep_pass(grid: ChannelGrid, draws_per_point: int = 10_000, seed: int = 0) 
                 # longer than nditer's 8192-element buffer in another order.
                 # einsum, not np.dot: dot runs on BLAS threads that compete
                 # with the workers.
-                z_ss[batch] = [np.einsum("i,i->", row, row) for row in rows]
-            z_pct[:, :, batch] = _percentile_neighbours(rows)
+                ss = np.array([np.einsum("i,i->", row, row) for row in rows])
+                stats[1, batch] = slope * np.sqrt(ss / (n - 1))
+            stats[2:, batch] = _loss_percentiles(rows, mean, slope)
 
     # One contiguous block of fading cells per worker keeps dispatch off
     # small cells.
@@ -437,18 +430,4 @@ def sweep_pass(grid: ChannelGrid, draws_per_point: int = 10_000, seed: int = 0) 
         with ThreadPoolExecutor(workers) as pool:
             for future in [pool.submit(reduce_cells, block) for block in np.array_split(cells, workers)]:
                 future.result()
-
-    # With unit-mean log-normal fading I = exp(sigma z - sigma^2/2), the dB
-    # loss -10 log10(eta_det I) is affine and falling in the standard normal
-    # z: loss0 + c sigma^2/2 - c sigma z, with c = 10/ln 10. It is applied
-    # once to the whole grid with + - * / and sqrt, which round exactly as
-    # the scalar arithmetic of one cell would. loss0 takes math.log10 per cell,
-    # as compose does: numpy's AVX-512 log10 can differ in the last bit.
-    c = 10.0 / math.log(10.0)
-    loss0 = np.array([-10.0 * math.log10(eta) for eta in eta_det.ravel().tolist()]).reshape(n_d, n_z)
-    slope = c * np.sqrt(sigma_j2)
-    mean = loss0 + c * sigma_j2 / 2.0 - slope * z_mean.reshape(n_d, n_z)
-    sd = slope * np.sqrt(z_ss.reshape(n_d, n_z) / (n - 1)) if n > 1 else np.zeros_like(mean)
-    pct = _loss_percentiles(z_pct.reshape(3, 2, n_d, n_z), n, mean, slope)
-    # A cell without fading has the deterministic loss in every statistic.
-    return SweepResult(np.where(fading, mean, loss0), np.where(fading, sd, 0.0), *np.where(fading, pct, loss0))
+    return SweepResult(*stats.reshape(5, n_d, n_z))

@@ -153,8 +153,8 @@ def fit_state(counts, n_eff) -> Reconstruction:
         raise ValueError("counts must have one entry per SIC-POVM effect (four)")
     if np.any(counts < 0):
         raise ValueError("counts must be non-negative")
-    if np.any(n_eff < 1):
-        raise ValueError("n_eff must be >= 1")
+    if not np.all((n_eff >= 1) & np.isfinite(n_eff)):
+        raise ValueError("n_eff must be finite and >= 1")
     m0, m1, m2, m3 = np.moveaxis(counts, -1, 0)
     signed = np.stack([m0 + m1 - m2 - m3, m0 - m1 + m2 - m3, m0 - m1 - m2 + m3], axis=-1)
     r = math.sqrt(3.0) * signed / n_eff[..., None]

@@ -336,9 +336,9 @@ class TestChannelGrid:
 
 
 def _row_percentiles(z, offset, slope):
-    # The sweep's two steps on a (rows, n) stack: the percentile neighbours of
-    # each row's z, then the loss line of each row through them.
-    return budget._loss_percentiles(budget._percentile_neighbours(z.copy()), z.shape[1], offset, slope)
+    # The sweep's percentiles on a (rows, n) stack, on a copy: the helper
+    # partitions its rows in place.
+    return budget._loss_percentiles(z.copy(), offset, slope)
 
 
 class TestLossPercentiles:
@@ -387,7 +387,7 @@ def _serial_sweep(params, diameters, zeniths, draws, seed):
     stats = np.empty((5,) + grid.eta_det.shape)
     for di, zi in np.ndindex(grid.eta_det.shape):
         s2 = float(grid.sigma_j2[di, zi])
-        l0 = float(-10.0 * np.log10(grid.eta_det[di, zi]))
+        l0 = -10.0 * math.log10(float(grid.eta_det[di, zi]))  # as compose takes it
         if s2 == 0:
             stats[:, di, zi] = [l0, 0.0, l0, l0, l0]
             continue
@@ -432,10 +432,19 @@ class TestConcurrentSweep:
     # 8193 draws is one past nditer's buffer; at 50_000 a batch of
     # budget.BATCH_DOUBLES holds two cells, so each worker's block spans
     # several batches and ends in a partial one.
+    # A station at 150 km sits above the Cn^2 profile, so sigma^2 is 0 in
+    # every cell of a fading mode and every cell keeps its prefilled loss0.
+    SWEEP_PARAMS = [pytest.param(default_channel(mode), id=str(mode)) for mode in FluctuationMode] + [
+        pytest.param(
+            ChannelParams(fluctuation_mode=mode, turbulence=TurbulenceProfile(h_ogs_m=150e3)),
+            id=f"{mode}-station-150km",
+        )
+        for mode in (FluctuationMode.ISI, FluctuationMode.PSI)
+    ]
+
     @pytest.mark.parametrize("draws", [1, 2, 1001, 8193, 50_000])
-    @pytest.mark.parametrize("mode", list(FluctuationMode))
-    def test_equals_serial_reference_and_repeats(self, mode, draws):
-        params = default_channel(mode=mode)
+    @pytest.mark.parametrize("params", SWEEP_PARAMS)
+    def test_equals_serial_reference_and_repeats(self, params, draws):
         expected = _serial_sweep(params, GRID_DIAMETERS, GRID_ZENITHS, draws, seed=9)
         runs = [
             _sweep_stats(sweep_pass(channel_grid(params, LEO_ALTITUDE_M, GRID_DIAMETERS, GRID_ZENITHS), draws, seed=9))
@@ -444,18 +453,21 @@ class TestConcurrentSweep:
         np.testing.assert_array_equal(runs[0], expected)
         np.testing.assert_array_equal(runs[1], expected)
 
+    # At 300 draws each worker's block is one batch; at 50_000 a batch holds
+    # two cells, so a block spans several batches and ends in a partial one.
+    @pytest.mark.parametrize("draws", [300, 50_000])
     @pytest.mark.parametrize("workers", [1, 2, 7, 64])
-    def test_result_does_not_depend_on_worker_count(self, monkeypatch, workers):
+    def test_result_does_not_depend_on_worker_count(self, monkeypatch, workers, draws):
         # More workers than cores and a short switch interval interleave the
         # cells as much as possible; a lost or misplaced write would show.
         monkeypatch.setattr(budget, "_worker_count", lambda: workers)
         params = default_channel(mode=FluctuationMode.PSI)
         zeniths = np.radians(np.arange(-80.0, 81.0, 10.0))
-        expected = _serial_sweep(params, DIAMETERS, zeniths, 300, seed=3)
+        expected = _serial_sweep(params, DIAMETERS, zeniths, draws, seed=3)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            result = sweep_pass(channel_grid(params, LEO_ALTITUDE_M, DIAMETERS, zeniths), 300, seed=3)
+            result = sweep_pass(channel_grid(params, LEO_ALTITUDE_M, DIAMETERS, zeniths), draws, seed=3)
         finally:
             sys.setswitchinterval(interval)
         np.testing.assert_array_equal(_sweep_stats(result), expected)
@@ -465,15 +477,15 @@ class TestConcurrentSweep:
         # 20_000 draws give six cells a batch, so each worker reduces several
         # batches; the third batch to reach the percentiles fails.
         calls = itertools.count()
-        real = budget._percentile_neighbours
+        real = budget._loss_percentiles
 
-        def failing(z):
+        def failing(rows, mean, slope):
             if next(calls) == 2:
                 raise RuntimeError("batch failed")
-            return real(z)
+            return real(rows, mean, slope)
 
         monkeypatch.setattr(budget, "_worker_count", lambda: workers)
-        monkeypatch.setattr(budget, "_percentile_neighbours", failing)
+        monkeypatch.setattr(budget, "_loss_percentiles", failing)
         zeniths = np.radians(np.arange(-80.0, 81.0, 10.0))
         grid = channel_grid(default_channel(mode=FluctuationMode.PSI), LEO_ALTITUDE_M, DIAMETERS, zeniths)
         with pytest.raises(RuntimeError, match="batch failed"):

@@ -182,3 +182,18 @@ class TestPassTimes:
             pass_times(500e3, zenith_limit_rad=math.pi / 2)
         with pytest.raises(ValueError):
             PassTimes(total_s=10.0, effective_s=11.0, zenith_limit_rad=1.0)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize(
+        "func, name",
+        [
+            (pass_times, "earth_radius_m"),
+            (pass_times, "mu_m3_s2"),
+            (ground_half_angle, "altitude_m"),
+            (ground_half_angle, "earth_radius_m"),
+        ],
+    )
+    def test_rejects_non_positive_lengths_and_mu(self, func, name, value):
+        zenith = {"zenith_rad": 0.5} if func is ground_half_angle else {}
+        with pytest.raises(ValueError, match=f"{name} must be > 0"):
+            func(**zenith, **{"altitude_m": 500e3, name: value})

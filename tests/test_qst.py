@@ -399,6 +399,11 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             fit_state([1, 2, 3, 4], 0)
 
+    @pytest.mark.parametrize("n_eff", [math.nan, math.inf, -math.inf, [4.0, math.nan], [4.0, math.inf]])
+    def test_rejects_non_finite_n_eff(self, n_eff):
+        with pytest.raises(ValueError, match="n_eff must be finite and >= 1"):
+            fit_state([[1, 2, 3, 4], [1, 2, 3, 4]], n_eff)
+
 
 class TestStackedEstimator:
     @pytest.mark.parametrize("per_row_n_eff", [False, True])

@@ -2,9 +2,11 @@
 
 A parameter class declares each setting's default and bounds once, as
 ``field(default=0.01, metadata={"gt": 0.0})`` with the keys "gt", "ge", "lt"
-and "le"; the CLI reads the same fields. Every test fails for NaN.
+and "le"; the CLI reads the same fields. Every test fails for NaN, and a
+bounded value must also be finite.
 """
 
+import math
 from dataclasses import fields
 
 _BOUND_TESTS = (
@@ -20,6 +22,10 @@ def violated(value, bounds) -> tuple[str, float] | None:
     for name, words, within in _BOUND_TESTS:
         if name in bounds and not within(value, bounds[name]):
             return words, bounds[name]
+    # +inf passes every lower bound and -inf every upper one. An int beyond the
+    # float range compares exactly with inf, so it passes without an OverflowError.
+    if bounds and not -math.inf < value < math.inf:
+        return ("less than", math.inf) if value > 0 else ("greater than", -math.inf)
     return None
 
 

@@ -34,14 +34,17 @@ import numpy as np
 from . import __version__
 from ._bounds import violated
 from .budget import (
-    LEO_ALTITUDE_M, ZENITH_BOUND_RAD, ChannelGrid, ChannelParams, FluctuationMode, channel_grid, sweep_pass
+    LEO_ALTITUDE_M, ZENITH_BOUND_RAD, ChannelParams, FluctuationMode, channel_grid, sweep_pass
 )
 from .geometry import EARTH_MU_M3_S2, EARTH_RADIUS_M, pass_times
 from .qst import EnsembleKind, FadingResample, TomographyConfig, fidelity_vs_zenith
 from .quadrature import QuadratureError
 from .turbulence import ApertureModelKind, ScintillationVariant
 
-SCENARIOS = ("pass_time", "av_sweep", "link_budget", "qst")
+# Each scenario and the CSV file that its result table goes to.
+SCENARIO_CSV = {"pass_time": "pass_time.csv", "av_sweep": "av_sweep.csv", "link_budget": "link_budget.csv",
+                "qst": "qst_fidelity.csv"}
+SCENARIOS = tuple(SCENARIO_CSV)
 
 # A zenith grid finer than this is a typo (a 1e-9 degree step asks for about
 # 1.6e11 points and terabytes of memory), so it is a config error.
@@ -396,92 +399,82 @@ def _write_atomically(path: Path, text: str) -> None:
         raise
 
 
-def emit_csv(header: list[str], columns: list, path: Path) -> None:
-    """Write a result table: one 1-D column per header name, row i from entry i of each.
+def emit_csv(columns: dict[str, Any], path: Path) -> None:
+    """Write a result table: a header of the column names, then row i from entry i of each 1-D column.
 
     Integer columns are written in decimal, all others to 9 significant
     digits; UTF-8, LF line ends, no quoting (no field holds a comma or quote).
     """
-    columns = [np.asarray(column) for column in columns]
-    lengths = [len(column) for column in columns]
-    if len(set(lengths)) > 1 or len(columns) != len(header):
-        raise ValueError(f"{path}: {len(header)} header names for columns of lengths {lengths}")
+    values = [np.asarray(column) for column in columns.values()]
+    lengths = [len(column) for column in values]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"{path}: columns of unequal lengths {dict(zip(columns, lengths))}")
     if not any(lengths):
         raise ValueError(f"refusing to write empty table to {path}")
     fields = [
         map(str, c.tolist()) if np.issubdtype(c.dtype, np.integer) else [format(x, ".9g") for x in c.tolist()]
-        for c in columns
+        for c in values
     ]
-    _write_atomically(path, "\n".join([",".join(header), *map(",".join, zip(*fields))]) + "\n")
+    _write_atomically(path, "\n".join([",".join(columns), *map(",".join, zip(*fields))]) + "\n")
 
 
-def _run_pass_time(cfg: ScenarioConfig, outdir: Path) -> Path:
-    altitudes = cfg.altitudes_m or (cfg.satellite_altitude_m,)
-    times = [pass_times(alt, cfg.zenith_limit_rad, cfg.earth_radius_m, cfg.mu_m3_s2) for alt in altitudes]
-    limit_deg = [math.degrees(cfg.zenith_limit_rad)] * len(times)
-    path = outdir / "pass_time.csv"
-    header = ["altitude_m", "zenith_limit_deg", "total_s", "effective_s"]
-    emit_csv(header, [altitudes, limit_deg, [t.total_s for t in times], [t.effective_s for t in times]], path)
-    return path
+def result_table(cfg: ScenarioConfig) -> dict[str, Any]:
+    """A scenario's results: each CSV column name, in order, with its 1-D column.
 
-
-def _emit_grid(grid: ChannelGrid, columns: dict[str, Any], path: Path) -> Path:
-    """One row per grid cell, diameter-major: zenith_deg, diameter_m, then ``columns``.
-
-    Each column is an (nD, nZ) array or a scalar repeated on every row.
+    pass_time has a row per altitude. A grid scenario has a row per cell of its one channel grid,
+    diameter-major: zenith_deg, diameter_m, then the reduced values (result fields are named as
+    their columns), each broadcast to the grid, so a scalar such as ``photons`` repeats.
     """
-    n_diameters, n_zenith = grid.shape
-    axes = [np.tile(np.degrees(grid.zenith_rad), n_diameters), np.repeat(grid.diameters_m, n_zenith)]
-    values = [np.broadcast_to(column, grid.shape).ravel() for column in columns.values()]
-    emit_csv(["zenith_deg", "diameter_m", *columns], axes + values, path)
-    return path
-
-
-def _grid_columns(cfg: ScenarioConfig, grid: ChannelGrid) -> dict[str, Any]:
-    """A grid scenario's columns beside the grid axes; result fields are named as the columns."""
+    if cfg.scenario == "pass_time":
+        altitudes = cfg.altitudes_m or (cfg.satellite_altitude_m,)
+        times = [pass_times(alt, cfg.zenith_limit_rad, cfg.earth_radius_m, cfg.mu_m3_s2) for alt in altitudes]
+        return {
+            "altitude_m": altitudes,
+            "zenith_limit_deg": [math.degrees(cfg.zenith_limit_rad)] * len(times),
+            "total_s": [t.total_s for t in times],
+            "effective_s": [t.effective_s for t in times],
+        }
+    grid = channel_grid(
+        cfg.channel, cfg.satellite_altitude_m, cfg.diameters_m, cfg.zenith_grid_rad(), earth_radius_m=cfg.earth_radius_m
+    )
     if cfg.scenario == "av_sweep":
-        return {"av_factor": grid.av}
-    if cfg.scenario == "link_budget":
-        return vars(sweep_pass(grid, cfg.draws_per_point, cfg.seed))
-    table = fidelity_vs_zenith(grid, cfg.tomography, cfg.seed, resample=cfg.fading_resample)
-    return {"photons": cfg.tomography.photons, **vars(table)}
-
-
-_GRID_CSV = {"av_sweep": "av_sweep.csv", "link_budget": "link_budget.csv", "qst": "qst_fidelity.csv"}
+        values = {"av_factor": grid.av}
+    elif cfg.scenario == "link_budget":
+        values = vars(sweep_pass(grid, cfg.draws_per_point, cfg.seed))
+    else:
+        table = fidelity_vs_zenith(grid, cfg.tomography, cfg.seed, resample=cfg.fading_resample)
+        values = {"photons": cfg.tomography.photons, **vars(table)}
+    n_diameters, n_zenith = grid.shape
+    return {
+        "zenith_deg": np.tile(np.degrees(grid.zenith_rad), n_diameters),
+        "diameter_m": np.repeat(grid.diameters_m, n_zenith),
+        **{name: np.broadcast_to(value, grid.shape).ravel() for name, value in values.items()},
+    }
 
 
 def run(cfg: ScenarioConfig) -> list[Path]:
-    """Execute a scenario; returns the paths written (manifest last).
+    """Execute a scenario: write its :func:`result_table` to its CSV, then the manifest.
 
-    The grid scenarios share one channel grid per run. Every file is renamed
-    into place once complete, and a previous run's manifest is removed
-    first, so a manifest always describes the CSVs of the run that wrote it.
+    Returns the two paths, manifest last; the CSV's name is the scenario's entry in
+    ``SCENARIO_CSV``. Each file is renamed into place once complete, and a previous run's
+    manifest is removed first, so a manifest always describes the CSV of the run that wrote it.
     """
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest_path = outdir / "manifest.json"
     manifest_path.unlink(missing_ok=True)
     started = time.perf_counter()
-    if cfg.scenario == "pass_time":
-        written = [_run_pass_time(cfg, outdir)]
-    else:
-        grid = channel_grid(
-            cfg.channel,
-            cfg.satellite_altitude_m,
-            cfg.diameters_m,
-            cfg.zenith_grid_rad(),
-            earth_radius_m=cfg.earth_radius_m,
-        )
-        written = [_emit_grid(grid, _grid_columns(cfg, grid), outdir / _GRID_CSV[cfg.scenario])]
+    csv_path = outdir / SCENARIO_CSV[cfg.scenario]
+    emit_csv(result_table(cfg), csv_path)
     manifest = {
         "config": effective_config(cfg),
         "seed": cfg.seed,
         "version": __version__,
         "wall_time_s": time.perf_counter() - started,
-        "outputs": [p.name for p in written],
+        "outputs": [csv_path.name],
     }
     _write_atomically(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return written + [manifest_path]
+    return [csv_path, manifest_path]
 
 
 class _Parser(argparse.ArgumentParser):

@@ -23,8 +23,8 @@ def pdf(sigma_j2: float, intensity) -> np.ndarray | float:
     degenerates to a point mass at 1.
     """
     s2 = sigma_j2
-    if not s2 > 0:
-        raise ValueError("pdf needs sigma_j2 > 0 (at sigma_j2 = 0, I = 1 is a point mass)")
+    if not 0 < s2 < math.inf:
+        raise ValueError("pdf needs sigma_j2 > 0 and finite (at sigma_j2 = 0, I = 1 is a point mass)")
     arr = np.asarray(intensity, dtype=float)
     if not np.all(arr > 0):
         raise ValueError("intensity must be > 0")
@@ -41,8 +41,8 @@ def sample(sigma_j2: float, rng: np.random.Generator | int, n: int) -> np.ndarra
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not sigma_j2 >= 0:
-        raise ValueError("sigma_j2 must be >= 0")
+    if not 0 <= sigma_j2 < math.inf:
+        raise ValueError("sigma_j2 must be >= 0 and finite")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     if sigma_j2 == 0:
         return np.ones(n)

@@ -78,10 +78,10 @@ def ground_half_angle(zenith_rad: float, altitude_m: float, earth_radius_m: floa
     """
     if not 0.0 <= zenith_rad <= math.pi / 2:
         raise ValueError("zenith_rad must lie in [0, pi/2]")
-    if not altitude_m > 0:
-        raise ValueError("altitude_m must be > 0")
-    if not earth_radius_m > 0:
-        raise ValueError("earth_radius_m must be > 0")
+    if not 0 < altitude_m < math.inf:
+        raise ValueError("altitude_m must be > 0 and finite")
+    if not 0 < earth_radius_m < math.inf:
+        raise ValueError("earth_radius_m must be > 0 and finite")
     r = earth_radius_m
     return zenith_rad - math.asin(r * math.sin(zenith_rad) / (r + altitude_m))
 
@@ -98,14 +98,14 @@ def pass_times(
     rate sqrt(mu/(R+H)^3); timing follows from the ground half-angle at the
     horizon (total) and at ``zenith_limit_rad`` (effective).
     """
-    if not altitude_m > 0:
-        raise ValueError("altitude_m must be > 0")
+    if not 0 < altitude_m < math.inf:
+        raise ValueError("altitude_m must be > 0 and finite")
     if not 0.0 < zenith_limit_rad < math.pi / 2:
         raise ValueError("zenith_limit_rad must lie in (0, pi/2)")
-    if not earth_radius_m > 0:
-        raise ValueError("earth_radius_m must be > 0")
-    if not mu_m3_s2 > 0:
-        raise ValueError("mu_m3_s2 must be > 0")
+    if not 0 < earth_radius_m < math.inf:
+        raise ValueError("earth_radius_m must be > 0 and finite")
+    if not 0 < mu_m3_s2 < math.inf:
+        raise ValueError("mu_m3_s2 must be > 0 and finite")
     omega = math.sqrt(mu_m3_s2 / (earth_radius_m + altitude_m) ** 3)
     total = 2.0 * ground_half_angle(math.pi / 2, altitude_m, earth_radius_m) / omega
     effective = 2.0 * ground_half_angle(zenith_limit_rad, altitude_m, earth_radius_m) / omega

@@ -156,8 +156,8 @@ def scintillation_index(
     with e2 = 7/6 or 5/6 per ``variant``. Reduces to sigma_I^2 ~ sigma_R^2
     for small s.
     """
-    if not sigma_R2 >= 0:
-        raise ValueError("sigma_R2 must be >= 0")
+    if not 0 <= sigma_R2 < math.inf:
+        raise ValueError("sigma_R2 must be >= 0 and finite")
     s = sigma_R2
     e2 = 7.0 / 6.0 if variant is ScintillationVariant.SEVEN_SIXTHS else 5.0 / 6.0
     first = 0.49 * s / (1.0 + 1.11 * s ** (6.0 / 5.0)) ** (7.0 / 6.0)

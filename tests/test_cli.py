@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ import pytest
 import fsolink
 from fsolink import cli
 from fsolink.beam import BeamParams
-from fsolink.budget import ChannelParams, FluctuationMode, channel_grid, sweep_pass
+from fsolink.budget import ChannelParams, FluctuationMode, sweep_pass
 from fsolink.cli import (
     _TABLE,
     SCENARIOS,
@@ -117,6 +118,9 @@ class TestParseConfig:
             keys |= {f"{name}.{sub}" for sub in value} if isinstance(value, dict) else {name}
         assert keys == {spec.key for spec in _TABLE}
 
+    def test_an_integer_beyond_the_float_range_passes_its_bounds(self):
+        assert parse_config({"seed": 10**400}).seed == 10**400
+
     def test_inclusive_bounds_accept_their_edges(self):
         cfg = parse_config({
             "seed": 0,
@@ -155,7 +159,7 @@ TINY = math.ulp(0.0)
 
 # Each bounded library field with its config key, the values just past its
 # bounds, and its inclusive edges (or, past an exclusive bound, the nearest
-# value inside it).
+# value inside it). NaN and +/-inf break every field's bounds too.
 LIBRARY_BOUNDS = [
     (BeamParams, "wavelength_m", "channel.wavelength", [0.0], [TINY]),
     (BeamParams, "waist_m", "channel.beam_waist", [0.0], [TINY]),
@@ -177,7 +181,7 @@ LIBRARY_BOUNDS = [
 )
 def test_library_fields_reject_nan_and_values_past_their_bounds(cls, name, key, rejected, accepted):
     section, leaf = key.split(".")
-    for value in [math.nan, *rejected]:
+    for value in [math.nan, math.inf, -math.inf, *rejected]:
         with pytest.raises(ValueError, match=rf"^{name} must be (greater than|at least|less than|at most) \S+$"):
             cls(**{name: value})
         with pytest.raises(ConfigError, match=rf"^{re.escape(key)}\b"):
@@ -190,17 +194,16 @@ def test_library_fields_reject_nan_and_values_past_their_bounds(cls, name, key, 
 class TestEmitCsv:
     def test_writes_units_in_header_and_9_digits(self, tmp_path):
         path = tmp_path / "t.csv"
-        emit_csv(["zenith_deg", "loss_db"], [[10.0], [1.0 / 3.0]], path)
+        emit_csv({"zenith_deg": [10.0], "loss_db": [1.0 / 3.0]}, path)
         text = path.read_text(encoding="utf-8")
         assert text == "zenith_deg,loss_db\n10,0.333333333\n"
         # Integers in decimal, everything else to 9 significant digits.
         emit_csv(
-            ["count", "photons", "value"],
-            [
-                np.array([0, -7, 42, 10**15, 2**63 - 1], dtype=np.int64),
-                np.broadcast_to(200_000, (1, 5)).ravel(),
-                [1.0 / 3.0, 1e-300, 123456789.5, -0.0, math.inf],
-            ],
+            {
+                "count": np.array([0, -7, 42, 10**15, 2**63 - 1], dtype=np.int64),
+                "photons": np.broadcast_to(200_000, (1, 5)).ravel(),
+                "value": [1.0 / 3.0, 1e-300, 123456789.5, -0.0, math.inf],
+            },
             path,
         )
         assert path.read_text(encoding="utf-8") == (
@@ -214,15 +217,15 @@ class TestEmitCsv:
 
     def test_empty_table_is_an_error_and_writes_nothing(self, tmp_path):
         path = tmp_path / "t.csv"
-        with pytest.raises(ValueError):
-            emit_csv(["a"], [[]], path)
+        for columns in ({"a": []}, {}):
+            with pytest.raises(ValueError, match="refusing to write empty table"):
+                emit_csv(columns, path)
         assert not path.exists()
 
-    @pytest.mark.parametrize("header, columns", [(["a", "b"], [[1, 2], [3]]), (["a", "b"], [[1]]), (["a"], [[1], [2]])])
-    def test_columns_of_unequal_length_or_count_are_an_error_and_write_nothing(self, tmp_path, header, columns):
+    def test_columns_of_unequal_length_are_an_error_and_write_nothing(self, tmp_path):
         path = tmp_path / "t.csv"
-        with pytest.raises(ValueError, match="header names for columns of lengths"):
-            emit_csv(header, columns, path)
+        with pytest.raises(ValueError, match=r"columns of unequal lengths \{'a': 2, 'b': 1\}"):
+            emit_csv({"a": [1, 2], "b": [3]}, path)
         assert not path.exists()
 
     def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(self, tmp_path, monkeypatch):
@@ -230,10 +233,10 @@ class TestEmitCsv:
             raise OSError("rename refused")
 
         path = tmp_path / "t.csv"
-        emit_csv(["a"], [[1]], path)
+        emit_csv({"a": [1]}, path)
         monkeypatch.setattr(cli.os, "replace", no_rename)
         with pytest.raises(OSError, match="rename refused"):
-            emit_csv(["a"], [[2]], path)
+            emit_csv({"a": [2]}, path)
         assert path.read_text(encoding="utf-8") == "a\n1\n"
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
@@ -252,12 +255,15 @@ class TestEmitCsv:
         assert json.loads(err) == {"error": "io", "detail": f"cannot write {tmp_path / 'manifest.json'}: rename refused"}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["pass_time.csv"]
 
-    def test_grid_rows_are_diameter_major_and_repeat_scalar_columns(self, tmp_path):
+    def test_grid_rows_are_diameter_major_and_repeat_scalar_columns(self, tmp_path, monkeypatch):
+        def cell_numbers(grid, draws_per_point, seed):
+            assert grid.shape == (2, 3)
+            return SimpleNamespace(cell=np.arange(6).reshape(2, 3), photons=7)
+
+        monkeypatch.setattr(cli, "sweep_pass", cell_numbers)
         cfg = parse_config({"sweep": {"diameters": [0.25, 0.5], "zenith_min": -10, "zenith_max": 10, "zenith_step": 10}})
-        grid = channel_grid(cfg.channel, cfg.satellite_altitude_m, cfg.diameters_m, cfg.zenith_grid_rad())
-        assert grid.shape == (2, 3)
         path = tmp_path / "grid.csv"
-        cli._emit_grid(grid, {"cell": np.arange(6).reshape(2, 3), "photons": 7}, path)
+        emit_csv(cli.result_table(cfg), path)
         assert path.read_text(encoding="utf-8") == (
             "zenith_deg,diameter_m,cell,photons\n"
             "-10,0.25,0,7\n"
@@ -328,6 +334,12 @@ class TestRun:
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_declared_defaults_run_and_echo_unset_altitudes_as_null(self, tmp_path, scenario):
+        csv_name, header = {
+            "pass_time": ("pass_time.csv", "altitude_m,zenith_limit_deg,total_s,effective_s"),
+            "av_sweep": ("av_sweep.csv", "zenith_deg,diameter_m,av_factor"),
+            "link_budget": ("link_budget.csv", "zenith_deg,diameter_m,mean_loss_db,sd_loss_db,p05_db,p50_db,p95_db"),
+            "qst": ("qst_fidelity.csv", "zenith_deg,diameter_m,photons,mean_fidelity,sd_fidelity,failures"),
+        }[scenario]
         # A coarse grid and a small ensemble keep qst quick; altitudes_m keeps its declared default.
         cfg = ScenarioConfig(
             scenario=scenario,
@@ -337,8 +349,11 @@ class TestRun:
         )
         assert cfg.altitudes_m is None
         written = run(cfg)
-        assert [p.name for p in written][-1] == "manifest.json"
-        echo = json.loads(written[-1].read_text())["config"]
+        assert [p.name for p in written] == [csv_name, "manifest.json"]
+        assert written[0].read_text(encoding="utf-8").split("\n", 1)[0] == header
+        manifest = json.loads(written[-1].read_text())
+        assert manifest["outputs"] == [csv_name]
+        echo = manifest["config"]
         assert echo["geometry"]["altitudes"] is None
         assert parse_config(echo) == cfg
         if scenario == "pass_time":
@@ -357,13 +372,13 @@ class TestRun:
         args = ["--scenario", "pass_time", "--out", str(tmp_path)]
         assert main(args) == 0
         assert (tmp_path / "manifest.json").exists()
-        real = cli._run_pass_time
+        real = cli.emit_csv
 
-        def fails_after_first_csv(cfg, outdir):
-            real(cfg, outdir)
-            raise ValueError("failed after the first table")
+        def fails_after_the_csv(columns, path):
+            real(columns, path)
+            raise ValueError("failed after the table")
 
-        monkeypatch.setattr(cli, "_run_pass_time", fails_after_first_csv)
+        monkeypatch.setattr(cli, "emit_csv", fails_after_the_csv)
         assert main(args) == 3
         assert sorted(p.name for p in tmp_path.iterdir()) == ["pass_time.csv"]
 

@@ -37,6 +37,14 @@ class TestPdf:
                 pdf(sigma_j2, 1.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_pdf_and_sample_reject_infinite_sigma(value):
+    with pytest.raises(ValueError, match="sigma_j2 > 0 and finite"):
+        pdf(value, 1.0)
+    with pytest.raises(ValueError, match="sigma_j2 must be >= 0 and finite"):
+        sample(value, 0, 2)
+
+
 class TestSample:
     def test_degenerate_sigma_returns_ones(self):
         draws = sample(0.0, 7, 1000)

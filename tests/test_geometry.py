@@ -197,3 +197,19 @@ class TestPassTimes:
         zenith = {"zenith_rad": 0.5} if func is ground_half_angle else {}
         with pytest.raises(ValueError, match=f"{name} must be > 0"):
             func(**zenith, **{"altitude_m": 500e3, name: value})
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "func, name",
+        [
+            (pass_times, "altitude_m"),
+            (pass_times, "earth_radius_m"),
+            (pass_times, "mu_m3_s2"),
+            (ground_half_angle, "altitude_m"),
+            (ground_half_angle, "earth_radius_m"),
+        ],
+    )
+    def test_rejects_non_finite_lengths_and_mu(self, func, name, value):
+        zenith = {"zenith_rad": 0.5} if func is ground_half_angle else {}
+        with pytest.raises(ValueError, match=f"{name} must be > 0 and finite"):
+            func(**zenith, **{"altitude_m": 500e3, name: value})

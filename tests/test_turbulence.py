@@ -185,6 +185,11 @@ class TestScintillationIndex:
             with pytest.raises(ValueError, match="sigma_R2 must be >= 0"):
                 scintillation_index(sigma_R2)
 
+    def test_rejects_infinity(self):
+        for sigma_R2 in (math.inf, -math.inf):
+            with pytest.raises(ValueError, match="sigma_R2 must be >= 0 and finite"):
+                scintillation_index(sigma_R2)
+
 
 class TestApertureAveraging:
     def test_point_aperture_limits(self):

@@ -411,11 +411,9 @@ def emit_csv(columns: dict[str, Any], path: Path) -> None:
         raise ValueError(f"{path}: columns of unequal lengths {dict(zip(columns, lengths))}")
     if not any(lengths):
         raise ValueError(f"refusing to write empty table to {path}")
-    fields = [
-        map(str, c.tolist()) if np.issubdtype(c.dtype, np.integer) else [format(x, ".9g") for x in c.tolist()]
-        for c in values
-    ]
-    _write_atomically(path, "\n".join([",".join(columns), *map(",".join, zip(*fields))]) + "\n")
+    row_format = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else "%.9g" for c in values)
+    rows = map(row_format.__mod__, zip(*(c.tolist() for c in values)))
+    _write_atomically(path, "\n".join([",".join(columns), *rows]) + "\n")
 
 
 def result_table(cfg: ScenarioConfig) -> dict[str, Any]:

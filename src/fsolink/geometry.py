@@ -30,15 +30,15 @@ class LinkGeometry:
     earth_radius_m: float = EARTH_RADIUS_M
 
     def __post_init__(self) -> None:
-        # Each check is written so that NaN fails it.
-        if not self.ogs_altitude_m >= 0:
-            raise ValueError("ogs_altitude_m must be >= 0")
-        if not self.satellite_altitude_m > self.ogs_altitude_m:
-            raise ValueError("satellite_altitude_m must exceed ogs_altitude_m")
+        # Each check is written so that NaN and +-inf fail it.
+        if not 0 <= self.ogs_altitude_m < self.satellite_altitude_m < math.inf:
+            raise ValueError(
+                "ogs_altitude_m must be >= 0 and satellite_altitude_m must exceed ogs_altitude_m and finite"
+            )
         if not abs(self.zenith_angle_rad) < math.pi / 2:
             raise ValueError("|zenith_angle_rad| must be < pi/2")
-        if not self.earth_radius_m > 0:
-            raise ValueError("earth_radius_m must be > 0")
+        if not 0 < self.earth_radius_m < math.inf:
+            raise ValueError("earth_radius_m must be > 0 and finite")
 
 
 @dataclass(frozen=True)

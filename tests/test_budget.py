@@ -1,7 +1,10 @@
 import itertools
 import math
+import os
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -471,6 +474,19 @@ class TestConcurrentSweep:
         finally:
             sys.setswitchinterval(interval)
         np.testing.assert_array_equal(_sweep_stats(result), expected)
+
+    # The tests above set the worker count; this one checks that it is read from the CPU affinity,
+    # here and in a child process pinned to one CPU.
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
+    def test_worker_count_is_the_cpus_the_process_may_use(self):
+        assert budget._worker_count() == len(os.sched_getaffinity(0))
+        code = (
+            "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from fsolink import budget; print(budget._worker_count())"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(budget.__file__).resolve().parents[1]))
+        child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert (child.returncode, child.stdout) == (0, "1\n"), child.stderr
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_worker_error_reaches_the_caller(self, monkeypatch, workers):

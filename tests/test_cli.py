@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import fsolink
-from fsolink import cli
+from fsolink import budget, cli
 from fsolink.beam import BeamParams
 from fsolink.budget import ChannelParams, FluctuationMode, sweep_pass
 from fsolink.cli import (
@@ -37,6 +37,8 @@ from fsolink.extinction import ExtinctionParams
 from fsolink.geometry import pass_times
 from fsolink.qst import MAX_ENSEMBLE_SIZE, MAX_PHOTONS, TomographyConfig, fidelity_vs_zenith
 from fsolink.turbulence import ApertureModel, TurbulenceProfile
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestParseConfig:
@@ -334,12 +336,15 @@ class TestRun:
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_declared_defaults_run_and_echo_unset_altitudes_as_null(self, tmp_path, scenario):
-        csv_name, header = {
-            "pass_time": ("pass_time.csv", "altitude_m,zenith_limit_deg,total_s,effective_s"),
-            "av_sweep": ("av_sweep.csv", "zenith_deg,diameter_m,av_factor"),
-            "link_budget": ("link_budget.csv", "zenith_deg,diameter_m,mean_loss_db,sd_loss_db,p05_db,p50_db,p95_db"),
-            "qst": ("qst_fidelity.csv", "zenith_deg,diameter_m,photons,mean_fidelity,sd_fidelity,failures"),
+        csv_name = {
+            "pass_time": "pass_time.csv",
+            "av_sweep": "av_sweep.csv",
+            "link_budget": "link_budget.csv",
+            "qst": "qst_fidelity.csv",
         }[scenario]
+        # The header is the scenario's "Columns:" list in README's Scenarios section.
+        columns = re.search(rf"^\* `{scenario}`:[^*]*?Columns: `([^`]*)`", README.read_text(encoding="utf-8"), re.M)
+        header = ",".join(columns[1].split(", "))
         # A coarse grid and a small ensemble keep qst quick; altitudes_m keeps its declared default.
         cfg = ScenarioConfig(
             scenario=scenario,
@@ -382,20 +387,42 @@ class TestRun:
         assert main(args) == 3
         assert sorted(p.name for p in tmp_path.iterdir()) == ["pass_time.csv"]
 
-    def test_identical_config_and_seed_reproduce_bytes(self, tmp_path):
-        doc = {
-            "scenario": "link_budget",
-            "seed": 99,
-            "channel": {"fluctuation_mode": "isi"},
-            "sweep": {"diameters": ["50 cm"], "zenith_min": -40, "zenith_max": 40, "zenith_step": 20,
-                      "draws_per_point": 200},
-        }
-        a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-        for out in (a_dir, b_dir):
-            d = dict(doc)
-            d["output_dir"] = str(out)
-            run(parse_config(json.dumps(d)))
-        assert (a_dir / "link_budget.csv").read_bytes() == (b_dir / "link_budget.csv").read_bytes()
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {
+                "scenario": "link_budget",
+                "seed": 99,
+                "channel": {"fluctuation_mode": "isi"},
+                "sweep": {"diameters": ["50 cm"], "zenith_min": -40, "zenith_max": 40, "zenith_step": 20,
+                          "draws_per_point": 200},
+            },
+            {"scenario": "qst", "seed": 11, "sweep": {"zenith_step": 40}, "tomography": {"ensemble_size": 20}},
+            {
+                "scenario": "qst",
+                "seed": 11,
+                "channel": {"fluctuation_mode": "psi"},
+                "sweep": {"zenith_step": 40},
+                "tomography": {"ensemble_size": 20, "ensemble_kind": "bures_mixed"},
+            },
+            # 64,004 rows through the threaded sweep and the CSV writer.
+            {
+                "scenario": "link_budget",
+                "seed": 5,
+                "channel": {"fluctuation_mode": "psi", "aperture_model": "yura"},
+                "sweep": {"zenith_step": 0.01, "draws_per_point": 1},
+            },
+        ],
+        ids=["isi_budget", "qst_haar", "qst_psi_bures", "psi_yura_budget_64k_rows"],
+    )
+    def test_identical_config_and_seed_reproduce_bytes(self, tmp_path, monkeypatch, doc):
+        def table(out):
+            return run(parse_config({**doc, "output_dir": str(tmp_path / out)}))[0].read_bytes()
+
+        # Twice on every CPU the process may use, then with the sweep on one worker.
+        first, second = table("a"), table("b")
+        monkeypatch.setattr(budget, "_worker_count", lambda: 1)
+        assert first == second == table("one_worker")
 
 
 class TestMain:
@@ -413,9 +440,11 @@ class TestMain:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config"]["scenario"] == "pass_time"
 
-    def test_flag_problems_are_listed_with_the_file_problems(self, tmp_path, capsys):
+    # The flag's problem is listed whether or not the file's own seed is bad too.
+    @pytest.mark.parametrize("file_seed", [{}, {"seed": -3}])
+    def test_flag_problems_are_listed_with_the_file_problems(self, tmp_path, capsys, file_seed):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"channel": {"c0": -1}}))
+        cfg_path.write_text(json.dumps({**file_seed, "channel": {"c0": -1}}))
         assert main(["--config", str(cfg_path), "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1

@@ -104,6 +104,12 @@ class TestSlantRange:
         with pytest.raises(ValueError, match=f"{field}.*{message}"):
             LinkGeometry(**values)
 
+    # Unchecked, an infinite Earth radius gave a NaN slant range and an infinite altitude an infinite one.
+    @pytest.mark.parametrize("field", ["satellite_altitude_m", "earth_radius_m"])
+    def test_rejects_infinite_lengths(self, field):
+        with pytest.raises(ValueError, match=f"{field} must .* and finite"):
+            LinkGeometry(**{"satellite_altitude_m": 5e5, "zenith_angle_rad": 0.3, field: math.inf})
+
 
 def propagate_pass_oracle(altitude_m, zenith_limit_rad):
     """Time-step the circular orbit and timestamp the zenith-angle crossings.

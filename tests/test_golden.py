@@ -21,21 +21,31 @@ GOLDEN = Path(__file__).parent / "golden"
 NAMES = sorted(p.stem for p in GOLDEN.glob("*.json"))
 
 
-def _simd_levels():
-    """NPY_DISABLE_CPU_FEATURES values that step numpy down from its best
-    dispatched x86 loops towards its baseline, as far as this CPU goes."""
-    disabled, levels = [], []
+def _child_runs():
+    """(environment, extra arguments) for child processes that repeat every
+    golden config: each NPY_DISABLE_CPU_FEATURES value that steps numpy down
+    from its best dispatched x86 loops towards its baseline, as far as this
+    CPU goes; a 4-thread OpenBLAS pool; and one CPU, where the sweep runs one
+    worker."""
+    runs, disabled = [], []
     for feature in ("X86_V4", "X86_V3"):
         if __cpu_features__.get(feature) and feature not in __cpu_baseline__:
             disabled.append(feature)
-            levels.append(" ".join(disabled))
-    return levels
+            level = " ".join(disabled)
+            runs.append(pytest.param({"NPY_DISABLE_CPU_FEATURES": level}, [], id=level))
+    runs.append(pytest.param({"OPENBLAS_NUM_THREADS": "4"}, [], id="openblas-4-threads"))
+    if hasattr(os, "sched_setaffinity"):
+        runs.append(pytest.param({}, [str(min(os.sched_getaffinity(0)))], id="one-cpu"))
+    return runs
 
 
-# Runs in a child process, so numpy reads NPY_DISABLE_CPU_FEATURES at import.
+# Runs in a child process, so numpy reads its environment at import, and an
+# optional CPU number pins the child before numpy or fsolink is imported.
 _RUN_ALL = """
-import sys
+import os, sys
 from pathlib import Path
+if len(sys.argv) > 3:
+    os.sched_setaffinity(0, {int(sys.argv[3])})
 from fsolink.cli import main
 golden, out = Path(sys.argv[1]), Path(sys.argv[2])
 for config in sorted(golden.glob("*.json")):
@@ -51,15 +61,16 @@ def test_cli_reproduces_golden_csv(tmp_path, capsys, name):
     assert csv_path.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
 
 
-@pytest.mark.parametrize("level", _simd_levels())
-def test_golden_csv_bytes_at_every_simd_level(tmp_path, level):
-    # The in-process test above covers the best level; this one repeats every
-    # golden config with numpy's wider loops switched off, one process per level.
+@pytest.mark.parametrize(("settings", "pin"), _child_runs())
+def test_golden_csv_bytes_in_a_child_process(tmp_path, settings, pin):
+    # The in-process test above covers the best SIMD level, this process's
+    # OpenBLAS pool and every CPU it may use; this one repeats every golden
+    # config in a child process with one of those changed.
     src = str(Path(fsolink.__file__).resolve().parents[1])
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=level)
+    env = dict(os.environ, **settings)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     child = subprocess.run(
-        [sys.executable, "-c", _RUN_ALL, str(GOLDEN), str(tmp_path)],
+        [sys.executable, "-c", _RUN_ALL, str(GOLDEN), str(tmp_path), *pin],
         env=env,
         capture_output=True,
         text=True,
@@ -71,4 +82,4 @@ def test_golden_csv_bytes_at_every_simd_level(tmp_path, level):
         for name in NAMES
         if next((tmp_path / name).glob("*.csv")).read_bytes() != (GOLDEN / f"{name}.csv").read_bytes()
     ]
-    assert differ == [], f"NPY_DISABLE_CPU_FEATURES={level!r}"
+    assert differ == [], (settings, pin)

@@ -310,7 +310,7 @@ def _loss_percentiles(rows: np.ndarray, mean, slope) -> np.ndarray:
     """The 5th, 50th and 95th percentiles of the loss ``mean - slope * z`` of each row of z.
 
     ``rows`` is (rows, n) and is partitioned in place along its rows;
-    ``mean`` and ``slope > 0`` broadcast against its rows. Returns (3, rows),
+    ``mean`` and ``slope >= 0`` broadcast against its rows. Returns (3, rows),
     bit for bit what ``np.percentile(mean - slope * z, [5, 50, 95])`` returns
     for each row (its default "linear" method), without building the loss
     array or sorting: the loss falls as z rises, so its rank-k order
@@ -355,12 +355,12 @@ def sweep_pass(grid: ChannelGrid, draws_per_point: int = 10_000, seed: int = 0) 
     Each cell draws ``draws_per_point`` unit-mean log-normal intensity fades
     around its deterministic transmittance and records mean/SD and the
     5/50/95 percentiles of the dB loss, reduced from the standard normal
-    draws behind the fades; a cell without fading draws nothing and keeps its
-    deterministic loss. Cells are reduced concurrently on the CPUs the process
-    may use, in batches of ``BATCH_DOUBLES // draws_per_point`` cells (at
-    least one), in one pass: a worker maps each batch's draws straight to the
-    five dB statistics and writes them into the result table. Each cell has
-    its own sub-seed, so the result does not depend on the number of workers.
+    draws behind the fades. A grid without fading draws nothing and keeps its
+    deterministic loss; otherwise every cell is reduced concurrently on the
+    CPUs the process may use, in batches of ``BATCH_DOUBLES // draws_per_point``
+    cells (at least one), in one pass: a worker maps each batch's draws
+    straight to the five dB statistics and writes them into the result table.
+    Each cell has its own sub-seed, so the worker count does not matter.
     """
     # Imported here: at module level it would add to every CLI start-up.
     from concurrent.futures import ThreadPoolExecutor
@@ -373,15 +373,6 @@ def sweep_pass(grid: ChannelGrid, draws_per_point: int = 10_000, seed: int = 0) 
     if not np.all(eta_det > 0):
         raise ValueError("the transmittance underflows to zero, so the dB loss is infinite")
 
-    # Cell (di, zi) draws from the stream of sub-seed (seed, di, zi), so the
-    # result does not depend on how the grid is scheduled. Cells are indexed
-    # flat, diameter-major.
-    n_d, n_z = eta_det.shape
-    fading = sigma_j2 != 0
-    states = []
-    for di in range(n_d):
-        states += stream_states(seed, (di,), 0, n_z) if fading[di].any() else [None] * n_z
-
     # With unit-mean log-normal fading I = exp(sigma z - sigma^2/2), the dB
     # loss -10 log10(eta_det I) is affine and falling in the standard normal
     # z: loss0 + c sigma^2/2 - c sigma z, with c = 10/ln 10. The workers map
@@ -390,10 +381,20 @@ def sweep_pass(grid: ChannelGrid, draws_per_point: int = 10_000, seed: int = 0) 
     # log10 can differ in the last bit.
     c = 10.0 / math.log(10.0)
     loss0 = np.array([-10.0 * math.log10(eta) for eta in eta_det.ravel().tolist()])
-    s2 = sigma_j2.ravel()
-    # Mean, SD and the 5/50/95 percentiles per cell. The workers overwrite
-    # the fading cells; the others keep the deterministic loss and an SD of 0.
+    # Mean, SD and the 5/50/95 percentiles per cell: the deterministic loss
+    # and an SD of 0 until the workers overwrite them.
     stats = np.stack([loss0, np.zeros_like(loss0), loss0, loss0, loss0])
+    n_d, n_z = eta_det.shape
+    if not sigma_j2.any():
+        return SweepResult(*stats.reshape(5, n_d, n_z))
+
+    # Cell (di, zi) draws from the stream of sub-seed (seed, di, zi), so the
+    # result does not depend on how the grid is scheduled. Cells are indexed
+    # flat, diameter-major. A cell with sigma^2 = 0 in a grid with fading (a
+    # PSI grid where av * sigma_I^2 underflows in some cells) draws with
+    # slope 0, which keeps its mean and percentiles at loss0 and its SD at 0.
+    states = [state for di in range(n_d) for state in stream_states(seed, (di,), 0, n_z)]
+    s2 = sigma_j2.ravel()
 
     def reduce_cells(cells: np.ndarray) -> None:
         # One batch buffer and one generator per worker, reused by every batch
@@ -422,12 +423,9 @@ def sweep_pass(grid: ChannelGrid, draws_per_point: int = 10_000, seed: int = 0) 
                 stats[1, batch] = slope * np.sqrt(ss / (n - 1))
             stats[2:, batch] = _loss_percentiles(rows, mean, slope)
 
-    # One contiguous block of fading cells per worker keeps dispatch off
-    # small cells.
-    cells = np.flatnonzero(fading)
-    workers = min(_worker_count(), len(cells))
-    if workers:
-        with ThreadPoolExecutor(workers) as pool:
-            for future in [pool.submit(reduce_cells, block) for block in np.array_split(cells, workers)]:
-                future.result()
+    # One contiguous block of cells per worker keeps dispatch off small cells.
+    workers = min(_worker_count(), len(states))
+    with ThreadPoolExecutor(workers) as pool:
+        for future in [pool.submit(reduce_cells, block) for block in np.array_split(np.arange(len(states)), workers)]:
+            future.result()
     return SweepResult(*stats.reshape(5, n_d, n_z))

@@ -35,9 +35,10 @@ def pdf(sigma_j2: float, intensity) -> np.ndarray | float:
 def sample(sigma_j2: float, rng: np.random.Generator | int, n: int) -> np.ndarray:
     """Draw ``n`` intensity factors of log-variance ``sigma_j2``; deterministic for a fixed seed.
 
-    Standard-normal variates are scaled and shifted so matched seeds with
-    different sigma_j2 produce comonotone draws, the basis for comparing
-    loss spread between the ISI and PSI channel modes.
+    Standard-normal variates are scaled and shifted, so matched seeds with
+    different sigma_j2 produce comonotone draws. The tomography sweep takes
+    its per-trial and per-point fades from here; the loss sweep
+    (``budget.sweep_pass``) maps the standard normals to dB loss itself.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

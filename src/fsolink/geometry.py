@@ -107,6 +107,8 @@ def pass_times(
     if not 0 < mu_m3_s2 < math.inf:
         raise ValueError("mu_m3_s2 must be > 0 and finite")
     omega = math.sqrt(mu_m3_s2 / (earth_radius_m + altitude_m) ** 3)
+    if not omega > 0:
+        raise ValueError("the orbital rate sqrt(mu / (R + H)^3) underflows to 0: mu is too small for this orbit")
     total = 2.0 * ground_half_angle(math.pi / 2, altitude_m, earth_radius_m) / omega
     effective = 2.0 * ground_half_angle(zenith_limit_rad, altitude_m, earth_radius_m) / omega
     return PassTimes(total_s=total, effective_s=effective, zenith_limit_rad=zenith_limit_rad)

@@ -204,10 +204,10 @@ def bures_random_mixed(rng: np.random.Generator) -> np.ndarray:
     return np.array([a / norm, b / norm, c / norm])
 
 
-def _member_fidelities(
+def _ensemble(
     config: TomographyConfig, seed: int, key: tuple[int, ...], eta: float, sigma_j2: float
-) -> tuple[np.ndarray, int]:
-    """Fidelity of every ensemble member (seed, *key, i), and how many failed.
+) -> TomographyResult:
+    """Tomography over the members (seed, *key, i): each fidelity, their mean and SD, and the failures.
 
     Member i is one scalar trial on its own stream: its fade (where the
     log-variance ``sigma_j2`` is > 0), its state, and its counts from
@@ -240,7 +240,12 @@ def _member_fidelities(
         fit = fit_state(counts, np.maximum(n_eff, 1))
         fids[start:stop] = fidelity(r_in, fit.r, fit.pure | haar)
         failures += int(np.count_nonzero(fit.degenerate))
-    return fids, failures
+    return TomographyResult(
+        fidelities=fids,
+        mean_fidelity=float(fids.mean()),
+        sd_fidelity=float(fids.std(ddof=1)) if config.ensemble_size > 1 else 0.0,
+        failures=failures,
+    )
 
 
 def run_ensemble(config: TomographyConfig, transmittance: float = 1.0, seed: int = 0) -> TomographyResult:
@@ -251,13 +256,7 @@ def run_ensemble(config: TomographyConfig, transmittance: float = 1.0, seed: int
     """
     if not 0.0 <= transmittance <= 1.0:
         raise ValueError("transmittance must lie in [0, 1]")
-    fidelities, failures = _member_fidelities(config, seed, (), transmittance, 0.0)
-    return TomographyResult(
-        fidelities=fidelities,
-        mean_fidelity=float(fidelities.mean()),
-        sd_fidelity=float(fidelities.std(ddof=1)) if config.ensemble_size > 1 else 0.0,
-        failures=failures,
-    )
+    return _ensemble(config, seed, (), transmittance, 0.0)
 
 
 def fidelity_vs_zenith(
@@ -278,19 +277,20 @@ def fidelity_vs_zenith(
     # eta_det before sigma_j2, so a failing transmittance is reported before
     # a failing profile integral.
     eta_det = grid.eta_det
-    mean = np.empty(grid.shape)
-    sd = np.zeros(grid.shape)
-    failures = np.zeros(grid.shape, dtype=np.int64)
-    # A per-point fade comes from the cell's stream (seed, di, zi), as in sweep_pass.
+    mean, sd = np.empty(grid.shape), np.empty(grid.shape)
+    failures = np.empty(grid.shape, dtype=np.int64)
+    # A per-point fade comes from the cell's stream (seed, di, zi), one
+    # stream_states call per diameter row, as in sweep_pass.
+    n_d, n_z = grid.shape
+    per_point = resample is FadingResample.PER_POINT
+    point_states = [state for di in range(n_d) for state in stream_states(seed, (di,), 0, n_z)] if per_point else []
     point_rng = np.random.default_rng(0)
     for (di, zi), sigma_j2 in np.ndenumerate(grid.sigma_j2):
         sigma_j2, eta = float(sigma_j2), float(eta_det[di, zi])
-        if sigma_j2 > 0 and resample is FadingResample.PER_POINT:
-            point_rng.bit_generator.state = stream_states(seed, (di,), zi, zi + 1)[0]
+        if sigma_j2 > 0 and per_point:
+            point_rng.bit_generator.state = point_states[di * n_z + zi]
             eta *= float(sample(sigma_j2, point_rng, 1)[0])
             sigma_j2 = 0.0
-        fids, failures[di, zi] = _member_fidelities(config, seed, (di, zi), eta, sigma_j2)
-        mean[di, zi] = fids.mean()
-        if config.ensemble_size > 1:
-            sd[di, zi] = fids.std(ddof=1)
+        result = _ensemble(config, seed, (di, zi), eta, sigma_j2)
+        mean[di, zi], sd[di, zi], failures[di, zi] = result.mean_fidelity, result.sd_fidelity, result.failures
     return FidelityTable(mean_fidelity=mean, sd_fidelity=sd, failures=failures)

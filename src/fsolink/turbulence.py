@@ -116,7 +116,10 @@ def _profile_moment(profile: TurbulenceProfile, top_m: float, exponent: float) -
             return 0.0
         return cn2(profile, z) * u**exponent
 
-    return adaptive_simpson(integrand, h0, upper)
+    try:
+        return adaptive_simpson(integrand, h0, upper)
+    except OverflowError as exc:  # cn2's v_rms**2 is the one operation here that can overflow
+        raise ValueError(f"v_rms = {profile.v_rms:g} m/s overflows the Cn^2 wind term (v_rms**2)") from exc
 
 
 def rytov_downlink(

@@ -437,13 +437,20 @@ class TestConcurrentSweep:
     # several batches and ends in a partial one.
     # A station at 150 km sits above the Cn^2 profile, so sigma^2 is 0 in
     # every cell of a fading mode and every cell keeps its prefilled loss0.
+    # A Giggenbach layer 5e-272 m high averages so hard that av * sigma_I^2
+    # underflows to 0 in 4 of the 15 PSI cells: a grid with fading whose
+    # zero cells draw with slope 0.
+    MIXED = ChannelParams(
+        aperture_model=ApertureModel(kind=ApertureModelKind.GIGGENBACH, tropopause_m=5e-272),
+        fluctuation_mode=FluctuationMode.PSI,
+    )
     SWEEP_PARAMS = [pytest.param(default_channel(mode), id=str(mode)) for mode in FluctuationMode] + [
         pytest.param(
             ChannelParams(fluctuation_mode=mode, turbulence=TurbulenceProfile(h_ogs_m=150e3)),
             id=f"{mode}-station-150km",
         )
         for mode in (FluctuationMode.ISI, FluctuationMode.PSI)
-    ]
+    ] + [pytest.param(MIXED, id="psi-mixed-zero-cells")]
 
     @pytest.mark.parametrize("draws", [1, 2, 1001, 8193, 50_000])
     @pytest.mark.parametrize("params", SWEEP_PARAMS)
@@ -455,6 +462,14 @@ class TestConcurrentSweep:
         ]
         np.testing.assert_array_equal(runs[0], expected)
         np.testing.assert_array_equal(runs[1], expected)
+        zero = channel_grid(params, LEO_ALTITUDE_M, GRID_DIAMETERS, GRID_ZENITHS).sigma_j2 == 0
+        if params is self.MIXED:
+            assert np.count_nonzero(zero) == 4
+        # Every cell without fading keeps compose's loss bit for bit and an SD of 0.
+        for di, zi in zip(*np.nonzero(zero)):
+            geom = LinkGeometry(LEO_ALTITUDE_M, float(GRID_ZENITHS[zi]), params.turbulence.h_ogs_m)
+            loss = compose(params, geom, GRID_DIAMETERS[di]).loss_db
+            assert runs[0][:, di, zi].tolist() == [loss, 0.0, loss, loss, loss]
 
     # At 300 draws each worker's block is one batch; at 50_000 a batch holds
     # two cells, so a block spans several batches and ends in a partial one.

@@ -768,6 +768,23 @@ class TestMain:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "numeric"
 
+    @pytest.mark.parametrize(
+        "doc, cause",
+        [
+            # v_rms**2 in the Cn^2 wind term overflows.
+            ({"channel": {"v_rms": 1e300, "fluctuation_mode": "isi"}}, "v_rms"),
+            # sqrt(mu / (R + H)^3) underflows to 0.
+            ({"scenario": "pass_time", "geometry": {"satellite_altitude": "1e12 m", "mu": 1e-300}}, "orbital rate"),
+        ],
+    )
+    def test_numeric_error_names_its_cause(self, tmp_path, capsys, doc, cause):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numeric"
+        assert cause in err["detail"]
+
     def test_over_long_integer_is_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"seed": 1' + "0" * 5000 + "}")

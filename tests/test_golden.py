@@ -26,7 +26,9 @@ def _child_runs():
     golden config: each NPY_DISABLE_CPU_FEATURES value that steps numpy down
     from its best dispatched x86 loops towards its baseline, as far as this
     CPU goes; a 4-thread OpenBLAS pool; and one CPU, where the sweep runs one
-    worker."""
+    worker. The OpenBLAS child guards only a future BLAS call: nothing in the
+    package reaches BLAS today, and at the goldens' 2,000 draws per cell or
+    fewer a ddot would not split across threads anyway."""
     runs, disabled = [], []
     for feature in ("X86_V4", "X86_V3"):
         if __cpu_features__.get(feature) and feature not in __cpu_baseline__:

@@ -593,10 +593,10 @@ class TestRunEnsemble:
         monkeypatch.setattr(qst, "_MEMBER_BLOCK", 5)
         for kind in EnsembleKind:
             config = TomographyConfig(photons=1000, ensemble_size=17, ensemble_kind=kind)
-            fids, failures = qst._member_fidelities(config, 4, (2, 3), 0.9, 0.5)
+            result = qst._ensemble(config, 4, (2, 3), 0.9, 0.5)
             ref, ref_failures, _, _ = scalar_trials(config, 4, (2, 3), 0.9, 0.5)
-            assert fids.tobytes() == ref.tobytes()
-            assert failures == ref_failures
+            assert result.fidelities.tobytes() == ref.tobytes()
+            assert result.failures == ref_failures
         fades = [float(sample(0.5, _member_rng(4, 2, 3, i), 1)[0]) for i in range(17)]
         assert max(fades) * 0.9 > 1.0
 
@@ -682,6 +682,23 @@ class TestFidelityVsZenith:
         assert table.mean_fidelity.tobytes() == np.array([[mean]]).tobytes()
         assert table.sd_fidelity.tobytes() == np.array([[sd]]).tobytes()
         assert table.failures.tolist() == [[failures]]
+
+    def test_point_fades_take_one_stream_states_call_per_row(self, monkeypatch):
+        # Each cell's ensemble takes its member states with key (di, zi); the
+        # point fades take a whole diameter row's cell states with key (di,).
+        keys = []
+        real = qst.stream_states
+
+        def counting(seed, key, start, stop):
+            keys.append(key)
+            return real(seed, key, start, stop)
+
+        monkeypatch.setattr(qst, "stream_states", counting)
+        grid = channel_grid(self.CHANNEL, 420e3, (0.25, 1.0), np.radians([0.0, 40.0, 80.0]))
+        config = TomographyConfig(photons=1000, ensemble_size=3)
+        fidelity_vs_zenith(grid, config, 5, resample=FadingResample.PER_POINT)
+        assert [key for key in keys if len(key) == 1] == [(0,), (1,)]
+        assert sorted(key for key in keys if len(key) == 2) == [(di, zi) for di in range(2) for zi in range(3)]
 
     def test_starved_meo_link_sits_below_leo(self):
         # 25 cm aperture at MEO altitude: ~79 dB of loss starves even 1e7

@@ -19,7 +19,6 @@ from .budget import (
     ChannelGrid,
     ChannelParams,
     FluctuationMode,
-    SweepResult,
     TransmittanceBreakdown,
     channel_grid,
     compose,
@@ -44,7 +43,6 @@ from .geometry import (
 from .qst import (
     EnsembleKind,
     FadingResample,
-    FidelityTable,
     Reconstruction,
     TomographyConfig,
     TomographyResult,

@@ -84,17 +84,6 @@ class TransmittanceBreakdown:
 
 
 @dataclass(frozen=True)
-class SweepResult:
-    """Loss statistics per (diameter, zenith) cell of a ChannelGrid; arrays are (nD, nZ)."""
-
-    mean_loss_db: np.ndarray
-    sd_loss_db: np.ndarray
-    p05_db: np.ndarray
-    p50_db: np.ndarray
-    p95_db: np.ndarray
-
-
-@dataclass(frozen=True)
 class ChannelGrid:
     """The slant-path channel over a (diameter, zenith) grid; 2-D arrays are (nD, nZ).
 
@@ -349,13 +338,15 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def sweep_pass(grid: ChannelGrid, draws_per_point: int = 10_000, seed: int = 0) -> SweepResult:
-    """Photon-loss statistics of every cell of a channel grid.
+def sweep_pass(grid: ChannelGrid, draws_per_point: int = 10_000, seed: int = 0) -> dict[str, np.ndarray]:
+    """Photon-loss statistics of every cell of a channel grid, keyed by their CSV column names.
 
-    Each cell draws ``draws_per_point`` unit-mean log-normal intensity fades
-    around its deterministic transmittance and records mean/SD and the
-    5/50/95 percentiles of the dB loss, reduced from the standard normal
-    draws behind the fades. A grid without fading draws nothing and keeps its
+    Returns ``mean_loss_db``, ``sd_loss_db``, ``p05_db``, ``p50_db`` and
+    ``p95_db`` in that order, each an (nD, nZ) array. Each cell draws
+    ``draws_per_point`` unit-mean log-normal intensity fades around its
+    deterministic transmittance and records mean/SD and the 5/50/95
+    percentiles of the dB loss, reduced from the standard normal draws
+    behind the fades. A grid without fading draws nothing and keeps its
     deterministic loss; otherwise every cell is reduced concurrently on the
     CPUs the process may use, in batches of ``BATCH_DOUBLES // draws_per_point``
     cells (at least one), in one pass: a worker maps each batch's draws
@@ -382,11 +373,13 @@ def sweep_pass(grid: ChannelGrid, draws_per_point: int = 10_000, seed: int = 0) 
     c = 10.0 / math.log(10.0)
     loss0 = np.array([-10.0 * math.log10(eta) for eta in eta_det.ravel().tolist()])
     # Mean, SD and the 5/50/95 percentiles per cell: the deterministic loss
-    # and an SD of 0 until the workers overwrite them.
+    # and an SD of 0 until the workers overwrite them. The returned columns
+    # are views of its rows, so they hold what the workers write.
     stats = np.stack([loss0, np.zeros_like(loss0), loss0, loss0, loss0])
     n_d, n_z = eta_det.shape
+    columns = dict(zip(("mean_loss_db", "sd_loss_db", "p05_db", "p50_db", "p95_db"), stats.reshape(5, n_d, n_z)))
     if not sigma_j2.any():
-        return SweepResult(*stats.reshape(5, n_d, n_z))
+        return columns
 
     # Cell (di, zi) draws from the stream of sub-seed (seed, di, zi), so the
     # result does not depend on how the grid is scheduled. Cells are indexed
@@ -428,4 +421,4 @@ def sweep_pass(grid: ChannelGrid, draws_per_point: int = 10_000, seed: int = 0) 
     with ThreadPoolExecutor(workers) as pool:
         for future in [pool.submit(reduce_cells, block) for block in np.array_split(np.arange(len(states)), workers)]:
             future.result()
-    return SweepResult(*stats.reshape(5, n_d, n_z))
+    return columns

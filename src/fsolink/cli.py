@@ -420,8 +420,8 @@ def result_table(cfg: ScenarioConfig) -> dict[str, Any]:
     """A scenario's results: each CSV column name, in order, with its 1-D column.
 
     pass_time has a row per altitude. A grid scenario has a row per cell of its one channel grid,
-    diameter-major: zenith_deg, diameter_m, then the reduced values (result fields are named as
-    their columns), each broadcast to the grid, so a scalar such as ``photons`` repeats.
+    diameter-major: zenith_deg, diameter_m, then the columns of its reduction (the reductions key
+    their arrays by column name), each broadcast to the grid, so a scalar such as ``photons`` repeats.
     """
     if cfg.scenario == "pass_time":
         altitudes = cfg.altitudes_m or (cfg.satellite_altitude_m,)
@@ -438,10 +438,12 @@ def result_table(cfg: ScenarioConfig) -> dict[str, Any]:
     if cfg.scenario == "av_sweep":
         values = {"av_factor": grid.av}
     elif cfg.scenario == "link_budget":
-        values = vars(sweep_pass(grid, cfg.draws_per_point, cfg.seed))
+        values = sweep_pass(grid, cfg.draws_per_point, cfg.seed)
     else:
-        table = fidelity_vs_zenith(grid, cfg.tomography, cfg.seed, resample=cfg.fading_resample)
-        values = {"photons": cfg.tomography.photons, **vars(table)}
+        values = {
+            "photons": cfg.tomography.photons,
+            **fidelity_vs_zenith(grid, cfg.tomography, cfg.seed, resample=cfg.fading_resample),
+        }
     n_diameters, n_zenith = grid.shape
     return {
         "zenith_deg": np.tile(np.degrees(grid.zenith_rad), n_diameters),

@@ -75,15 +75,6 @@ class Reconstruction:
     degenerate: np.ndarray
 
 
-@dataclass(frozen=True)
-class FidelityTable:
-    """Ensemble fidelity statistics per (diameter, zenith) cell of a ChannelGrid; arrays are (nD, nZ)."""
-
-    mean_fidelity: np.ndarray
-    sd_fidelity: np.ndarray
-    failures: np.ndarray
-
-
 def round_half_away(x: float) -> int:
     """Nearest integer, ties away from zero."""
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
@@ -265,14 +256,17 @@ def fidelity_vs_zenith(
     seed: int = 0,
     *,
     resample: FadingResample = FadingResample.PER_TRIAL,
-) -> FidelityTable:
-    """Ensemble fidelity statistics of every cell of a channel grid.
+) -> dict[str, np.ndarray]:
+    """Ensemble fidelity statistics of every cell of a channel grid, keyed by their CSV column names.
 
-    The channel transmittance at each cell combines the deterministic factors
-    with a log-normal fade; by default each tomography trial sees a fresh
-    fade, alternatively one draw is shared per grid point. Every cell sends
-    ``config.photons`` photons per trial, and member i of cell (di, zi) draws
-    from the sub-seed (seed, di, zi, i).
+    Returns ``mean_fidelity``, ``sd_fidelity`` and ``failures`` (int64) in
+    that order, each an (nD, nZ) array of the cells' ``TomographyResult``
+    fields of the same names. The channel transmittance at each cell
+    combines the deterministic factors with a log-normal fade; by default
+    each tomography trial sees a fresh fade, alternatively one draw is
+    shared per grid point. Every cell sends ``config.photons`` photons per
+    trial, and member i of cell (di, zi) draws from the sub-seed
+    (seed, di, zi, i).
     """
     # eta_det before sigma_j2, so a failing transmittance is reported before
     # a failing profile integral.
@@ -280,9 +274,10 @@ def fidelity_vs_zenith(
     mean, sd = np.empty(grid.shape), np.empty(grid.shape)
     failures = np.empty(grid.shape, dtype=np.int64)
     # A per-point fade comes from the cell's stream (seed, di, zi), one
-    # stream_states call per diameter row, as in sweep_pass.
+    # stream_states call per diameter row, as in sweep_pass. A grid without
+    # fading draws none.
     n_d, n_z = grid.shape
-    per_point = resample is FadingResample.PER_POINT
+    per_point = resample is FadingResample.PER_POINT and grid.sigma_j2.any()
     point_states = [state for di in range(n_d) for state in stream_states(seed, (di,), 0, n_z)] if per_point else []
     point_rng = np.random.default_rng(0)
     for (di, zi), sigma_j2 in np.ndenumerate(grid.sigma_j2):
@@ -293,4 +288,4 @@ def fidelity_vs_zenith(
             sigma_j2 = 0.0
         result = _ensemble(config, seed, (di, zi), eta, sigma_j2)
         mean[di, zi], sd[di, zi], failures[di, zi] = result.mean_fidelity, result.sd_fidelity, result.failures
-    return FidelityTable(mean_fidelity=mean, sd_fidelity=sd, failures=failures)
+    return {"mean_fidelity": mean, "sd_fidelity": sd, "failures": failures}

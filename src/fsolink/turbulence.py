@@ -163,8 +163,11 @@ def scintillation_index(
         raise ValueError("sigma_R2 must be >= 0 and finite")
     s = sigma_R2
     e2 = 7.0 / 6.0 if variant is ScintillationVariant.SEVEN_SIXTHS else 5.0 / 6.0
-    first = 0.49 * s / (1.0 + 1.11 * s ** (6.0 / 5.0)) ** (7.0 / 6.0)
-    second = 0.51 * s / (1.0 + 0.69 * s ** (6.0 / 5.0)) ** e2
+    try:
+        first = 0.49 * s / (1.0 + 1.11 * s ** (6.0 / 5.0)) ** (7.0 / 6.0)
+        second = 0.51 * s / (1.0 + 0.69 * s ** (6.0 / 5.0)) ** e2
+    except OverflowError as exc:  # from about sigma_R2 = 1e222 in both variants
+        raise ValueError(f"sigma_R2 = {s:g} overflows the scintillation index formula") from exc
     return math.expm1(first + second)
 
 

@@ -155,12 +155,12 @@ def test_criterion_7_aperture_averaging_ordering():
         fl.channel_grid(_channel(mode=fl.FluctuationMode.PSI), fl.LEO_ALTITUDE_M, diameters, grid),
         draws_per_point=10_000, seed=314,
     )
-    sd_ordered = bool(np.all(psi.sd_loss_db <= isi.sd_loss_db))
+    sd_ordered = bool(np.all(psi["sd_loss_db"] <= isi["sd_loss_db"]))
     _report(
         7,
         "Av(LEO) < Av(MEO) and PSI spread <= ISI spread",
         av_ordered and sd_ordered,
-        f"max Av gap={float(np.max(leo.av - meo.av)):.2e}, max SD gap={float(np.max(psi.sd_loss_db - isi.sd_loss_db)):.2e}",
+        f"max Av gap={float(np.max(leo.av - meo.av)):.2e}, max SD gap={float(np.max(psi['sd_loss_db'] - isi['sd_loss_db'])):.2e}",
     )
 
 
@@ -194,8 +194,8 @@ def test_criterion_9_fidelity_vs_zenith_trend():
         config=fl.TomographyConfig(photons=200_000, ensemble_size=50),
         seed=9,
     )
-    mean0, mean80 = table.mean_fidelity[0]
-    sd0, sd80 = table.sd_fidelity[0]
+    mean0, mean80 = table["mean_fidelity"][0]
+    sd0, sd80 = table["sd_fidelity"][0]
     pooled = math.sqrt(0.5 * (sd0**2 + sd80**2))
     ok = (mean0 - mean80) > pooled
     _report(

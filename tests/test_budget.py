@@ -1,3 +1,4 @@
+import csv
 import itertools
 import math
 import os
@@ -121,7 +122,7 @@ class TestSweepPass:
         grid = np.radians(np.arange(-80.0, 81.0, 10.0))
         result = sweep_pass(channel_grid(default_channel(), LEO_ALTITUDE_M, DIAMETERS, grid), draws_per_point=1)
         for di in range(len(DIAMETERS)):
-            losses = result.mean_loss_db[di]
+            losses = result["mean_loss_db"][di]
             mid = len(losses) // 2
             assert np.all(np.diff(losses[: mid + 1]) < 0)  # descending into zenith
             assert np.all(np.diff(losses[mid:]) > 0)  # ascending away
@@ -130,7 +131,7 @@ class TestSweepPass:
     def test_larger_aperture_lowers_loss_everywhere(self):
         grid = np.radians(np.arange(-80.0, 81.0, 20.0))
         result = sweep_pass(channel_grid(default_channel(), LEO_ALTITUDE_M, DIAMETERS, grid), draws_per_point=1)
-        for smaller, larger in zip(result.mean_loss_db, result.mean_loss_db[1:]):
+        for smaller, larger in zip(result["mean_loss_db"], result["mean_loss_db"][1:]):
             assert np.all(larger < smaller)
 
     def test_meo_zenith_dependence_much_weaker(self):
@@ -138,8 +139,8 @@ class TestSweepPass:
         leo = sweep_pass(channel_grid(default_channel(), LEO_ALTITUDE_M, DIAMETERS, grid), draws_per_point=1)
         meo = sweep_pass(channel_grid(default_channel(), MEO_ALTITUDE_M, DIAMETERS, grid), draws_per_point=1)
         for di in range(len(DIAMETERS)):
-            leo_swing = leo.mean_loss_db[di].max() - leo.mean_loss_db[di].min()
-            meo_swing = meo.mean_loss_db[di].max() - meo.mean_loss_db[di].min()
+            leo_swing = leo["mean_loss_db"][di].max() - leo["mean_loss_db"][di].min()
+            meo_swing = meo["mean_loss_db"][di].max() - meo["mean_loss_db"][di].min()
             assert meo_swing < leo_swing
 
     def test_psi_spread_never_exceeds_isi_at_matched_seeds(self):
@@ -152,27 +153,27 @@ class TestSweepPass:
             channel_grid(default_channel(mode=FluctuationMode.PSI), LEO_ALTITUDE_M, DIAMETERS, grid),
             draws_per_point=2000, seed=77,
         )
-        assert np.all(psi.sd_loss_db <= isi.sd_loss_db)
+        assert np.all(psi["sd_loss_db"] <= isi["sd_loss_db"])
 
     def test_deterministic_given_seed(self):
         grid = np.radians(np.arange(-40.0, 41.0, 20.0))
         a = sweep_pass(channel_grid(default_channel(mode=FluctuationMode.ISI), LEO_ALTITUDE_M, (0.5,), grid), 500, 5)
         b = sweep_pass(channel_grid(default_channel(mode=FluctuationMode.ISI), LEO_ALTITUDE_M, (0.5,), grid), 500, 5)
-        np.testing.assert_array_equal(a.mean_loss_db, b.mean_loss_db)
-        np.testing.assert_array_equal(a.p95_db, b.p95_db)
+        np.testing.assert_array_equal(a["mean_loss_db"], b["mean_loss_db"])
+        np.testing.assert_array_equal(a["p95_db"], b["p95_db"])
 
     def test_percentiles_ordered(self):
         grid = np.radians(np.arange(-60.0, 61.0, 30.0))
         res = sweep_pass(channel_grid(default_channel(mode=FluctuationMode.ISI), LEO_ALTITUDE_M, (0.5,), grid), 2000, 1)
-        assert np.all(res.p05_db <= res.p50_db)
-        assert np.all(res.p50_db <= res.p95_db)
+        assert np.all(res["p05_db"] <= res["p50_db"])
+        assert np.all(res["p50_db"] <= res["p95_db"])
 
     def test_deterministic_loss_is_compose_loss_bit_for_bit(self):
         # The CLI's default 4 x 161 grid. numpy's AVX-512 log10 differs from
         # math.log10 by an ulp on some of its cells.
         cfg = parse_config("{}")
         grid = channel_grid(cfg.channel, cfg.satellite_altitude_m, cfg.diameters_m, cfg.zenith_grid_rad())
-        loss = sweep_pass(grid, draws_per_point=1).mean_loss_db
+        loss = sweep_pass(grid, draws_per_point=1)["mean_loss_db"]
         assert loss.shape == (4, 161)
         for di, diameter in enumerate(cfg.diameters_m):
             for zi, zenith in enumerate(grid.zenith_rad.tolist()):
@@ -428,7 +429,7 @@ def _old_path_sweep(params, diameters, zeniths, draws, seed):
 
 
 def _sweep_stats(result):
-    return np.stack([result.mean_loss_db, result.sd_loss_db, result.p05_db, result.p50_db, result.p95_db])
+    return np.stack([result["mean_loss_db"], result["sd_loss_db"], result["p05_db"], result["p50_db"], result["p95_db"]])
 
 
 class TestConcurrentSweep:
@@ -556,14 +557,44 @@ class TestSweepGaussianOracle:
             assert s2 > 0
             loss = NormalDist(-10.0 * math.log10(grid.eta_det[di, zi]) + c * s2 / 2.0, c * math.sqrt(s2))
             checks = [
-                (result.mean_loss_db[di, zi], loss.mean, loss.stdev / math.sqrt(n)),
-                (result.sd_loss_db[di, zi], loss.stdev, loss.stdev / math.sqrt(2.0 * (n - 1))),
+                (result["mean_loss_db"][di, zi], loss.mean, loss.stdev / math.sqrt(n)),
+                (result["sd_loss_db"][di, zi], loss.stdev, loss.stdev / math.sqrt(2.0 * (n - 1))),
             ]
-            for q, got in ((0.05, result.p05_db), (0.5, result.p50_db), (0.95, result.p95_db)):
+            for q, got in ((0.05, result["p05_db"]), (0.5, result["p50_db"]), (0.95, result["p95_db"])):
                 x = loss.inv_cdf(q)
                 checks.append((got[di, zi], x, math.sqrt(q * (1 - q) / n) / loss.pdf(x)))
             for got, population, se in checks:
                 assert abs(got - population) <= self.STANDARD_ERRORS * se, (di, zi, got, population, se)
+
+    @pytest.mark.parametrize("name", ["isi", "psi_andrews", "psi_giggenbach", "psi_yura"])
+    def test_golden_cells_match_the_population(self, name):
+        # The frozen link-budget tables hold every cell within the same bound,
+        # with the large-sample standard errors in units of c sigma / sqrt(n).
+        golden = Path(__file__).parent / "golden" / f"link_budget_{name}"
+        cfg = parse_config(golden.with_suffix(".json").read_text(encoding="utf-8"))
+        grid = channel_grid(
+            cfg.channel, cfg.satellite_altitude_m, cfg.diameters_m, cfg.zenith_grid_rad(),
+            earth_radius_m=cfg.earth_radius_m,
+        )
+        with golden.with_suffix(".csv").open(encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == grid.eta_det.size
+        n, c, unit = cfg.draws_per_point, 10.0 / math.log(10.0), NormalDist()
+        tail = math.sqrt(0.05 * 0.95) / unit.pdf(unit.inv_cdf(0.95))
+        se_units = {"mean_loss_db": 1.0, "sd_loss_db": math.sqrt(0.5), "p05_db": tail,
+                    "p50_db": math.sqrt(math.pi / 2.0), "p95_db": tail}
+        for row, (di, zi) in zip(rows, np.ndindex(grid.shape)):
+            assert float(row["diameter_m"]) == grid.diameters_m[di]
+            s2 = float(grid.sigma_j2[di, zi])
+            assert s2 > 0
+            mean = -10.0 * math.log10(float(grid.eta_det[di, zi])) + c * s2 / 2.0
+            spread = c * math.sqrt(s2)
+            population = {"mean_loss_db": mean, "sd_loss_db": spread, "p05_db": mean + spread * unit.inv_cdf(0.05),
+                          "p50_db": mean, "p95_db": mean + spread * unit.inv_cdf(0.95)}
+            for column, value in population.items():
+                se = se_units[column] * spread / math.sqrt(n)
+                got = float(row[column])
+                assert abs(got - value) <= self.STANDARD_ERRORS * se, (di, zi, column, got, value, se)
 
 
 class TestStreamStates:

@@ -10,7 +10,6 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -260,7 +259,7 @@ class TestEmitCsv:
     def test_grid_rows_are_diameter_major_and_repeat_scalar_columns(self, tmp_path, monkeypatch):
         def cell_numbers(grid, draws_per_point, seed):
             assert grid.shape == (2, 3)
-            return SimpleNamespace(cell=np.arange(6).reshape(2, 3), photons=7)
+            return {"cell": np.arange(6).reshape(2, 3), "photons": 7}
 
         monkeypatch.setattr(cli, "sweep_pass", cell_numbers)
         cfg = parse_config({"sweep": {"diameters": [0.25, 0.5], "zenith_min": -10, "zenith_max": 10, "zenith_step": 10}})
@@ -775,6 +774,8 @@ class TestMain:
             ({"channel": {"v_rms": 1e300, "fluctuation_mode": "isi"}}, "v_rms"),
             # sqrt(mu / (R + H)^3) underflows to 0.
             ({"scenario": "pass_time", "geometry": {"satellite_altitude": "1e12 m", "mu": 1e-300}}, "orbital rate"),
+            # v_rms**2 is finite, but sigma_R^2 (about 8e295) overflows the scintillation index.
+            ({"channel": {"v_rms": 1e150, "fluctuation_mode": "isi"}}, "sigma_R2"),
         ],
     )
     def test_numeric_error_names_its_cause(self, tmp_path, capsys, doc, cause):

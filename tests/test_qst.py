@@ -623,8 +623,8 @@ class TestFidelityVsZenith:
         grid = channel_grid(self.CHANNEL, 420e3, (1.0,), [0.0, math.radians(40.0)])
         a = fidelity_vs_zenith(grid, config, 17)
         b = fidelity_vs_zenith(grid, config, 17)
-        np.testing.assert_array_equal(a.mean_fidelity, b.mean_fidelity)
-        np.testing.assert_array_equal(a.failures, b.failures)
+        np.testing.assert_array_equal(a["mean_fidelity"], b["mean_fidelity"])
+        np.testing.assert_array_equal(a["failures"], b["failures"])
 
     @pytest.mark.parametrize("size", [1, 2, 17])
     def test_matches_scalar_reference_bit_for_bit(self, size):
@@ -653,9 +653,9 @@ class TestFidelityVsZenith:
                             )
                             mean[di, zi], sd[di, zi] = scalar_stats(fids)
                             dead, zero = dead + d, zero + z
-                        assert table.mean_fidelity.tobytes() == mean.tobytes(), case
-                        assert table.sd_fidelity.tobytes() == sd.tobytes(), case
-                        assert table.failures.tobytes() == failures.tobytes(), case
+                        assert table["mean_fidelity"].tobytes() == mean.tobytes(), case
+                        assert table["sd_fidelity"].tobytes() == sd.tobytes(), case
+                        assert table["failures"].tobytes() == failures.tobytes(), case
         # Both kinds of failed trial occur: n_eff < 1 below 1e6 photons, and
         # all-zero counts at the 25 cm, 80 degree cell's n_eff of about 2.
         assert dead > 0 and zero > 0, (dead, zero)
@@ -679,13 +679,19 @@ class TestFidelityVsZenith:
         capped, _, _, _ = scalar_trials(config, 0, (0, 0), 1.0)
         assert fids.tobytes() == capped.tobytes()
         mean, sd = scalar_stats(fids)
-        assert table.mean_fidelity.tobytes() == np.array([[mean]]).tobytes()
-        assert table.sd_fidelity.tobytes() == np.array([[sd]]).tobytes()
-        assert table.failures.tolist() == [[failures]]
+        assert table["mean_fidelity"].tobytes() == np.array([[mean]]).tobytes()
+        assert table["sd_fidelity"].tobytes() == np.array([[sd]]).tobytes()
+        assert table["failures"].tolist() == [[failures]]
 
-    def test_point_fades_take_one_stream_states_call_per_row(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "mode, row_keys",
+        [(FluctuationMode.ISI, [(0,), (1,)]), (FluctuationMode.DETERMINISTIC, [])],
+        ids=["fading", "deterministic"],
+    )
+    def test_point_fades_take_one_stream_states_call_per_row(self, monkeypatch, mode, row_keys):
         # Each cell's ensemble takes its member states with key (di, zi); the
-        # point fades take a whole diameter row's cell states with key (di,).
+        # point fades take a whole diameter row's cell states with key (di,),
+        # and a grid without fading draws no point fade.
         keys = []
         real = qst.stream_states
 
@@ -694,10 +700,10 @@ class TestFidelityVsZenith:
             return real(seed, key, start, stop)
 
         monkeypatch.setattr(qst, "stream_states", counting)
-        grid = channel_grid(self.CHANNEL, 420e3, (0.25, 1.0), np.radians([0.0, 40.0, 80.0]))
+        grid = channel_grid(ChannelParams(fluctuation_mode=mode), 420e3, (0.25, 1.0), np.radians([0.0, 40.0, 80.0]))
         config = TomographyConfig(photons=1000, ensemble_size=3)
         fidelity_vs_zenith(grid, config, 5, resample=FadingResample.PER_POINT)
-        assert [key for key in keys if len(key) == 1] == [(0,), (1,)]
+        assert [key for key in keys if len(key) == 1] == row_keys
         assert sorted(key for key in keys if len(key) == 2) == [(di, zi) for di in range(2) for zi in range(3)]
 
     def test_starved_meo_link_sits_below_leo(self):
@@ -708,9 +714,9 @@ class TestFidelityVsZenith:
         meo = fidelity_vs_zenith(channel_grid(self.CHANNEL, 20_200e3, (0.25,), [0.0]), config, 23)
         leo_config = TomographyConfig(photons=200_000, ensemble_size=10)
         leo = fidelity_vs_zenith(channel_grid(self.CHANNEL, 420e3, (1.0,), [0.0]), leo_config, 23)
-        assert meo.mean_fidelity[0, 0] + meo.sd_fidelity[0, 0] < leo.mean_fidelity[0, 0]
-        assert meo.failures[0, 0] == 10
-        assert (meo.mean_fidelity[0, 0], meo.sd_fidelity[0, 0]) == (0.5, 0.0)
+        assert meo["mean_fidelity"][0, 0] + meo["sd_fidelity"][0, 0] < leo["mean_fidelity"][0, 0]
+        assert meo["failures"][0, 0] == 10
+        assert (meo["mean_fidelity"][0, 0], meo["sd_fidelity"][0, 0]) == (0.5, 0.0)
 
 
 class TestStateGenerators:
@@ -851,3 +857,42 @@ class TestExactOracle:
         failed = int(fit.degenerate.sum())
         tail = min(binom.cdf(failed, self.TRIALS, p_fail), binom.sf(failed - 1, self.TRIALS, p_fail))
         assert tail >= norm.sf(self.MAX_STANDARD_ERRORS), (means, p_fail * self.TRIALS, failed)
+
+    @pytest.mark.parametrize("r, pure_input", [((0.0, 0.0, 1.0), True), ((0.3, -0.2, 0.4), False)])
+    def test_per_trial_fading_matches_the_weighted_lattice(self, r, pure_input):
+        # Fixed before the comparison was run, like the bound.
+        photons, eta, sigma_j2 = 10, 0.5, 0.3
+        r = np.array(r)
+        # n_eff = round_half_away(min(eta I, 1) photons) is k for a unit-mean
+        # log-normal I between the boundaries (k -+ 1/2) / (eta photons); the
+        # mass above the last boundary, the clamp at I >= 1/eta included, is
+        # k = photons.
+        below = [
+            norm.cdf((math.log((k + 0.5) / (eta * photons)) + sigma_j2 / 2.0) / math.sqrt(sigma_j2))
+            for k in range(photons)
+        ]
+        weights = np.diff([0.0, *below, 1.0]).tolist()
+        # k = 0 detects nothing: a failure, fitted as the maximally mixed state.
+        f_mixed = fidelity(r, MIXED, pure_input)
+        mean_f, mean_f2, p_fail = weights[0] * f_mixed, weights[0] * f_mixed**2, weights[0]
+        for k in range(1, photons + 1):
+            means, mean_k, var_k = self._lattice(r, k, pure_input)
+            mean_f += weights[k] * mean_k
+            mean_f2 += weights[k] * (var_k + mean_k**2)
+            p_fail += weights[k] * math.exp(-sum(means))
+        var_f = mean_f2 - mean_f**2
+
+        rng = np.random.default_rng(4711)
+        n_eff = np.empty(self.TRIALS, dtype=np.int64)
+        counts = np.empty((self.TRIALS, 4), dtype=np.int64)
+        for i in range(self.TRIALS):
+            fade = float(sample(sigma_j2, rng, 1)[0])
+            n_eff[i] = round_half_away(min(eta * fade, 1.0) * photons)
+            counts[i] = simulate_counts(r, int(n_eff[i]), rng)
+        fit = fit_state(counts, np.maximum(n_eff, 1))
+        f = fidelity(r, fit.r, fit.pure | pure_input)
+        z_f = (f.mean() - mean_f) / math.sqrt(var_f / self.TRIALS)
+        assert abs(z_f) <= self.MAX_STANDARD_ERRORS, (mean_f, f.mean())
+        failed = int(fit.degenerate.sum())
+        tail = min(binom.cdf(failed, self.TRIALS, p_fail), binom.sf(failed - 1, self.TRIALS, p_fail))
+        assert tail >= norm.sf(self.MAX_STANDARD_ERRORS), (p_fail * self.TRIALS, failed)

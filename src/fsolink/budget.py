@@ -295,39 +295,47 @@ def stream_states(seed: int, key: tuple[int, ...], start: int, stop: int) -> lis
 BATCH_DOUBLES = 2**17
 
 
-def _loss_percentiles(rows: np.ndarray, mean, slope) -> np.ndarray:
-    """The 5th, 50th and 95th percentiles of the loss ``mean - slope * z`` of each row of z.
+def _loss_stats(rows: np.ndarray, loss0: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
+    """Mean, SD and 5th, 50th and 95th percentiles of the dB loss per row of standard normal draws z, as (5, k).
 
-    ``rows`` is (rows, n) and is partitioned in place along its rows;
-    ``mean`` and ``slope >= 0`` broadcast against its rows. Returns (3, rows),
-    bit for bit what ``np.percentile(mean - slope * z, [5, 50, 95])`` returns
-    for each row (its default "linear" method), without building the loss
-    array or sorting: the loss falls as z rises, so its rank-k order
-    statistic is the image of z's rank n-1-k, and the affine map keeps ties
-    and order.
+    ``rows`` is (k, n) and is overwritten; ``loss0`` (the loss at unit
+    intensity) and ``sigma2`` (the log-variance) hold one value per row. With
+    unit-mean log-normal fading I = exp(sigma z - sigma^2/2), the dB loss
+    -10 log10(eta_det I) is affine and falling in z: loss0 + c sigma^2/2 -
+    c sigma z, with c = 10/ln 10. The rows become m - z for their mean m, so
+    the loss, mean + c sigma (m - z), rises with the row: loss rank r is row
+    rank r. Only + - * / and sqrt map the draws to the statistics, and the
+    percentiles are bit for bit ``np.percentile(loss, [5, 50, 95])`` (its
+    default "linear" method), without building the loss array or sorting.
     """
+    c = 10.0 / math.log(10.0)
     n = rows.shape[1]
-    # Per percentile: the z rank whose loss is the upper neighbour, whether the
-    # lower neighbour is another draw (the min of the z ranked above it) or the
-    # same one, and the interpolation weight t.
-    points = []
-    for q in (0.05, 0.5, 0.95):
-        v = (n - 1) * q
-        # numpy pins both loss indices to the top (z rank 0) when v >= n - 1.
-        lo = math.floor(v) if v < n - 1 else -1
-        points.append((n - 2 - lo if lo >= 0 else 0, lo >= 0, v - lo))
-    (r05, _, _), (r50, _, _), (r95, _, _) = points
-    # z ranks r95 <= r50 <= r05. The median first, so that the other two
-    # partitions each take about half a row.
+    m = rows.mean(axis=1)
+    slope = c * np.sqrt(sigma2)
+    mean = loss0 + c * sigma2 / 2.0 - slope * m
+    np.subtract(m[:, None], rows, out=rows)
+    sd = np.zeros_like(mean)
+    if n > 1:
+        # One 1-D einsum per row: the stacked "ij,ij->i" sums rows longer than
+        # nditer's 8192-element buffer in another order. einsum, not np.dot:
+        # dot runs on BLAS threads that compete with the workers.
+        ss = np.array([np.einsum("i,i->", row, row) for row in rows])
+        sd = slope * np.sqrt(ss / (n - 1))
+    # Per percentile: the rank of its lower neighbour, whose upper neighbour is
+    # the min of the values ranked above it (none when n = 1).
+    v = [(n - 1) * q for q in (0.05, 0.5, 0.95)]
+    ranks = r05, r50, r95 = [math.floor(vq) for vq in v]
+    # The median first, so that the other two partitions each take about half a row.
     rows.partition(r50, axis=1)
-    if r95 < r50:
-        rows[:, :r50].partition(r95, axis=1)
-    if r05 > r50:
-        rows[:, r50 + 1:].partition(r05 - r50 - 1, axis=1)
-    out = []
-    for rank, split, t in points:
-        b = mean - slope * rows[:, rank]
-        a = mean - slope * rows[:, rank + 1:].min(axis=1) if split else b
+    if r05 < r50:
+        rows[:, :r50].partition(r05, axis=1)
+    if r95 > r50:
+        rows[:, r50 + 1:].partition(r95 - r50 - 1, axis=1)
+    out = [mean, sd]
+    for vq, rank in zip(v, ranks):
+        a = mean + slope * rows[:, rank]
+        b = mean + slope * rows[:, rank + 1:].min(axis=1) if rank < n - 1 else a
+        t = vq - rank
         out.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
     return np.array(out)
 
@@ -364,13 +372,8 @@ def sweep_pass(grid: ChannelGrid, draws_per_point: int = 10_000, seed: int = 0) 
     if not np.all(eta_det > 0):
         raise ValueError("the transmittance underflows to zero, so the dB loss is infinite")
 
-    # With unit-mean log-normal fading I = exp(sigma z - sigma^2/2), the dB
-    # loss -10 log10(eta_det I) is affine and falling in the standard normal
-    # z: loss0 + c sigma^2/2 - c sigma z, with c = 10/ln 10. The workers map
-    # their draws' mean, SD and order statistics through it with + - * / and
-    # sqrt. loss0 takes math.log10 per cell, as compose does: numpy's AVX-512
-    # log10 can differ in the last bit.
-    c = 10.0 / math.log(10.0)
+    # loss0 takes math.log10 per cell, as compose does: numpy's AVX-512 log10
+    # can differ in the last bit.
     loss0 = np.array([-10.0 * math.log10(eta) for eta in eta_det.ravel().tolist()])
     # Mean, SD and the 5/50/95 percentiles per cell: the deterministic loss
     # and an SD of 0 until the workers overwrite them. The returned columns
@@ -401,20 +404,7 @@ def sweep_pass(grid: ChannelGrid, draws_per_point: int = 10_000, seed: int = 0) 
             for row, i in zip(rows, batch.tolist()):
                 rng.bit_generator.state = states[i]
                 rng.standard_normal(n, out=row)
-            m = rows.mean(axis=1)
-            slope = c * np.sqrt(s2[batch])
-            mean = loss0[batch] + c * s2[batch] / 2.0 - slope * m
-            stats[0, batch] = mean
-            # In place, so the rows hold the deviations z - m from here on.
-            rows -= m[:, None]
-            if n > 1:
-                # One 1-D einsum per row: the stacked "ij,ij->i" sums rows
-                # longer than nditer's 8192-element buffer in another order.
-                # einsum, not np.dot: dot runs on BLAS threads that compete
-                # with the workers.
-                ss = np.array([np.einsum("i,i->", row, row) for row in rows])
-                stats[1, batch] = slope * np.sqrt(ss / (n - 1))
-            stats[2:, batch] = _loss_percentiles(rows, mean, slope)
+            stats[:, batch] = _loss_stats(rows, loss0[batch], s2[batch])
 
     # One contiguous block of cells per worker keeps dispatch off small cells.
     workers = min(_worker_count(), len(states))

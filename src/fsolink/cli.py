@@ -126,7 +126,7 @@ _TABLE = (
     _Key("tomography.photons", "integer", "tomography.photons"),
     _Key("tomography.ensemble_size", "integer", "tomography.ensemble_size"),
     _Key("tomography.ensemble_kind", "enum", "tomography.ensemble_kind", choices=_choices(EnsembleKind)),
-    _Key("tomography.fading_resample", "enum", "fading_resample", choices=_choices(FadingResample)),
+    _Key("tomography.fading_resample", "enum", "tomography.fading_resample", choices=_choices(FadingResample)),
 )
 
 
@@ -253,7 +253,6 @@ class ScenarioConfig:
     zenith_step_rad: float = field(default=math.radians(1.0), metadata={"gt": 0.0})
     draws_per_point: int = field(default=10_000, metadata={"ge": 1, "le": MAX_DRAWS_PER_POINT})
     tomography: TomographyConfig = TomographyConfig()
-    fading_resample: FadingResample = FadingResample.PER_TRIAL
 
     def zenith_grid_rad(self) -> np.ndarray:
         # Floor, not round, so a step that does not divide the span stops short
@@ -442,7 +441,7 @@ def result_table(cfg: ScenarioConfig) -> dict[str, Any]:
     else:
         values = {
             "photons": cfg.tomography.photons,
-            **fidelity_vs_zenith(grid, cfg.tomography, cfg.seed, resample=cfg.fading_resample),
+            **fidelity_vs_zenith(grid, cfg.tomography, cfg.seed),
         }
     n_diameters, n_zenith = grid.shape
     return {

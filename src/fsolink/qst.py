@@ -49,11 +49,13 @@ class FadingResample(enum.Enum):
 
 @dataclass(frozen=True)
 class TomographyConfig:
-    """The experiment each cell runs: photons sent per trial and the ensemble of input states."""
+    """The experiment each cell runs: photons sent per trial, the ensemble of input states
+    and whether a faded channel is redrawn per trial or held per grid point."""
 
     photons: int = field(default=200_000, metadata={"ge": 1, "le": MAX_PHOTONS})
     ensemble_size: int = field(default=220, metadata={"ge": 1, "le": MAX_ENSEMBLE_SIZE})
     ensemble_kind: EnsembleKind = EnsembleKind.HAAR_PURE
+    fading_resample: FadingResample = FadingResample.PER_TRIAL
 
     __post_init__ = check_fields
 
@@ -243,30 +245,25 @@ def run_ensemble(config: TomographyConfig, transmittance: float = 1.0, seed: int
     """Tomography over an ensemble of random input states at a fixed transmittance in [0, 1].
 
     Every member draws its own state and counts from a sub-seed of
-    (seed, member index), so results do not depend on scheduling.
+    (seed, member index), so results do not depend on scheduling. The channel
+    does not fade, so ``config.fading_resample`` does not apply.
     """
     if not 0.0 <= transmittance <= 1.0:
         raise ValueError("transmittance must lie in [0, 1]")
     return _ensemble(config, seed, (), transmittance, 0.0)
 
 
-def fidelity_vs_zenith(
-    grid: ChannelGrid,
-    config: TomographyConfig,
-    seed: int = 0,
-    *,
-    resample: FadingResample = FadingResample.PER_TRIAL,
-) -> dict[str, np.ndarray]:
+def fidelity_vs_zenith(grid: ChannelGrid, config: TomographyConfig, seed: int = 0) -> dict[str, np.ndarray]:
     """Ensemble fidelity statistics of every cell of a channel grid, keyed by their CSV column names.
 
     Returns ``mean_fidelity``, ``sd_fidelity`` and ``failures`` (int64) in
     that order, each an (nD, nZ) array of the cells' ``TomographyResult``
     fields of the same names. The channel transmittance at each cell
-    combines the deterministic factors with a log-normal fade; by default
-    each tomography trial sees a fresh fade, alternatively one draw is
-    shared per grid point. Every cell sends ``config.photons`` photons per
-    trial, and member i of cell (di, zi) draws from the sub-seed
-    (seed, di, zi, i).
+    combines the deterministic factors with a log-normal fade; with
+    ``config.fading_resample`` PER_TRIAL each tomography trial sees a fresh
+    fade, with PER_POINT one draw is shared per grid point. Every cell sends
+    ``config.photons`` photons per trial, and member i of cell (di, zi)
+    draws from the sub-seed (seed, di, zi, i).
     """
     # eta_det before sigma_j2, so a failing transmittance is reported before
     # a failing profile integral.
@@ -277,7 +274,7 @@ def fidelity_vs_zenith(
     # stream_states call per diameter row, as in sweep_pass. A grid without
     # fading draws none.
     n_d, n_z = grid.shape
-    per_point = resample is FadingResample.PER_POINT and grid.sigma_j2.any()
+    per_point = config.fading_resample is FadingResample.PER_POINT and grid.sigma_j2.any()
     point_states = [state for di in range(n_d) for state in stream_states(seed, (di,), 0, n_z)] if per_point else []
     point_rng = np.random.default_rng(0)
     for (di, zi), sigma_j2 in np.ndenumerate(grid.sigma_j2):

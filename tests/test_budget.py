@@ -339,14 +339,25 @@ class TestChannelGrid:
         assert calls == [(params.turbulence, LEO_ALTITUDE_M)]
 
 
-def _row_percentiles(z, offset, slope):
-    # The sweep's percentiles on a (rows, n) stack, on a copy: the helper
-    # partitions its rows in place.
-    return budget._loss_percentiles(z.copy(), offset, slope)
+def _row_stats(z, loss0, sigma2):
+    # The sweep's statistics on a (rows, n) stack, on a copy: the helper
+    # overwrites its rows.
+    return budget._loss_stats(z.copy(), np.asarray(loss0, dtype=float), np.asarray(sigma2, dtype=float))
 
 
-class TestLossPercentiles:
-    N = [1, 2, 3, 19, 20, 21, 10_000, 10_001, 200_000]
+def _expected_loss(z, loss0, sigma2):
+    # The mean loss and the loss of each draw, from the mean m of the draws:
+    # the affine dB line written out for one row.
+    c = 10.0 / math.log(10.0)
+    slope, m = c * math.sqrt(sigma2), z.mean()
+    mean = loss0 + c * sigma2 / 2.0 - slope * m
+    return mean, mean + slope * (m - z)
+
+
+class TestLossStats:
+    N = list(range(1, 26)) + [10_000, 10_001, 200_000]
+    # (loss0, sigma2) pairs; sigma2 = 0 is a cell whose log-variance underflowed.
+    CELLS = ((41.3, 0.25), (0.0, 1.0), (-3.5, 1e-6), (17.25, 0.0))
 
     @staticmethod
     def _inputs(n):
@@ -355,31 +366,36 @@ class TestLossPercentiles:
         return rng.standard_normal(n), rng.lognormal(0.0, 2.0, n), tied
 
     @pytest.mark.parametrize("n", N)
-    def test_equals_numpy_percentile_of_the_mapped_draws_bit_for_bit(self, n):
+    def test_equals_numpy_statistics_of_the_mapped_draws(self, n):
         for z in self._inputs(n):
-            for offset, slope in ((41.3, 2.17), (0.0, 1.0), (-3.5, 1e-3)):
-                expected = np.percentile(offset - slope * z, [5, 50, 95]).tolist()
-                assert _row_percentiles(z[None], offset, slope)[:, 0].tolist() == expected
+            for loss0, sigma2 in self.CELLS:
+                mean, loss = _expected_loss(z, loss0, sigma2)
+                result = _row_stats(z[None], [loss0], [sigma2])[:, 0]
+                assert result[0] == mean
+                assert result[1] == (pytest.approx(loss.std(ddof=1), rel=1e-12, abs=0.0) if n > 1 else 0.0)
+                # Bit for bit, as floats: 0.0 and -0.0 would compare equal.
+                assert result[2:].tobytes() == np.percentile(loss, [5, 50, 95]).tobytes()
 
     @pytest.mark.parametrize("n", N)
     def test_stacked_rows_equal_numpy_percentile_of_each_mapped_row(self, n):
-        # One row per input kind and per (offset, slope), so neighbouring rows
-        # differ in their draws, ties, offset and slope.
-        offsets = np.array([41.3, 0.0, -3.5, 17.25])
-        slopes = np.array([2.17, 1.0, 1e-3, 0.37])
-        z = np.array([row for row in self._inputs(n) for _ in offsets])
-        offset, slope = np.tile(offsets, 3), np.tile(slopes, 3)
-        result = _row_percentiles(z, offset, slope)
-        assert result.shape == (3, len(z))
+        # One row per input kind and per (loss0, sigma2), so neighbouring rows
+        # differ in their draws, ties, loss0 and log-variance.
+        z = np.array([row for row in self._inputs(n) for _ in self.CELLS])
+        loss0, sigma2 = (np.tile(column, 3) for column in zip(*self.CELLS))
+        result = _row_stats(z, loss0, sigma2)
+        assert result.shape == (5, len(z))
         for r in range(len(z)):
-            expected = np.percentile(offset[r] - slope[r] * z[r], [5, 50, 95]).tolist()
-            assert result[:, r].tolist() == expected
+            _, loss = _expected_loss(z[r], loss0[r], sigma2[r])
+            assert result[2:, r].tobytes() == np.percentile(loss, [5, 50, 95]).tobytes()
 
     def test_midpoint_takes_numpys_upper_formula(self):
         # At t = 0.5, a + (b - a) t and b - (b - a)(1 - t) differ for these
-        # neighbours (50000.049999999996 against 50000.05); numpy takes the second.
+        # neighbouring losses; numpy takes the second.
         z = np.array([-0.1, -1e5])
-        assert _row_percentiles(z[None], 0.0, 1.0)[1, 0] == np.percentile(-z, 50) == 50000.05
+        _, loss = _expected_loss(z, 0.0, 4.0)
+        a, b = np.sort(loss).tolist()
+        assert a + (b - a) * 0.5 != b - (b - a) * 0.5
+        assert _row_stats(z[None], [0.0], [4.0])[3, 0] == np.percentile(loss, 50) == b - (b - a) * 0.5
 
 
 def _serial_sweep(params, diameters, zeniths, draws, seed):
@@ -507,17 +523,17 @@ class TestConcurrentSweep:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_worker_error_reaches_the_caller(self, monkeypatch, workers):
         # 20_000 draws give six cells a batch, so each worker reduces several
-        # batches; the third batch to reach the percentiles fails.
+        # batches; the third batch to reach the reduction fails.
         calls = itertools.count()
-        real = budget._loss_percentiles
+        real = budget._loss_stats
 
-        def failing(rows, mean, slope):
+        def failing(rows, loss0, sigma2):
             if next(calls) == 2:
                 raise RuntimeError("batch failed")
-            return real(rows, mean, slope)
+            return real(rows, loss0, sigma2)
 
         monkeypatch.setattr(budget, "_worker_count", lambda: workers)
-        monkeypatch.setattr(budget, "_loss_percentiles", failing)
+        monkeypatch.setattr(budget, "_loss_stats", failing)
         zeniths = np.radians(np.arange(-80.0, 81.0, 10.0))
         grid = channel_grid(default_channel(mode=FluctuationMode.PSI), LEO_ALTITUDE_M, DIAMETERS, zeniths)
         with pytest.raises(RuntimeError, match="batch failed"):

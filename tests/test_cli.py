@@ -34,7 +34,7 @@ from fsolink.cli import (
 )
 from fsolink.extinction import ExtinctionParams
 from fsolink.geometry import pass_times
-from fsolink.qst import MAX_ENSEMBLE_SIZE, MAX_PHOTONS, TomographyConfig, fidelity_vs_zenith
+from fsolink.qst import MAX_ENSEMBLE_SIZE, MAX_PHOTONS, FadingResample, TomographyConfig
 from fsolink.turbulence import ApertureModel, TurbulenceProfile
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -57,7 +57,6 @@ class TestParseConfig:
         assert cfg.channel == ChannelParams()
         assert cfg.tomography == TomographyConfig()
         assert cfg.draws_per_point == inspect.signature(sweep_pass).parameters["draws_per_point"].default
-        assert cfg.fading_resample == inspect.signature(fidelity_vs_zenith).parameters["resample"].default
         assert cfg.zenith_limit_rad == inspect.signature(pass_times).parameters["zenith_limit_rad"].default
 
     def test_unit_strings_normalize_to_si(self):
@@ -74,6 +73,10 @@ class TestParseConfig:
         assert cfg.channel.beam.wavelength_m == pytest.approx(1.55e-6)
         assert cfg.diameters_m[0] == pytest.approx(0.5)
         assert cfg.zenith_step_rad == pytest.approx(math.radians(2.0))
+
+    def test_fading_resample_fills_the_tomography_config(self):
+        cfg = parse_config({"tomography": {"fading_resample": "per_point"}})
+        assert cfg.tomography.fading_resample is FadingResample.PER_POINT
 
     def test_angles_accept_radians_suffix(self):
         cfg = parse_config(json.dumps({"geometry": {"zenith_limit": "1.2 rad"}}))

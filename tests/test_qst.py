@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -640,7 +641,7 @@ class TestFidelityVsZenith:
                     for photons in (1, 30, 1000, 10**6):
                         case = (kind, resample, mode, photons, size)
                         config = TomographyConfig(photons=photons, ensemble_size=size, ensemble_kind=kind)
-                        table = fidelity_vs_zenith(grid, config, 12, resample=resample)
+                        table = fidelity_vs_zenith(grid, replace(config, fading_resample=resample), 12)
                         mean, sd = np.empty((2, 2)), np.empty((2, 2))
                         failures = np.empty((2, 2), dtype=np.int64)
                         for (di, zi), sigma_j2 in np.ndenumerate(grid.sigma_j2):
@@ -674,7 +675,7 @@ class TestFidelityVsZenith:
         point_fade = float(sample(float(grid.sigma_j2[0, 0]), _member_rng(0, 0, 0), 1)[0])
         assert eta_det * point_fade > 1.0
         config = TomographyConfig(photons=1000, ensemble_size=17)
-        table = fidelity_vs_zenith(grid, config, 0, resample=FadingResample.PER_POINT)
+        table = fidelity_vs_zenith(grid, replace(config, fading_resample=FadingResample.PER_POINT), 0)
         fids, failures, _, _ = scalar_trials(config, 0, (0, 0), eta_det, 0.0, point_fade)
         capped, _, _, _ = scalar_trials(config, 0, (0, 0), 1.0)
         assert fids.tobytes() == capped.tobytes()
@@ -702,7 +703,7 @@ class TestFidelityVsZenith:
         monkeypatch.setattr(qst, "stream_states", counting)
         grid = channel_grid(ChannelParams(fluctuation_mode=mode), 420e3, (0.25, 1.0), np.radians([0.0, 40.0, 80.0]))
         config = TomographyConfig(photons=1000, ensemble_size=3)
-        fidelity_vs_zenith(grid, config, 5, resample=FadingResample.PER_POINT)
+        fidelity_vs_zenith(grid, replace(config, fading_resample=FadingResample.PER_POINT), 5)
         assert [key for key in keys if len(key) == 1] == row_keys
         assert sorted(key for key in keys if len(key) == 2) == [(di, zi) for di in range(2) for zi in range(3)]
 

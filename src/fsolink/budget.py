@@ -60,6 +60,8 @@ class FluctuationMode(enum.Enum):
 
 @dataclass(frozen=True)
 class ChannelParams:
+    """Beam, extinction, Cn^2 and aperture models, internal efficiency ``eta_int`` in (0, 1], and fading mode."""
+
     beam: BeamParams = BeamParams()
     extinction: ExtinctionParams = ExtinctionParams()
     turbulence: TurbulenceProfile = TurbulenceProfile()

@@ -38,7 +38,6 @@ from .budget import (
 )
 from .geometry import EARTH_MU_M3_S2, EARTH_RADIUS_M, pass_times
 from .qst import EnsembleKind, FadingResample, TomographyConfig, fidelity_vs_zenith
-from .quadrature import QuadratureError
 from .turbulence import ApertureModelKind, ScintillationVariant
 
 # Each scenario and the CSV file that its result table goes to.
@@ -509,7 +508,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         _report("config", str(exc))
         return 2
-    except (QuadratureError, ArithmeticError, ValueError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         _report("numeric", str(exc))
         return 3
     except OSError as exc:

@@ -24,6 +24,8 @@ ATMOSPHERE_TOP_M = 100_000.0
 
 @dataclass(frozen=True)
 class ExtinctionParams:
+    """Extinction profile gamma(h) = alpha0 exp(-h/h0): sea-level ``alpha0_per_m`` in 1/m, scale ``h0_m`` in m."""
+
     alpha0_per_m: float = field(default=5e-6, metadata={"gt": 0.0})
     h0_m: float = field(default=6_600.0, metadata={"gt": 0.0})
 

@@ -32,8 +32,8 @@ def pdf(sigma_j2: float, intensity) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def sample(sigma_j2: float, rng: np.random.Generator | int, n: int) -> np.ndarray:
-    """Draw ``n`` intensity factors of log-variance ``sigma_j2``; deterministic for a fixed seed.
+def sample(sigma_j2: float, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw ``n`` intensity factors of log-variance ``sigma_j2`` from the caller's generator ``rng``.
 
     Standard-normal variates are scaled and shifted, so matched seeds with
     different sigma_j2 produce comonotone draws. The tomography sweep takes
@@ -44,11 +44,12 @@ def sample(sigma_j2: float, rng: np.random.Generator | int, n: int) -> np.ndarra
         raise ValueError("n must be >= 1")
     if not 0 <= sigma_j2 < math.inf:
         raise ValueError("sigma_j2 must be >= 0 and finite")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError("rng must be a numpy.random.Generator")
     if sigma_j2 == 0:
         return np.ones(n)
     # In place, one buffer: exp(sigma * z - sigma_j2 / 2)
-    z = gen.standard_normal(n)
+    z = rng.standard_normal(n)
     z *= math.sqrt(sigma_j2)
     z -= sigma_j2 / 2.0
     return np.exp(z, out=z)

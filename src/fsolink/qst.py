@@ -62,6 +62,8 @@ class TomographyConfig:
 
 @dataclass(frozen=True)
 class TomographyResult:
+    """Member fidelities (ensemble_size,), their mean and SD (ddof 1), and how many members detected nothing."""
+
     fidelities: np.ndarray
     mean_fidelity: float
     sd_fidelity: float
@@ -100,23 +102,21 @@ def born_probabilities(r: np.ndarray) -> list[float]:
     return [(1.0 + (sx * x + sy * y + sz * z)) / 4.0 for sx, sy, sz in _TETRAHEDRON]
 
 
-def simulate_counts(
-    r_in: np.ndarray,
-    n_eff: int,
-    rng: np.random.Generator | int | None = None,
-) -> np.ndarray:
-    """Poisson-fluctuated SIC-POVM counts of ``r_in`` at the effective photon number ``n_eff``.
+def simulate_counts(r_in: np.ndarray, n_eff: int, rng: np.random.Generator) -> np.ndarray:
+    """Poisson-fluctuated SIC-POVM counts of ``r_in`` at the effective photon number ``n_eff``,
+    drawn from the caller's generator ``rng``.
 
     ``n_eff`` is an integer in [0, MAX_PHOTONS]; the mean count of effect k
     is n_eff * p_k rounded half away from zero.
     """
     if not 0 <= n_eff <= MAX_PHOTONS:
         raise ValueError(f"n_eff must lie in [0, {MAX_PHOTONS:.0e}]")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError("rng must be a numpy.random.Generator")
     # One scalar draw per effect: the same draws as one call on the vector of
     # means, without its per-call array checks.
     return np.array(
-        [gen.poisson(round_half_away(n_eff * p)) for p in born_probabilities(r_in)],
+        [rng.poisson(round_half_away(n_eff * p)) for p in born_probabilities(r_in)],
         dtype=np.int64,
     )
 

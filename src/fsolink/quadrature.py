@@ -19,8 +19,9 @@ MAX_DEPTH = 60
 PRESAMPLE_PANELS = 256
 
 
-class QuadratureError(RuntimeError):
-    """Raised when the adaptive scheme fails to reach the requested tolerance."""
+class QuadratureError(ArithmeticError):
+    """Raised when the adaptive scheme fails to reach the requested tolerance; a numeric
+    failure, so an ``ArithmeticError`` like an overflow."""
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:

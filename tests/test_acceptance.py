@@ -121,7 +121,7 @@ def test_criterion_6_fading_moments():
     details = []
     n = 1_000_000
     for sigma_j2 in (0.04, 0.25, 1.0):
-        draws = fl.sample(sigma_j2, 4242, n)
+        draws = fl.sample(sigma_j2, np.random.default_rng(4242), n)
         var = math.expm1(sigma_j2)
         mean_band = 3.0 * math.sqrt(var / n)
         moments = [math.exp(k * (k - 1) * sigma_j2 / 2.0) for k in range(5)]

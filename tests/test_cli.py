@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import fsolink
-from fsolink import budget, cli
+from fsolink import budget, cli, quadrature, turbulence
 from fsolink.beam import BeamParams
 from fsolink.budget import ChannelParams, FluctuationMode, sweep_pass
 from fsolink.cli import (
@@ -771,21 +771,27 @@ class TestMain:
         assert err["error"] == "numeric"
 
     @pytest.mark.parametrize(
-        "doc, cause",
+        "doc, cause, max_depth",
         [
             # v_rms**2 in the Cn^2 wind term overflows.
-            ({"channel": {"v_rms": 1e300, "fluctuation_mode": "isi"}}, "v_rms"),
+            ({"channel": {"v_rms": 1e300, "fluctuation_mode": "isi"}}, "v_rms", quadrature.MAX_DEPTH),
             # sqrt(mu / (R + H)^3) underflows to 0.
-            ({"scenario": "pass_time", "geometry": {"satellite_altitude": "1e12 m", "mu": 1e-300}}, "orbital rate"),
+            ({"scenario": "pass_time", "geometry": {"satellite_altitude": "1e12 m", "mu": 1e-300}}, "orbital rate",
+             quadrature.MAX_DEPTH),
             # v_rms**2 is finite, but sigma_R^2 (about 8e295) overflows the scintillation index.
-            ({"channel": {"v_rms": 1e150, "fluctuation_mode": "isi"}}, "sigma_R2"),
+            ({"channel": {"v_rms": 1e150, "fluctuation_mode": "isi"}}, "sigma_R2", quadrature.MAX_DEPTH),
+            # With no bisection level left, the PSI + Yura profile moments do not converge.
+            ({"channel": {"fluctuation_mode": "psi", "aperture_model": "yura"}}, "failed to converge", 0),
         ],
     )
-    def test_numeric_error_names_its_cause(self, tmp_path, capsys, doc, cause):
+    def test_numeric_error_names_its_cause(self, tmp_path, capsys, monkeypatch, doc, cause, max_depth):
+        monkeypatch.setattr(quadrature, "MAX_DEPTH", max_depth)
+        turbulence._profile_moment.cache_clear()
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
-        err = json.loads(capsys.readouterr().err)
+        [line] = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
         assert err["error"] == "numeric"
         assert cause in err["detail"]
 

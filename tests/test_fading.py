@@ -42,18 +42,18 @@ def test_pdf_and_sample_reject_infinite_sigma(value):
     with pytest.raises(ValueError, match="sigma_j2 > 0 and finite"):
         pdf(value, 1.0)
     with pytest.raises(ValueError, match="sigma_j2 must be >= 0 and finite"):
-        sample(value, 0, 2)
+        sample(value, np.random.default_rng(0), 2)
 
 
 class TestSample:
     def test_degenerate_sigma_returns_ones(self):
-        draws = sample(0.0, 7, 1000)
+        draws = sample(0.0, np.random.default_rng(7), 1000)
         assert np.all(draws == 1.0)
 
     @pytest.mark.parametrize("sigma_j2", [0.04, 0.25, 1.0])
     def test_mean_and_variance(self, sigma_j2):
         n = 1_000_000
-        draws = sample(sigma_j2, 42, n)
+        draws = sample(sigma_j2, np.random.default_rng(42), n)
         var = math.expm1(sigma_j2)
         # SD of the sample mean; the sample variance estimator's own SD uses
         # the 4th central moment of the log-normal.
@@ -65,7 +65,7 @@ class TestSample:
 
     def test_kolmogorov_smirnov_against_pdf_cdf(self):
         sigma_j2 = 0.25
-        draws = sample(sigma_j2, 99, 100_000)
+        draws = sample(sigma_j2, np.random.default_rng(99), 100_000)
         sigma = math.sqrt(sigma_j2)
 
         def cdf(x):
@@ -78,8 +78,8 @@ class TestSample:
         assert result.pvalue > 0.01
 
     def test_reproducible_for_fixed_seed(self):
-        a = sample(0.25, 1234, 10_000)
-        b = sample(0.25, 1234, 10_000)
+        a = sample(0.25, np.random.default_rng(1234), 10_000)
+        b = sample(0.25, np.random.default_rng(1234), 10_000)
         assert np.array_equal(a, b)
 
     def test_equals_the_out_of_place_formula_bit_for_bit(self):
@@ -89,27 +89,31 @@ class TestSample:
         assert np.array_equal(sample(sigma_j2, np.random.default_rng(8), 10_001), expected)
 
     def test_distinct_seeds_differ(self):
-        a = sample(0.25, 1, 1000)
-        b = sample(0.25, 2, 1000)
+        a = sample(0.25, np.random.default_rng(1), 1000)
+        b = sample(0.25, np.random.default_rng(2), 1000)
         assert not np.array_equal(a, b)
 
     def test_matched_seeds_are_comonotone_across_sigma(self):
         # Same seed, smaller sigma: draws are a monotone contraction of the
         # same underlying normals, so log-spread shrinks pointwise.
-        narrow = sample(0.05, 5, 10_000)
-        wide = sample(0.50, 5, 10_000)
+        narrow = sample(0.05, np.random.default_rng(5), 10_000)
+        wide = sample(0.50, np.random.default_rng(5), 10_000)
         assert np.log(narrow).std() < np.log(wide).std()
         corr = np.corrcoef(np.log(narrow), np.log(wide))[0, 1]
         assert corr == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_empty_request(self):
         with pytest.raises(ValueError):
-            sample(0.25, 0, 0)
+            sample(0.25, np.random.default_rng(0), 0)
+
+    def test_draws_only_from_a_generator(self):
+        with pytest.raises(TypeError, match="rng"):
+            sample(0.3, 7, 5)
 
     def test_rejects_negative_sigma(self):
         for sigma_j2 in (-0.1, math.nan):
             with pytest.raises(ValueError, match="sigma_j2 must be >= 0"):
-                sample(sigma_j2, 0, 1)
+                sample(sigma_j2, np.random.default_rng(0), 1)
 
 
 def _lognormal_central_moment4(sigma_j2: float) -> float:

@@ -252,17 +252,17 @@ class TestSimulateCounts:
     def test_photon_number_is_capped(self):
         # Beyond the cap numpy's Poisson sampler would fail on its own terms.
         with pytest.raises(ValueError, match="1e\\+15"):
-            simulate_counts(MIXED, 10**20, 1)
+            simulate_counts(MIXED, 10**20, np.random.default_rng(1))
         with pytest.raises(ValueError, match="1e\\+15"):
-            simulate_counts(MIXED, MAX_PHOTONS + 1, 1)
-        assert simulate_counts(MIXED, MAX_PHOTONS, 1).sum() > 0
+            simulate_counts(MIXED, MAX_PHOTONS + 1, np.random.default_rng(1))
+        assert simulate_counts(MIXED, MAX_PHOTONS, np.random.default_rng(1)).sum() > 0
 
     def test_dark_channel(self):
-        np.testing.assert_array_equal(simulate_counts(KET0, 0, rng=1), [0, 0, 0, 0])
+        np.testing.assert_array_equal(simulate_counts(KET0, 0, np.random.default_rng(1)), [0, 0, 0, 0])
 
     def test_deterministic_for_seed(self):
-        a = simulate_counts(KET0, 5000, rng=123)
-        b = simulate_counts(KET0, 5000, rng=123)
+        a = simulate_counts(KET0, 5000, np.random.default_rng(123))
+        b = simulate_counts(KET0, 5000, np.random.default_rng(123))
         np.testing.assert_array_equal(a, b)
 
     def test_poisson_moments_match_means(self):
@@ -291,7 +291,13 @@ class TestSimulateCounts:
 
     def test_rejects_negative_n_eff(self):
         with pytest.raises(ValueError, match="n_eff"):
-            simulate_counts(KET0, -1, rng=0)
+            simulate_counts(KET0, -1, np.random.default_rng(0))
+
+    def test_draws_only_from_a_generator(self):
+        with pytest.raises(TypeError, match="rng"):
+            simulate_counts(KET0, 5, 7)
+        with pytest.raises(TypeError):
+            simulate_counts(KET0, 5)
 
     @pytest.mark.parametrize(
         "r, photons, eta, means",
@@ -858,6 +864,27 @@ class TestExactOracle:
         failed = int(fit.degenerate.sum())
         tail = min(binom.cdf(failed, self.TRIALS, p_fail), binom.sf(failed - 1, self.TRIALS, p_fail))
         assert tail >= norm.sf(self.MAX_STANDARD_ERRORS), (means, p_fail * self.TRIALS, failed)
+
+    # Fixed before the comparison was run, like the bound.
+    HAAR_STATES = 24
+    HAAR_ENSEMBLE = 10_000
+
+    @pytest.mark.parametrize("n_eff", [2, 5])
+    def test_haar_ensemble_matches_the_lattice_over_states(self, n_eff):
+        # The SIC-POVM is not rotation invariant, so E[F] depends on the input
+        # state; its Haar average is estimated by the lattice at random states.
+        rng = np.random.default_rng(2718)
+        lattice = np.array(
+            [self._lattice(haar_random_pure(rng), n_eff, True)[1:] for _ in range(self.HAAR_STATES)]
+        )
+        mean_f, var_f = lattice[:, 0], lattice[:, 1]
+        # The member fidelity's variance over the Haar ensemble, by total variance.
+        var_member = float(var_f.mean() + mean_f.var(ddof=1))
+        config = TomographyConfig(photons=n_eff, ensemble_size=self.HAAR_ENSEMBLE)
+        result = run_ensemble(config, transmittance=1.0, seed=4711)
+        se = math.sqrt(mean_f.var(ddof=1) / self.HAAR_STATES + var_member / self.HAAR_ENSEMBLE)
+        z_f = (result.mean_fidelity - mean_f.mean()) / se
+        assert abs(z_f) <= self.MAX_STANDARD_ERRORS, (mean_f.mean(), result.mean_fidelity, se)
 
     @pytest.mark.parametrize("r, pure_input", [((0.0, 0.0, 1.0), True), ((0.3, -0.2, 0.4), False)])
     def test_per_trial_fading_matches_the_weighted_lattice(self, r, pure_input):

@@ -42,6 +42,11 @@ def test_reports_non_convergence():
         adaptive_simpson(lambda x: math.sin(1.0 / x) if x else 0.0, 0.0, 1.0)
 
 
+def test_non_convergence_is_an_arithmetic_error():
+    # The CLI reports it with the overflows and zero divisions: exit 3.
+    assert issubclass(QuadratureError, ArithmeticError)
+
+
 def test_depth_limit_is_max_depth(monkeypatch):
     # With no bisection level left, Simpson's rule is still exact for a cubic,
     # but anything it does not resolve on the first split raises.

@@ -31,7 +31,15 @@ def spot_size(params: BeamParams, z_m: float) -> float:
     """1/e^2 beam radius after propagating ``z_m`` from the waist."""
     if not z_m >= 0:
         raise ValueError("z_m must be >= 0")
-    return params.waist_m * math.sqrt(1.0 + (z_m / params.rayleigh_range_m) ** 2)
+    z_r = params.rayleigh_range_m
+    try:
+        spot = params.waist_m * math.sqrt(1.0 + (z_m / z_r) ** 2)
+    except (ZeroDivisionError, OverflowError):  # z_r underflowed to 0, or (z_m / z_r)^2 overflows
+        spot = math.inf
+    if spot == math.inf:
+        raise ValueError(f"the spot size overflows at z_m = {z_m:g} m: the Rayleigh range pi waist_m**2 / "
+                         f"wavelength_m is {z_r:g} m (waist_m = {params.waist_m:g} m, wavelength_m = {params.wavelength_m:g} m)")
+    return spot
 
 
 def encircled_energy(radius_m: float, spot_m: float) -> float:

@@ -225,17 +225,6 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
-def _uint32_words(n: int) -> list[int]:
-    """Little-endian 32-bit words of a non-negative integer, as SeedSequence splits it."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError("seed and stream keys must be non-negative integers")
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
 def _hashmix(value, hash_const: int, mult: int):
     """One SeedSequence hash step on an int or a uint64 array of 32-bit words."""
     value = (value ^ hash_const) * (hash_const := hash_const * mult & _MASK32) & _MASK32
@@ -251,31 +240,23 @@ def stream_states(seed: int, key: tuple[int, ...], start: int, stop: int) -> lis
     """PCG64 states of ``default_rng(SeedSequence(entropy=seed, spawn_key=key + (i,)))``.
 
     One state dict per i in [start, stop), ready to assign to a PCG64's
-    ``state``. This is numpy's SeedSequence algorithm (hashmix/mix entropy
-    pool, then ``generate_state(4, uint64)``) followed by PCG64's seeding
-    step. Only the last entropy word, i, varies across the range, so
-    everything before it is mixed once and the last word's mixing and the
-    state generation run on uint64 arrays of 32-bit words.
+    ``state``. numpy's ``SeedSequence(seed, spawn_key=key)`` is built once and
+    its pool holds every entropy word but the last, i, already mixed. Only i's
+    mixing, ``generate_state(4, uint64)`` and PCG64's seeding step are done
+    here, on uint64 arrays of 32-bit words.
     """
     if not 0 <= start <= stop <= 2**32:
         raise ValueError("stream indices must lie in [0, 2**32)")
-    run = _uint32_words(seed)
-    words = run + [0] * (4 - len(run)) + [w for k in key for w in _uint32_words(k)]
-    words.append(np.arange(start, stop, dtype=np.uint64))
-    hash_const = _HASH_INIT_A
-    pool = []
-    for word in words[:4]:
-        value, hash_const = _hashmix(word, hash_const, _HASH_MULT_A)
-        pool.append(value)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                value, hash_const = _hashmix(pool[src], hash_const, _HASH_MULT_A)
-                pool[dst] = _mix(pool[dst], value)
-    for word in words[4:]:
-        for dst in range(4):
-            value, hash_const = _hashmix(word, hash_const, _HASH_MULT_A)
-            pool[dst] = _mix(pool[dst], value)
+    # operator.index: numpy would take None as OS entropy and a list as entropy words.
+    pool = np.random.SeedSequence(operator.index(seed), spawn_key=key).pool.tolist()
+    # The pool's mixing took 4 hash steps per 32-bit entropy word, with the
+    # seed padded to the pool's 4 words; the hash constant resumes after them.
+    seed_words, *key_words = [(max(operator.index(w).bit_length(), 1) + 31) // 32 for w in (seed, *key)]
+    hash_const = _HASH_INIT_A * pow(_HASH_MULT_A, 4 * (max(4, seed_words) + sum(key_words)), 2**32) & _MASK32
+    last = np.arange(start, stop, dtype=np.uint64)
+    for dst in range(4):
+        value, hash_const = _hashmix(last, hash_const, _HASH_MULT_A)
+        pool[dst] = _mix(pool[dst], value)
     hash_const = _HASH_INIT_B
     out = []
     for k in range(8):

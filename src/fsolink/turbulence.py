@@ -88,14 +88,24 @@ def cn2(profile: TurbulenceProfile, h_m: float) -> float:
     return wind + background + ground
 
 
+def _wavenumber_7_6(wavelength_m: float) -> float:
+    """k^(7/6) for the wavenumber k = 2 pi / wavelength_m, a factor of both Rytov indices."""
+    try:
+        k_7_6 = (2.0 * math.pi / wavelength_m) ** (7.0 / 6.0)
+    except OverflowError:
+        k_7_6 = math.inf
+    if k_7_6 == math.inf:
+        raise ValueError(f"wavelength_m = {wavelength_m:g} m overflows the Rytov index's k**(7/6), k = 2 pi / wavelength_m")
+    return k_7_6
+
+
 def rytov_horizontal(cn2_const: float, wavelength_m: float, path_m: float) -> float:
     """Plane-wave Rytov variance 1.23 Cn^2 k^(7/6) L^(11/6) for a uniform path."""
     if not cn2_const >= 0:
         raise ValueError("cn2_const must be >= 0")
     if not (wavelength_m > 0 and path_m > 0):
         raise ValueError("wavelength_m and path_m must be > 0")
-    k = 2.0 * math.pi / wavelength_m
-    return 1.23 * cn2_const * k ** (7.0 / 6.0) * path_m ** (11.0 / 6.0)
+    return 1.23 * cn2_const * _wavenumber_7_6(wavelength_m) * path_m ** (11.0 / 6.0)
 
 
 # A grid asks for the same one or two moments at every zenith angle and every
@@ -141,10 +151,10 @@ def rytov_downlink(
         raise ValueError("wavelength_m must be > 0")
     if not altitude_m > profile.h_ogs_m:
         raise ValueError("altitude_m must exceed the station altitude")
-    k = 2.0 * math.pi / wavelength_m
+    k_7_6 = _wavenumber_7_6(wavelength_m)
     moment = _profile_moment(profile, altitude_m, 5.0 / 6.0)
     sec_z = 1.0 / math.cos(zenith_rad)
-    return 2.25 * k ** (7.0 / 6.0) * sec_z ** (11.0 / 6.0) * moment
+    return 2.25 * k_7_6 * sec_z ** (11.0 / 6.0) * moment
 
 
 def scintillation_index(

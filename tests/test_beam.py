@@ -27,6 +27,12 @@ class TestSpotSize:
         with pytest.raises(ValueError):
             spot_size(BeamParams(), -1.0)
 
+    # z_R underflows to 0; (z / z_R)^2 overflows; z / z_R is inf for a subnormal z_R.
+    @pytest.mark.parametrize(("waist", "wavelength"), [(1e-200, 1550e-9), (1e-100, 1e12), (1e-160, 1550e-9)])
+    def test_overflowing_spot_names_the_waist(self, waist, wavelength):
+        with pytest.raises(ValueError, match="waist_m"):
+            spot_size(BeamParams(wavelength_m=wavelength, waist_m=waist), 420e3)
+
 
 def disc_integration_oracle(params: BeamParams, a: float, z_m: float) -> float:
     """2-D numerical integration of the normalized Gaussian irradiance over

@@ -277,7 +277,7 @@ class TestChannelGrid:
         reference = channel_grid(params, LEO_ALTITUDE_M, GRID_DIAMETERS, GRID_ZENITHS)
         assert grid.sigma_j2.tobytes() == reference.sigma_j2.tobytes()
         assert grid.av.tobytes() == reference.av.tobytes()
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ValueError, match="waist_m"):
             grid.eta_det
 
     def test_each_factor_runs_once_per_value_of_its_axis(self, monkeypatch):
@@ -634,9 +634,18 @@ class TestStreamStates:
     def test_nonzero_start_matches_the_full_range(self):
         assert stream_states(7, (3, 4), 10, 20) == stream_states(7, (3, 4), 0, 20)[10:]
 
-    @pytest.mark.parametrize(("seed", "key", "start", "stop"), [(-1, (), 0, 1), (0, (-2,), 0, 1), (0, (), 3, 2), (0, (), 0, 2**32 + 1)])
-    def test_rejects_what_seedsequence_rejects_or_a_multi_word_index(self, seed, key, start, stop):
-        with pytest.raises(ValueError):
+    # None and a list are SeedSequence entropy (OS entropy and entropy words), but not seeds here.
+    @pytest.mark.parametrize(("seed", "key", "start", "stop", "exception"), [
+        (-1, (), 0, 1, ValueError),
+        (0, (-2,), 0, 1, ValueError),
+        (0, (), 3, 2, ValueError),
+        (0, (), 0, 2**32 + 1, ValueError),
+        (None, (), 0, 1, TypeError),
+        ([1, 2], (), 0, 1, TypeError),
+        (0, (1.5,), 0, 1, TypeError),
+    ])
+    def test_rejects_what_seedsequence_rejects_or_a_multi_word_index(self, seed, key, start, stop, exception):
+        with pytest.raises(exception):
             stream_states(seed, key, start, stop)
 
 

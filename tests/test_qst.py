@@ -866,23 +866,28 @@ class TestExactOracle:
         assert tail >= norm.sf(self.MAX_STANDARD_ERRORS), (means, p_fail * self.TRIALS, failed)
 
     # Fixed before the comparison was run, like the bound.
-    HAAR_STATES = 24
-    HAAR_ENSEMBLE = 10_000
+    ENSEMBLE_STATES = 24
+    ENSEMBLE_SIZE = 10_000
 
     @pytest.mark.parametrize("n_eff", [2, 5])
-    def test_haar_ensemble_matches_the_lattice_over_states(self, n_eff):
+    @pytest.mark.parametrize(
+        "kind, draw_state, pure_input",
+        [(EnsembleKind.HAAR_PURE, haar_random_pure, True), (EnsembleKind.BURES_MIXED, bures_random_mixed, False)],
+        ids=["haar_pure", "bures_mixed"],
+    )
+    def test_ensemble_matches_the_lattice_over_states(self, kind, draw_state, pure_input, n_eff):
         # The SIC-POVM is not rotation invariant, so E[F] depends on the input
-        # state; its Haar average is estimated by the lattice at random states.
+        # state; its average over the ensemble is estimated by the lattice at random states.
         rng = np.random.default_rng(2718)
         lattice = np.array(
-            [self._lattice(haar_random_pure(rng), n_eff, True)[1:] for _ in range(self.HAAR_STATES)]
+            [self._lattice(draw_state(rng), n_eff, pure_input)[1:] for _ in range(self.ENSEMBLE_STATES)]
         )
         mean_f, var_f = lattice[:, 0], lattice[:, 1]
-        # The member fidelity's variance over the Haar ensemble, by total variance.
+        # The member fidelity's variance over the ensemble, by total variance.
         var_member = float(var_f.mean() + mean_f.var(ddof=1))
-        config = TomographyConfig(photons=n_eff, ensemble_size=self.HAAR_ENSEMBLE)
+        config = TomographyConfig(photons=n_eff, ensemble_size=self.ENSEMBLE_SIZE, ensemble_kind=kind)
         result = run_ensemble(config, transmittance=1.0, seed=4711)
-        se = math.sqrt(mean_f.var(ddof=1) / self.HAAR_STATES + var_member / self.HAAR_ENSEMBLE)
+        se = math.sqrt(mean_f.var(ddof=1) / self.ENSEMBLE_STATES + var_member / self.ENSEMBLE_SIZE)
         z_f = (result.mean_fidelity - mean_f.mean()) / se
         assert abs(z_f) <= self.MAX_STANDARD_ERRORS, (mean_f.mean(), result.mean_fidelity, se)
 

@@ -88,6 +88,13 @@ class TestRytovHorizontal:
         )
 
 
+    # 1e-300 overflows k**(7/6); at 5e-324 k itself is inf, and with no turbulence 0 * inf would be NaN.
+    @pytest.mark.parametrize(("cn2_const", "wavelength"), [(1e-14, 1e-300), (1e-14, 5e-324), (0.0, 5e-324)])
+    def test_overflowing_wavenumber_names_the_wavelength(self, cn2_const, wavelength):
+        with pytest.raises(ValueError, match="wavelength_m"):
+            rytov_horizontal(cn2_const, wavelength, 1000.0)
+
+
 class TestRytovDownlink:
     def test_secant_scaling_is_exact(self):
         base = rytov_downlink(DEFAULTS, WAVELENGTH, 420e3, 0.0)
